@@ -23,12 +23,10 @@ from .bodies import (
 )
 from .config import ConfigError, ExperimentConfig
 from .functionals import (
-    MultivariateValue,
     ValuationSpec,
     euler_indicator,
     intrinsic_volumes,
     multivariate_labels,
-    multivariate_raw,
     oracle_estimate,
     valuation,
     wills,
@@ -44,14 +42,12 @@ from .hull import (
     f_vector,
     hull_facets_as_source_sets,
     intrinsic_volume_mc,
-    polytope_to_json,
     project,
     sample_haar_subspace,
     surface_measure,
     volume,
 )
 from .malliavin import (
-    DiffSample,
     GammaEstimate,
     TauEstimate,
     VectorFunctional,

@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .bodies import body_from_spec
 from .config import ConfigError, ExperimentConfig
-from .functionals import multivariate_labels
 from .malliavin import (
     VectorFunctional,
     estimate_gammas,
@@ -246,27 +245,13 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable) -> dict
     ms = config.malliavin
     body = body_from_spec(config.body)
     rng = stream(config.seed, MALLIAVIN_STAGE, table.t_index)
-    d = body.dim
-    from .functionals import intrinsic_volumes  # local import to avoid cycle
-    from .hull import f_vector
+    labels, values = config.malliavin_functional()
 
     if ms.multivariate:
-        labels = multivariate_labels(d)
-        for lab in labels:
-            if lab not in table.columns:
-                raise ConfigError(
-                    "malliavin", f"table lacks column {lab!r}; include the "
-                    "multivariate functional in the config"
-                )
         scales = np.array([table.column(l).std(ddof=1) for l in labels])
         ss = covariance_matrix(table, labels)
-
-        def raw(poly):
-            vols = intrinsic_volumes(poly, mode="exact")
-            fv = f_vector(poly)
-            return np.array(vols[1:] + [float(c) for c in fv.counts])
-
-        vf = VectorFunctional(fn=raw, labels=tuple(labels), scales=scales)
+        vf = VectorFunctional(fn=lambda poly: np.array(values(poly)),
+                              labels=tuple(labels), scales=scales)
         g = estimate_gammas(body, ms.t, vf, ss.covariance, ms.n_outer,
                             ms.n_inner, rng, sampling=ms.sampling,
                             shell_c=ms.c)
@@ -280,26 +265,11 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable) -> dict
             "t": g.t, "sampling": g.sampling,
         }
 
-    label = ms.functional
-    if label == "V_d":
-        label = f"V_{d}"
-    col = table.column(label)
-    variance = float(col.var(ddof=1))
-
-    def scalar(poly):
-        if label.startswith("V_"):
-            j = int(label.split("_")[1])
-            return intrinsic_volumes(poly, mode="exact")[j]
-        if label.startswith("f_"):
-            j = int(label.split("_")[1])
-            return float(f_vector(poly)[j])
-        if label == "wills":
-            return float(sum(intrinsic_volumes(poly, mode="exact")))
-        raise ConfigError("malliavin.functional",
-                          f"cannot rebuild evaluator for column {label!r}")
-
-    tau = estimate_taus(body, ms.t, scalar, variance, ms.n_outer, ms.n_inner,
-                        rng, sampling=ms.sampling, shell_c=ms.c, label=label)
+    label, = labels
+    variance = float(table.column(label).var(ddof=1))
+    tau = estimate_taus(body, ms.t, lambda poly: values(poly)[0], variance,
+                        ms.n_outer, ms.n_inner, rng, sampling=ms.sampling,
+                        shell_c=ms.c, label=label)
     return {
         "kind": "univariate",
         "functional": label,
@@ -311,6 +281,35 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable) -> dict
         "n_outer": tau.n_outer, "n_inner": tau.n_inner,
         "t": tau.t, "sampling": tau.sampling,
     }
+
+
+def _derive_report(config: ExperimentConfig,
+                   tables: list[ReplicationTable]) -> dict:
+    """Everything in the report that follows from the tables alone:
+    per-intensity summaries, variance rate fits over grids of three or
+    more intensities, and the oracle variance ratio when the tables carry
+    the oracle and top intrinsic volume columns."""
+    summaries = [_summarize_table(tb, config.seed) for tb in tables]
+    report: dict = {"summaries": summaries}
+    if len(config.t_grid) >= 3:
+        rates = {}
+        cols = sorted({c for s in summaries for c in s["variances"]})
+        for c in cols:
+            pairs = [(s["t"], s["variances"][c]) for s in summaries
+                     if s["variances"].get(c, 0.0) > 0.0]
+            if len(pairs) >= 3:
+                fit = rate_fit(pairs)
+                rates[c] = {
+                    "slope": fit.slope, "intercept": fit.intercept,
+                    "r_squared": fit.r_squared, "t_grid": list(fit.t_grid),
+                }
+        report["rate_fits"] = rates
+    d = body_from_spec(config.body).dim
+    if "oracle" in tables[0].names and f"V_{d}" in tables[0].names:
+        report["oracle_variance_ratio"] = {
+            str(tb.t): variance_identity_check(tb, tb) for tb in tables
+        }
+    return report
 
 
 def run(config, outdir=None, workers: int | None = None,
@@ -342,7 +341,6 @@ def run(config, outdir=None, workers: int | None = None,
     )
     manifest_path = out / "manifest.json"
     try:
-        summaries = []
         tables = []
         for ti in range(len(config.t_grid)):
             table = run_replications(config, ti, workers=workers)
@@ -355,34 +353,16 @@ def run(config, outdir=None, workers: int | None = None,
                 "meta": str(csv_path.with_suffix(".meta.json")),
                 "sha256": _sha256(csv_path),
             })
-            summaries.append(_summarize_table(table, config.seed))
             tables.append(table)
 
-        report: dict = {"summaries": summaries}
-        if len(config.t_grid) >= 3:
-            rates = {}
-            cols = sorted({c for s in summaries for c in s["variances"]})
-            for c in cols:
-                pairs = [(s["t"], s["variances"][c]) for s in summaries
-                         if s["variances"].get(c, 0.0) > 0.0]
-                if len(pairs) >= 3:
-                    fit = rate_fit(pairs)
-                    rates[c] = {
-                        "slope": fit.slope, "intercept": fit.intercept,
-                        "r_squared": fit.r_squared, "t_grid": list(fit.t_grid),
-                    }
-            report["rate_fits"] = rates
-        if "oracle" in tables[0].names and f"V_{body_from_spec(config.body).dim}" in tables[0].names:
-            report["oracle_variance_ratio"] = {
-                str(tb.t): variance_identity_check(tb, tb) for tb in tables
-            }
+        report = _derive_report(config, tables)
         if config.malliavin is not None:
             ti = list(config.t_grid).index(config.malliavin.t)
             report["malliavin_stein"] = _malliavin_report(config, tables[ti])
 
         report_path = out / "report.json"
         report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        plot_files = _write_plot_data(out, summaries)
+        plot_files = _write_plot_data(out, report["summaries"])
         manifest.reports = {"report": str(report_path), "plots": plot_files}
         manifest.status = "completed"
     except Exception as exc:
@@ -464,28 +444,12 @@ def verify(manifest_path, quiet: bool = False) -> dict:
     report_path = manifest.reports.get("report")
     if report_path and Path(report_path).exists() and len(tables) == len(manifest.tables):
         stored = json.loads(Path(report_path).read_text())
-        recomputed = {"summaries": [
-            _summarize_table(tb, config.seed) for tb in tables
-        ]}
-        if "rate_fits" in stored:
-            rates = {}
-            for c in stored["rate_fits"]:
-                pairs = [(s["t"], s["variances"][c])
-                         for s in recomputed["summaries"]
-                         if s["variances"].get(c, 0.0) > 0.0]
-                fit = rate_fit(pairs)
-                rates[c] = {"slope": fit.slope, "intercept": fit.intercept,
-                            "r_squared": fit.r_squared,
-                            "t_grid": list(fit.t_grid)}
-            recomputed["rate_fits"] = rates
-        if "oracle_variance_ratio" in stored:
-            recomputed["oracle_variance_ratio"] = {
-                str(tb.t): variance_identity_check(tb, tb) for tb in tables
-            }
         diffs = []
-        for key in ("summaries", "rate_fits", "oracle_variance_ratio"):
-            if key in stored and key in recomputed:
-                diffs += _deep_compare(stored[key], recomputed[key], key)
+        for key, value in _derive_report(config, tables).items():
+            if key in stored:
+                diffs += _deep_compare(stored[key], value, key)
+            else:
+                diffs.append(f"{key}: missing from the stored report")
         check("report reproducible from tables", not diffs,
               "; ".join(diffs[:3]))
         stored_for_assert = stored

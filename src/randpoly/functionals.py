@@ -7,7 +7,6 @@ estimator for a known-intensity Poisson sample.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,15 +22,12 @@ from .hull import (
 
 __all__ = [
     "ValuationSpec",
-    "FunctionalValue",
-    "MultivariateValue",
     "euler_indicator",
     "intrinsic_volumes",
     "valuation",
     "wills",
     "wills_spec",
     "oracle_estimate",
-    "multivariate_raw",
     "multivariate_labels",
     "build_evaluators",
 ]
@@ -73,30 +69,6 @@ class ValuationSpec:
 def wills_spec(d: int) -> ValuationSpec:
     """The all-ones combination: total intrinsic volume."""
     return ValuationSpec((1.0,) * (d + 1), label="wills")
-
-
-@dataclass(frozen=True)
-class FunctionalValue:
-    name: str
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"functional {self.name!r} is not finite")
-
-
-@dataclass(frozen=True)
-class MultivariateValue:
-    """Raw components (V_1, ..., V_d, f_0, ..., f_{d-1})."""
-
-    components: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
-        if c.shape != (2 * self.dim,):
-            raise ValueError("components must have length 2 * dim")
-        object.__setattr__(self, "components", c)
 
 
 def euler_indicator(poly: Polytope) -> float:
@@ -173,23 +145,8 @@ def multivariate_labels(d: int) -> list[str]:
     return [f"V_{j}" for j in range(1, d + 1)] + [f"f_{j}" for j in range(d)]
 
 
-def multivariate_raw(
-    poly: Polytope,
-    mode: str = "exact",
-    n_dirs: int = DEFAULT_MC_DIRS,
-    rng: np.random.Generator | None = None,
-) -> MultivariateValue:
-    """Raw vector (V_1, ..., V_d, f_0, ..., f_{d-1}); degeneracies give the
-    lower-dimensional values (zeros where undefined)."""
-    d = poly.dim_ambient
-    vols = intrinsic_volumes(poly, mode=mode, n_dirs=n_dirs, rng=rng)
-    fv = f_vector(poly)
-    comp = np.array(vols[1:] + [float(c) for c in fv.counts])
-    return MultivariateValue(comp, d)
-
-
 # ---------------------------------------------------------------------------
-# column evaluators for the replication engine
+# column evaluators for the replication tables and the bound report
 
 # Evaluators receive (poly, ctx) where ctx carries the intensity "t", a
 # per-replication "rng", and a per-polytope value cache so the intrinsic
@@ -218,10 +175,12 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
     | {"type": "wills"} | {"type": "oracle"}
     | {"type": "valuation", "label": str, "coeffs": [...]}
     | {"type": "multivariate"}.  Duplicate column names collapse to the
-    first occurrence.
+    first occurrence; a valuation label may not be ``n_points`` or a
+    built-in column name, which it would silently replace.
     """
     cols: list[tuple] = []
     seen: set[str] = set()
+    builtin = {"n_points", "V_0", "wills", "oracle", *multivariate_labels(d)}
 
     def add(name, fn):
         if name not in seen:
@@ -255,6 +214,9 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
                     f"functionals[{i}]: valuation needs 'label' and 'coeffs'"
                 )
             vspec = ValuationSpec(tuple(spec["coeffs"]), spec["label"])
+            if vspec.label in builtin:
+                raise ValueError(f"functionals[{i}]: label {vspec.label!r} "
+                                 "is a built-in column name")
             if vspec.dim != d:
                 raise ValueError(
                     f"functionals[{i}]: coeffs must have length {d + 1}"

@@ -36,7 +36,6 @@ __all__ = [
     "intrinsic_volume_mc",
     "exact_intrinsic_volumes",
     "brute_force_facets",
-    "polytope_to_json",
 ]
 
 # Facet-membership and affine-rank decisions are made at this tolerance,
@@ -195,10 +194,6 @@ def convex_hull(cloud: PointCloud | np.ndarray, dim: int | None = None) -> Polyt
         _build_full(poly, pts, np.arange(n))
         poly.affine_dim = d
         poly.degeneracy = "full_dimensional"
-    elif k == 1:
-        _build_segment(poly, pts, center, vt[0])
-        poly.affine_dim = 1
-        poly.degeneracy = "lower_dimensional"
     else:
         basis = vt[:k].T  # (d, k)
         local = centered @ basis
@@ -219,27 +214,13 @@ def _as_point(poly: Polytope, p: np.ndarray, src: int) -> None:
     poly.faces = {0: frozenset({(0,)})}
 
 
-def _build_segment(poly, pts, center, direction) -> None:
-    coords = (pts - center) @ direction
-    i_lo, i_hi = int(np.argmin(coords)), int(np.argmax(coords))
-    poly.vertices = pts[[i_lo, i_hi]].copy()
-    poly.source_indices = np.array([i_lo, i_hi])
-    poly.origin = center.copy()
-    poly.basis = direction[:, None]
-    poly.local_vertices = coords[[i_lo, i_hi], None]
-    poly.faces = {0: frozenset({(0,), (1,)})}
-    poly.facet_vertex_sets = [(0,), (1,)]
-    poly.facet_normals = np.array([[-1.0], [1.0]])
-    poly.facet_offsets = np.array([-coords[i_lo], coords[i_hi]])
-    poly.is_simplicial = True
-
-
 def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
                 basis=None) -> None:
     """Run qhull on full-rank points and assemble the lattice.
 
     ``work_pts`` are the coordinates handed to qhull (chart coordinates for
-    lower-dimensional inputs).  k = 1 inputs never reach here.
+    lower-dimensional inputs).  k = 1 inputs (a segment in any ambient
+    dimension) are ordered directly, without qhull.
     """
     k = work_pts.shape[1]
     if k == 1:
@@ -713,19 +694,3 @@ def hull_facets_as_source_sets(poly: Polytope) -> set:
     src = poly.source_indices
     return {frozenset(int(src[v]) for v in fs)
             for fs in poly.facet_vertex_sets}
-
-
-def polytope_to_json(poly: Polytope) -> dict:
-    """Debug dump for external viewers."""
-    return {
-        "dim_ambient": poly.dim_ambient,
-        "affine_dim": poly.affine_dim,
-        "degeneracy": poly.degeneracy,
-        "vertices": poly.vertices.tolist(),
-        "faces_by_dim": {
-            str(i): sorted(list(f) for f in fs)
-            for i, fs in poly.faces.items()
-        },
-        "normals": poly.facet_normals.tolist(),
-        "offsets": poly.facet_offsets.tolist(),
-    }

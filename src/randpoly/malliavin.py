@@ -32,13 +32,11 @@ from .hull import Polytope, convex_hull
 from .rng import substream
 
 __all__ = [
-    "DiffSample",
     "TauEstimate",
     "GammaEstimate",
     "VectorFunctional",
     "first_difference",
     "second_difference",
-    "diff_sample",
     "estimate_taus",
     "estimate_gammas",
     "ms_bound_univariate",
@@ -118,30 +116,6 @@ def second_difference(cloud, x, y, functional,
     hxy = re.with_points(x, y)
     f = functional
     return (float(f(hxy)) - float(f(hx)) - float(f(hy)) + float(f(re.base)))
-
-
-@dataclass(frozen=True)
-class DiffSample:
-    """Record of one difference-operator evaluation."""
-
-    x: np.ndarray
-    base_value: float
-    first_diff: float
-    y: np.ndarray | None = None
-    second_diff: float | None = None
-
-
-def diff_sample(cloud, x, functional, y=None,
-                body: ConvexBody | None = None) -> DiffSample:
-    re = _Rehuller(cloud)
-    base_value = float(functional(re.base))
-    fd = first_difference(cloud, x, functional, body=body)
-    sd = None
-    if y is not None:
-        sd = second_difference(cloud, x, y, functional, body=body)
-    return DiffSample(x=np.asarray(x, float), base_value=base_value,
-                      first_diff=fd, y=None if y is None else np.asarray(y, float),
-                      second_diff=sd)
 
 
 # ---------------------------------------------------------------------------

@@ -340,11 +340,7 @@ def variance_identity_check(table_oracle: ReplicationTable,
     t = table_oracle.t
     est = table_oracle.column("oracle")
     body = body_from_spec(table_missed.body)
-    if "missed_volume" in table_missed.columns:
-        missed = table_missed.column("missed_volume")
-    else:
-        vd = table_missed.column(f"V_{body.dim}")
-        missed = body.volume - vd
+    missed = body.volume - table_missed.column(f"V_{body.dim}")
     denom = float(missed.mean()) / t
     if denom == 0.0:
         raise ValueError("mean missed volume is zero")

@@ -1,5 +1,6 @@
 """Tests for configuration, orchestration, manifests, and the CLI."""
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="t_grid"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("block", [
+        {"functional": "V_1"}, {"functional": "V2"}, {"functional": "oracle"},
+        {"multivariate": True},
+    ])
+    def test_malliavin_columns_must_exist(self, block):
+        raw = tiny_raw(functionals=[{"type": "intrinsic", "j": 2}],
+                       malliavin={"t": 80.0, **block})
+        with pytest.raises(ConfigError, match="no table column") as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == "malliavin.functional"
+
+    def test_malliavin_exact_volumes_need_low_dimension(self):
+        raw = tiny_raw(body={"kind": "ball", "dim": 4, "radius": 1.0},
+                       mode="mc", malliavin={"t": 80.0, "functional": "V_2"})
+        with pytest.raises(ConfigError, match="exactly in dim 4") as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == "malliavin.functional"
+        for functional in ("f_1", "oracle"):
+            raw["malliavin"]["functional"] = functional
+            ExperimentConfig.from_dict(raw)
+
+    def test_valuation_label_may_not_shadow_a_column(self):
+        raw = tiny_raw(functionals=[
+            {"type": "valuation", "label": "V_2", "coeffs": [0, 1, 0]},
+            {"type": "multivariate"},
+        ])
+        with pytest.raises(ConfigError, match="built-in column"):
+            ExperimentConfig.from_dict(raw)
+
     def test_file_errors_carry_path(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -133,6 +163,19 @@ class TestRunAndManifest:
         assert any("checksum" in c["name"] and not c["passed"]
                    for c in result["checks"])
 
+    @pytest.mark.parametrize("key", ["rate_fits", "oracle_variance_ratio"])
+    def test_verify_detects_deleted_report_block(self, tmp_path, key):
+        run(tiny_raw(), outdir=tmp_path)
+        path = tmp_path / "tiny" / "report.json"
+        report = json.loads(path.read_text())
+        del report[key]
+        path.write_text(json.dumps(report))
+        result = verify(tmp_path / "tiny" / "manifest.json", quiet=True)
+        assert not result["ok"]
+        failed = [c for c in result["checks"] if not c["passed"]]
+        assert len(failed) == 1 and key in failed[0]["detail"]
+        assert failed[0]["name"] == "report reproducible from tables"
+
     def test_failed_run_preserves_manifest(self, tmp_path, monkeypatch):
         import randpoly.experiment as exp
 
@@ -158,6 +201,21 @@ class TestRunAndManifest:
         report = json.loads((tmp_path / "tiny" / "report.json").read_text())
         ms = report["malliavin_stein"]
         assert ms["bound"] >= 0 and "tau3" in ms and "se" in ms
+
+    @pytest.mark.parametrize("functional", ["oracle", "perimeter"])
+    def test_malliavin_bound_for_any_column(self, tmp_path, functional):
+        raw = tiny_raw(
+            t_grid=[60.0], n_reps=100,
+            functionals=[{"type": "oracle"}, {"type": "valuation",
+                          "label": "perimeter", "coeffs": [0, 2, 0]}],
+            malliavin={"t": 60.0, "functional": functional, "n_outer": 20,
+                       "n_inner": 4, "sampling": "boundary_shell"},
+        )
+        run(raw, outdir=tmp_path)
+        report = json.loads((tmp_path / "tiny" / "report.json").read_text())
+        ms = report["malliavin_stein"]
+        assert ms["functional"] == functional
+        assert math.isfinite(ms["bound"]) and ms["bound"] > 0
 
 
 class TestPresets:
@@ -221,6 +279,15 @@ class TestCLI:
         blob = json.loads(out_path.read_text())
         assert "malliavin_stein" in blob
         assert blob["malliavin_stein"]["tau3"] >= 0.0
+
+
+    def test_taus_rejects_unknown_column(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(
+            t_grid=[60.0], malliavin={"t": 60.0, "functional": "V2"},
+        )))
+        assert cli_main(["taus", str(cfg_path)]) == 1
+        assert "malliavin.functional" in capsys.readouterr().err
 
 
 class TestEnvOutdir:

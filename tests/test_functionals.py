@@ -7,13 +7,10 @@ import pytest
 
 from randpoly.bodies import Ball, sample_poisson_process
 from randpoly.functionals import (
-    FunctionalValue,
-    MultivariateValue,
     ValuationSpec,
     build_evaluators,
     euler_indicator,
     multivariate_labels,
-    multivariate_raw,
     oracle_estimate,
     valuation,
     wills,
@@ -148,18 +145,6 @@ class TestValuationAdditivity:
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-class TestFunctionalValue:
-    def test_holds_name_and_value(self):
-        fv = FunctionalValue("wills", 4.0)
-        assert fv.name == "wills" and fv.value == 4.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            FunctionalValue("bad", math.inf)
-        with pytest.raises(ValueError):
-            FunctionalValue("bad", math.nan)
-
-
 class TestOracleEstimate:
     def test_direct_formula(self):
         poly = convex_hull(unit_cube_vertices(2))
@@ -197,26 +182,29 @@ class TestOracleEstimate:
 
 
 class TestMultivariate:
+    @staticmethod
+    def components(poly):
+        ctx = {"t": 1.0, "rng": None, "cache": {}, "mode": "exact",
+               "n_dirs": 64}
+        evals = build_evaluators([{"type": "multivariate"}],
+                                 poly.dim_ambient)
+        return np.array([fn(poly, ctx) for _, fn in evals])
+
     def test_labels(self):
         assert multivariate_labels(2) == ["V_1", "V_2", "f_0", "f_1"]
 
     def test_simplex_components(self):
         poly = convex_hull(np.vstack([np.zeros(3), np.eye(3)]))
-        mv = multivariate_raw(poly)
-        assert tuple(mv.components[3:]) == (4.0, 6.0, 4.0)
+        assert tuple(self.components(poly)[3:]) == (4.0, 6.0, 4.0)
 
     def test_plane_face_counts_match(self):
         poly = convex_hull(Ball(2).sample_uniform(stream(48), 50))
-        mv = multivariate_raw(poly)
-        assert mv.components[2] == mv.components[3]  # f_0 = f_1
+        comp = self.components(poly)
+        assert comp[2] == comp[3]  # f_0 = f_1
 
     def test_empty_is_zero(self):
-        mv = multivariate_raw(convex_hull(np.empty((0, 2))))
-        assert np.all(mv.components == 0.0)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            MultivariateValue(np.zeros(3), dim=2)
+        comp = self.components(convex_hull(np.empty((0, 2))))
+        assert np.all(comp == 0.0)
 
 
 class TestEvaluators:
@@ -252,3 +240,15 @@ class TestEvaluators:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             build_evaluators([{"type": "f", "j": 2}], d=2)
+
+    @pytest.mark.parametrize(
+        "label", ["V_0", "V_2", "f_1", "wills", "oracle", "n_points"]
+    )
+    def test_valuation_label_may_not_shadow_a_column(self, label):
+        spec = {"type": "valuation", "label": label, "coeffs": [0, 1, 0]}
+        with pytest.raises(ValueError, match="built-in column"):
+            build_evaluators([spec, {"type": "multivariate"}], d=2)
+
+    def test_valuation_label_free_in_other_dimension(self):
+        spec = {"type": "valuation", "label": "V_3", "coeffs": [0, 1, 0]}
+        assert [n for n, _ in build_evaluators([spec], d=2)] == ["V_3"]

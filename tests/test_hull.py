@@ -15,7 +15,6 @@ from randpoly.hull import (
     f_vector,
     hull_facets_as_source_sets,
     intrinsic_volume_mc,
-    polytope_to_json,
     project,
     sample_haar_subspace,
     surface_measure,
@@ -341,15 +340,3 @@ class TestMotionInvariance:
         assert exact_intrinsic_volumes(pm) == pytest.approx(
             exact_intrinsic_volumes(p), rel=1e-9
         )
-
-
-class TestDebugDump:
-    def test_json_round_trippable(self):
-        import json
-
-        p = convex_hull(random_ball_points(12, 3, seed=37))
-        blob = json.dumps(polytope_to_json(p))
-        back = json.loads(blob)
-        assert back["degeneracy"] == "full_dimensional"
-        assert len(back["vertices"]) == p.n_vertices
-        assert len(back["normals"]) == len(p.facet_vertex_sets)

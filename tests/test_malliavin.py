@@ -10,7 +10,6 @@ from randpoly.hull import convex_hull, f_vector, volume
 from randpoly.malliavin import (
     TauEstimate,
     VectorFunctional,
-    diff_sample,
     estimate_gammas,
     estimate_taus,
     first_difference,
@@ -128,15 +127,6 @@ class TestSecondDifference:
             ]
             for fn in fns:
                 assert abs(second_difference(pts, x, y, fn)) <= 1e-12
-
-    def test_diff_sample_record(self):
-        cloud = Ball(2).sample_uniform(stream(60), 20)
-        x = np.array([0.9, 0.2])
-        y = np.array([-0.9, 0.1])
-        rec = diff_sample(cloud, x, volume, y=y)
-        assert rec.base_value > 0
-        assert rec.first_diff >= 0.0
-        assert rec.second_diff is not None
 
 
 class TestBounds:
