@@ -176,10 +176,12 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
     | {"type": "valuation", "label": str, "coeffs": [...]}
     | {"type": "multivariate"}.  Duplicate column names collapse to the
     first occurrence; a valuation label may not be ``n_points`` or a
-    built-in column name, which it would silently replace.
+    built-in column name, which it would silently replace, nor repeat
+    with other coefficients, which would drop the later valuation.
     """
     cols: list[tuple] = []
     seen: set[str] = set()
+    valuation_coeffs: dict[str, tuple[float, ...]] = {}
     builtin = {"n_points", "V_0", "wills", "oracle", *multivariate_labels(d)}
 
     def add(name, fn):
@@ -221,6 +223,11 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
                 raise ValueError(
                     f"functionals[{i}]: coeffs must have length {d + 1}"
                 )
+            first = valuation_coeffs.setdefault(vspec.label, vspec.coeffs)
+            if first != vspec.coeffs:
+                raise ValueError(f"functionals[{i}]: valuation label "
+                                 f"{vspec.label!r} repeats with other "
+                                 "coefficients")
             vspec.warn_if_not_clt()
             add(vspec.label,
                 lambda p, ctx, v=vspec: float(

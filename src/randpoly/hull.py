@@ -4,9 +4,12 @@ Hull construction handles every degeneracy totally: an empty input gives an
 empty polytope, a single point a point polytope, and inputs whose affine
 hull has dimension k < d are processed inside an orthonormal chart of that
 affine hull, so one code path serves all cases.  Facet enumeration is
-delegated to qhull; the face lattice is derived from the facets (downward
-closure), with coplanar facet merging so non-simplicial test bodies such
-as cubes get their true combinatorics.
+delegated to qhull, and volumes, surface measures, exterior angles and
+face counts of simplicial hulls are array expressions over qhull's
+simplices, neighbors and plane equations; their face lattice is built only
+when asked for.  Coplanar simplices are merged back into true facets, so
+non-simplicial test bodies such as cubes get their true combinatorics from
+a lattice derived by downward closure.
 
 Intrinsic volumes are available exactly in ambient dimension <= 3 and by
 Monte Carlo averaging of projection volumes over Haar-random subspaces in
@@ -78,7 +81,7 @@ class Subspace:
 
 
 class Polytope:
-    """Vertex list plus full face lattice of a convex polytope.
+    """Vertex list, facets and face lattice of a convex polytope.
 
     ``vertices`` holds the extreme points in ambient coordinates.  ``faces``
     maps each face dimension i to the set of faces, a face being the sorted
@@ -86,6 +89,16 @@ class Polytope:
     lattice is that of the k-dimensional polytope inside its affine hull
     (``origin`` + ``basis`` give the chart), and ``degeneracy`` records the
     situation; facet hyperplane data then lives in chart coordinates.
+
+    A simplicial hull keeps qhull's arrays: ``facet_vertex_sets`` is the
+    (F, k) array of sorted facet vertex ids, facet f being simplex f of
+    ``facet_simplices``, and ``facet_neighbors[f, i]`` is the facet across
+    the ridge opposite slot i.  Metrics and face counts are array
+    expressions over these, and ``faces`` is built on first access.
+    Non-simplicial hulls (exact test bodies such as cubes) get their
+    lattice at construction; ``facet_vertex_sets`` is then a list of tuples,
+    ``facet_simplices`` a triangulation of the facets and
+    ``facet_neighbors`` is None.
     """
 
     __slots__ = (
@@ -97,12 +110,12 @@ class Polytope:
         "origin",
         "basis",
         "local_vertices",
-        "faces",
+        "_faces",
         "facet_vertex_sets",
         "facet_normals",
         "facet_offsets",
         "facet_simplices",
-        "edge_facets",
+        "facet_neighbors",
         "is_simplicial",
         "diameter",
     )
@@ -116,16 +129,22 @@ class Polytope:
         self.origin = np.zeros(dim_ambient)
         self.basis = np.empty((dim_ambient, 0))
         self.local_vertices = np.empty((0, 0))
-        self.faces: dict[int, frozenset] = {}
-        self.facet_vertex_sets: list[tuple[int, ...]] = []
+        self._faces: dict[int, frozenset] | None = {}
+        self.facet_vertex_sets = []
         self.facet_normals = np.empty((0, 0))
         self.facet_offsets = np.empty(0)
         self.facet_simplices = np.empty((0, 0), dtype=int)
-        self.edge_facets: dict[tuple[int, ...], tuple[int, int]] | None = None
+        self.facet_neighbors: np.ndarray | None = None
         self.is_simplicial = True
         self.diameter = 0.0
 
     # -- basic queries -------------------------------------------------
+
+    @property
+    def faces(self) -> dict[int, frozenset]:
+        if self._faces is None:
+            self._faces = _lattice_simplicial(self.facet_vertex_sets)
+        return self._faces
 
     @property
     def n_vertices(self) -> int:
@@ -162,7 +181,7 @@ class Polytope:
 
 
 def convex_hull(cloud: PointCloud | np.ndarray, dim: int | None = None) -> Polytope:
-    """Convex hull with full face lattice; degeneracies are encoded, never errors."""
+    """Convex hull with its facets; degeneracies are encoded, never errors."""
     if isinstance(cloud, PointCloud):
         pts = cloud.points
         d = cloud.dim
@@ -171,14 +190,17 @@ def convex_hull(cloud: PointCloud | np.ndarray, dim: int | None = None) -> Polyt
         if pts.ndim != 2:
             raise ValueError("points must be an (n, d) array")
         d = pts.shape[1] if dim is None else dim
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
 
     poly = Polytope(d)
     n = pts.shape[0]
     if n == 0:
         return poly
 
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    diam = float(np.linalg.norm(hi - lo))
+    # bounding-box diagonal; rows of the transpose reduce ~10x faster than
+    # numpy's axis-0 reduction of an (n, d) array
+    diam = float(np.linalg.norm(np.ptp(np.ascontiguousarray(pts.T), axis=1)))
     if diam == 0.0:  # all points coincide
         _as_point(poly, pts[0], 0)
         return poly
@@ -211,12 +233,12 @@ def _as_point(poly: Polytope, p: np.ndarray, src: int) -> None:
     poly.source_indices = np.array([src])
     poly.origin = p.copy()
     poly.local_vertices = np.zeros((1, 0))
-    poly.faces = {0: frozenset({(0,)})}
+    poly._faces = {0: frozenset({(0,)})}
 
 
 def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
                 basis=None) -> None:
-    """Run qhull on full-rank points and assemble the lattice.
+    """Run qhull on full-rank points and keep its facet arrays.
 
     ``work_pts`` are the coordinates handed to qhull (chart coordinates for
     lower-dimensional inputs).  k = 1 inputs (a segment in any ambient
@@ -230,7 +252,7 @@ def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
         poly.vertices = (work_pts if ambient_pts is None else ambient_pts)[order].copy()
         poly.source_indices = src_idx[order]
         poly.local_vertices = work_pts[order].copy()
-        poly.faces = {0: frozenset({(0,), (1,)})}
+        poly._faces = {0: frozenset({(0,), (1,)})}
         poly.facet_vertex_sets = [(0,), (1,)]
         poly.facet_normals = np.array([[-1.0], [1.0]])
         poly.facet_offsets = np.array([-c[i_lo], c[i_hi]])
@@ -260,54 +282,50 @@ def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
         poly.basis = basis.copy()
 
     simplices = remap[hull.simplices]  # (F, k), new indexing
-    normals = hull.equations[:, :-1]
-    offsets = -hull.equations[:, -1]
-
-    groups = _merge_coplanar(simplices, hull.neighbors, normals, offsets)
-    if len(groups) < len(simplices):
-        groups = _merge_overlapping(groups, simplices, k)
-
-    facet_sets: list[tuple[int, ...]] = []
-    facet_normals = []
-    facet_offsets = []
-    for members in groups:
-        vs = set()
-        for s in members:
-            vs.update(int(v) for v in simplices[s])
-        facet_sets.append(tuple(sorted(vs)))
-        facet_normals.append(normals[members[0]])
-        facet_offsets.append(offsets[members[0]])
+    eq = hull.equations
+    neighbors = hull.neighbors
     poly.facet_simplices = simplices
-    poly.facet_normals = np.asarray(facet_normals)
-    poly.facet_offsets = np.asarray(facet_offsets)
-    poly.is_simplicial = all(len(fs) == k for fs in facet_sets)
 
-    if poly.is_simplicial:
-        faces, edge_facets = _lattice_simplicial(facet_sets, k)
+    # qhull triangulates any facet it merged for convexity and stamps every
+    # simplex of that facet with one shared plane equation, so equal
+    # equations across a ridge recover qhull's facet structure exactly
+    # (cubes get squares back).  Nearly coplanar but distinct facets, e.g.
+    # sliver pairs on large random hulls, carry distinct equations and stay
+    # separate, so sampled hulls are simplicial.
+    coplanar = (eq[neighbors] == eq[:, None]).all(axis=-1)
+    if not coplanar.any():
+        poly.facet_vertex_sets = np.sort(simplices, axis=1)
+        poly.facet_normals = np.ascontiguousarray(eq[:, :-1])
+        poly.facet_offsets = -eq[:, -1]
+        poly.facet_neighbors = neighbors
+        poly.is_simplicial = True
+        poly._faces = None
     else:
-        facet_sets, faces, edge_facets = _lattice_general(
+        rows, slots = np.nonzero(coplanar)
+        groups = _merge_coplanar(len(simplices),
+                                 zip(rows.tolist(),
+                                     neighbors[rows, slots].tolist()))
+        groups = _merge_overlapping(groups, simplices, poly.local_vertices, k)
+        firsts = [members[0] for members in groups]
+        poly.facet_normals = eq[firsts, :-1]
+        poly.facet_offsets = -eq[firsts, -1]
+        poly.is_simplicial = False
+        facet_sets = [tuple(sorted(set(simplices[members].ravel().tolist())))
+                      for members in groups]
+        poly.facet_vertex_sets, poly._faces = _lattice_general(
             poly, facet_sets, k
         )
-    poly.facet_vertex_sets = facet_sets
-    poly.faces = faces
-    if k == 3:
-        poly.edge_facets = edge_facets
 
     _check_facet_inequalities(poly, REL_TOL * poly.diameter)
 
 
-def _merge_coplanar(simplices, neighbors, normals, offsets):
-    """Union-find over adjacent simplices carrying the same facet plane.
+def _merge_coplanar(n_simplices, pairs):
+    """Union-find over the pairs of adjacent simplices with one facet plane.
 
-    qhull triangulates any facet it merged for convexity and stamps every
-    triangle of that facet with one shared plane equation, so equality of
-    equations recovers qhull's facet structure exactly (cubes get squares
-    back).  Nearly coplanar but distinct facets, e.g. sliver pairs on large
-    random hulls, carry distinct equations and stay separate, keeping
-    sampled hulls simplicial.
+    Returns the groups of simplex indices, each sorted, ordered by their
+    smallest member.
     """
-    nf = simplices.shape[0]
-    parent = list(range(nf))
+    parent = list(range(n_simplices))
 
     def find(a):
         while parent[a] != a:
@@ -315,54 +333,45 @@ def _merge_coplanar(simplices, neighbors, normals, offsets):
             a = parent[a]
         return a
 
-    for f in range(nf):
-        for g in neighbors[f]:
-            if g <= f:
-                continue
-            if offsets[f] == offsets[g] and (normals[f] == normals[g]).all():
-                ra, rb = find(f), find(int(g))
-                if ra != rb:
-                    parent[rb] = ra
+    for f, g in pairs:
+        ra, rb = find(f), find(g)
+        if ra != rb:
+            parent[rb] = ra
     groups: dict[int, list[int]] = {}
-    for f in range(nf):
+    for f in range(n_simplices):
         groups.setdefault(find(f), []).append(f)
     return list(groups.values())
 
 
-def _merge_overlapping(groups, simplices, k):
-    """Merge facet groups that share k or more vertices until stable.
+def _merge_overlapping(groups, simplices, pts, k):
+    """Merge facet groups whose shared vertices span a ridge-sized flat.
 
     Distinct facets of a polytope intersect in a face of dimension at most
-    k - 2, hence share at most k - 1 vertices; once tolerance merging has
-    declared some simplices coplanar, any facet sharing k vertices with a
-    merged facet is forced onto the same supporting plane and must join it
-    (pairwise normal tests alone are not transitively consistent).
+    k - 2, so their shared vertices have affine rank at most k - 2; once
+    tolerance merging has declared some simplices coplanar, two groups
+    sharing vertices of affine rank k - 1 lie on one supporting plane and
+    must join (pairwise normal tests alone are not transitively
+    consistent).  A vertex count alone does not decide it: two 3-cube
+    facets of the 4-cube share a square of 4 = k vertices.  Merges until
+    stable.
     """
     while True:
-        vsets = []
-        for members in groups:
-            vs = set()
-            for s in members:
-                vs.update(int(v) for v in simplices[s])
-            vsets.append(vs)
-        to_merge = None
+        vsets = [set(simplices[members].ravel().tolist())
+                 for members in groups]
         incident: dict[int, list[int]] = {}
         for gi, vs in enumerate(vsets):
             for v in vs:
                 incident.setdefault(v, []).append(gi)
         counts: dict[tuple[int, int], int] = {}
         for gis in incident.values():
-            for a_i in range(len(gis)):
-                for b_i in range(a_i + 1, len(gis)):
-                    key = (gis[a_i], gis[b_i])
-                    counts[key] = counts.get(key, 0) + 1
-                    if counts[key] >= k:
-                        to_merge = key
-                        break
-                if to_merge:
-                    break
-            if to_merge:
-                break
+            for key in itertools.combinations(gis, 2):
+                counts[key] = counts.get(key, 0) + 1
+        to_merge = next(
+            ((a, b) for (a, b), c in counts.items()
+             if c >= k and _affine_rank(pts[sorted(vsets[a] & vsets[b])])
+             >= k - 1),
+            None,
+        )
         if to_merge is None:
             return groups
         a, b = to_merge
@@ -370,19 +379,36 @@ def _merge_overlapping(groups, simplices, k):
         del groups[b]
 
 
-def _lattice_simplicial(facet_sets, k):
+def _affine_rank(pts: np.ndarray) -> int:
+    """Affine rank of a point set, singular values cut at ``REL_TOL``."""
+    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    return int((s > REL_TOL * s[0]).sum()) if s[0] > 0 else 0
+
+
+def _subfaces(facets: np.ndarray, m: int) -> np.ndarray:
+    """Distinct m-subsets of the rows of a sorted (F, k) facet array.
+
+    Returns them as sorted rows in lexicographic order; on a simplicial
+    polytope these are exactly its (m - 1)-faces.  Rows are compared by
+    integer keys (the row read as digits in base max + 1).
+    """
+    cols = list(itertools.combinations(range(facets.shape[1]), m))
+    sub = facets[:, cols].reshape(-1, m)
+    base = int(facets.max()) + 1
+    if base ** m > np.iinfo(np.int64).max:  # the keys would overflow
+        return np.unique(sub, axis=0)
+    key = sub[:, 0]
+    for j in range(1, m):
+        key = key * base + sub[:, j]
+    order = np.argsort(key)
+    key = key[order]
+    return sub[order[np.r_[True, key[1:] != key[:-1]]]]
+
+
+def _lattice_simplicial(facets: np.ndarray) -> dict[int, frozenset]:
     """All i-faces of a simplicial polytope are the (i+1)-subsets of facets."""
-    faces: dict[int, set] = {i: set() for i in range(k)}
-    edge_facets: dict[tuple[int, ...], list[int]] = {}
-    for fi, fs in enumerate(facet_sets):
-        faces[k - 1].add(fs)
-        for i in range(k - 1):
-            for sub in itertools.combinations(fs, i + 1):
-                faces[i].add(sub)
-                if k == 3 and i == 1:
-                    edge_facets.setdefault(sub, []).append(fi)
-    return ({i: frozenset(s) for i, s in faces.items()},
-            edge_facets if k == 3 else None)
+    return {i: frozenset(map(tuple, _subfaces(facets, i + 1).tolist()))
+            for i in range(facets.shape[1])}
 
 
 def _lattice_general(poly, facet_sets, k):
@@ -407,7 +433,6 @@ def _lattice_general(poly, facet_sets, k):
         poly.vertices = poly.vertices[keep]
         poly.local_vertices = poly.local_vertices[keep]
         poly.source_indices = poly.source_indices[keep]
-        poly.facet_simplices = np.empty((0, k), dtype=int)  # invalidated
         fsets = [frozenset(int(remap[v]) for v in fs if remap[v] >= 0)
                  for fs in fsets]
         kept_simplices = []
@@ -453,15 +478,8 @@ def _lattice_general(poly, facet_sets, k):
         if h < k:
             faces[h].add(tuple(sorted(fc)))
 
-    edge_facets = None
-    if k == 3:
-        edge_facets = {}
-        for e in faces[1]:
-            es = set(e)
-            edge_facets[e] = [fi for fi, fs in enumerate(fsets)
-                              if es <= fs]
     facet_tuples = [tuple(sorted(fs)) for fs in fsets]
-    return facet_tuples, {i: frozenset(s) for i, s in faces.items()}, edge_facets
+    return facet_tuples, {i: frozenset(s) for i, s in faces.items()}
 
 
 def _fan_facet(idx, local, k):
@@ -488,8 +506,8 @@ def _fan_facet(idx, local, k):
 
 
 def _check_facet_inequalities(poly, tol):
-    excess = poly.local_vertices @ poly.facet_normals.T - poly.facet_offsets
-    worst = float(excess.max(initial=0.0))
+    heights = (poly.facet_normals @ poly.local_vertices.T).max(axis=1)
+    worst = float((heights - poly.facet_offsets).max(initial=0.0))
     if worst > tol:
         raise RuntimeError(
             f"hull inconsistency: vertex violates facet plane by {worst:.3e}"
@@ -501,9 +519,31 @@ def _check_facet_inequalities(poly, tol):
 
 
 def f_vector(poly: Polytope) -> FVector:
-    """Face counts per dimension, padded with zeros up to ambient d - 1."""
+    """Face counts per dimension, padded with zeros up to ambient d - 1.
+
+    A simplicial hull is counted from its facet array, without a lattice:
+    f_0 is the vertex count, f_{k-1} the facet count, and each f_i in
+    between the number of distinct (i+1)-subsets of the facets.
+    """
     d = poly.dim_ambient
-    return FVector(tuple(len(poly.faces.get(i, ())) for i in range(d)))
+    if poly._faces is not None:
+        return FVector(tuple(len(poly._faces.get(i, ())) for i in range(d)))
+    facets = poly.facet_vertex_sets
+    k = facets.shape[1]
+    counts = [poly.n_vertices]
+    counts += [len(_subfaces(facets, i + 1)) for i in range(1, k - 1)]
+    counts += [len(facets)] + [0] * (d - k)
+    return FVector(tuple(counts))
+
+
+def _running_sum(terms: np.ndarray) -> float:
+    """Left-to-right sum of ``terms``, in the order of a running total.
+
+    Pairwise summation (``ndarray.sum``) would move the last bits of areas,
+    and d = 2 quantities built from second differences of areas are pure
+    round-off, so stored results depend on this order.
+    """
+    return float(np.cumsum(terms)[-1])
 
 
 def volume(poly: Polytope) -> float:
@@ -514,20 +554,17 @@ def volume(poly: Polytope) -> float:
 
 
 def _chart_volume(poly: Polytope) -> float:
-    """Volume of the polytope inside its own chart (affine hull)."""
+    """Volume of the polytope inside its own chart (affine hull): the cones
+    from the vertex centroid over the facet simplices."""
     k = poly.affine_dim
     if k <= 0:
         return 0.0
+    lv = poly.local_vertices
     if k == 1:
-        c = poly.local_vertices[:, 0]
+        c = lv[:, 0]
         return float(c.max() - c.min())
-    centroid = poly.local_vertices.mean(axis=0)
-    total = 0.0
-    fact = math.factorial(k)
-    for s in poly.facet_simplices:
-        mat = poly.local_vertices[list(s)] - centroid
-        total += abs(np.linalg.det(mat)) / fact
-    return total
+    cones = lv[poly.facet_simplices] - lv.mean(axis=0)  # (F, k, k)
+    return _running_sum(np.abs(np.linalg.det(cones)) / math.factorial(k))
 
 
 def surface_measure(poly: Polytope) -> float:
@@ -541,16 +578,11 @@ def _chart_surface(poly: Polytope) -> float:
     k = poly.affine_dim
     if k == 1:
         return 2.0  # two boundary points, counting measure
-    fact = math.factorial(k - 1)
-    total = 0.0
-    for s in poly.facet_simplices:
-        vs = poly.local_vertices[list(s)]
-        e = vs[1:] - vs[0]
-        gram = e @ e.T
-        det = np.linalg.det(gram)
-        if det > 0:
-            total += math.sqrt(det) / fact
-    return total
+    vs = poly.local_vertices[poly.facet_simplices]  # (F, k, k)
+    e = vs[:, 1:] - vs[:, :1]
+    det = np.linalg.det(e @ e.transpose(0, 2, 1))  # Gram determinants
+    return _running_sum(np.sqrt(np.where(det > 0, det, 0.0))
+                        / math.factorial(k - 1))
 
 
 def exact_intrinsic_volumes(poly: Polytope) -> list[float]:
@@ -586,22 +618,45 @@ def exact_intrinsic_volumes(poly: Polytope) -> list[float]:
 
 
 def _mean_width_term_3d(poly: Polytope) -> float:
+    """V_1 of a 3-polytope: sum of edge length times exterior angle, / 2 pi."""
+    edges, pairs = _edge_facet_pairs(poly)
+    n = poly.facet_normals
+    cos = np.clip(_row_dots(n[pairs[:, 0]], n[pairs[:, 1]]), -1.0, 1.0)
+    e = poly.local_vertices[edges[:, 0]] - poly.local_vertices[edges[:, 1]]
+    length = np.sqrt(_row_dots(e, e))
+    return float((length * np.arccos(cos)).sum() / (2.0 * math.pi))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, rounded as ``a[i] @ b[i]`` rounds them.
+
+    An elementwise product summed along rows rounds differently, and acos
+    amplifies that near cos = 1: on sampled 3-D hulls the two roundings
+    gave values of V_1 up to 1.6e-11 apart (relative).
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _edge_facet_pairs(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of a 3-polytope as (E, 2) vertex ids, and the two facets on each.
+
+    On a simplicial hull, the edge opposite slot i of facet f joins f and
+    g = facet_neighbors[f, i]; each edge is taken once, from f < g.
+    """
+    nb = poly.facet_neighbors
+    if nb is not None:
+        f, slot = np.nonzero(nb > np.arange(len(nb))[:, None])
+        s = poly.facet_simplices
+        edges = np.column_stack([s[f, (slot + 1) % 3], s[f, (slot + 2) % 3]])
+        return edges, np.column_stack([f, nb[f, slot]])
+    fsets = [set(fs) for fs in poly.facet_vertex_sets]
     edges = sorted(poly.faces[1])
-    if poly.edge_facets is None:
-        raise RuntimeError("edge-facet incidence missing on 3-polytope")
-    total = 0.0
-    for e in edges:
-        fids = poly.edge_facets[e]
-        if len(fids) != 2:
-            raise RuntimeError(f"edge {e} lies in {len(fids)} facets")
-        n1 = poly.facet_normals[fids[0]]
-        n2 = poly.facet_normals[fids[1]]
-        ext = math.acos(float(np.clip(n1 @ n2, -1.0, 1.0)))
-        length = float(np.linalg.norm(
-            poly.local_vertices[e[0]] - poly.local_vertices[e[1]]
-        ))
-        total += length * ext
-    return total / (2.0 * math.pi)
+    pairs = [[fi for fi, fs in enumerate(fsets) if fs.issuperset(edge)]
+             for edge in edges]
+    bad = [edge for edge, p in zip(edges, pairs) if len(p) != 2]
+    if bad:
+        raise RuntimeError(f"edge {bad[0]} does not lie in exactly 2 facets")
+    return np.array(edges), np.array(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="built-in column"):
             ExperimentConfig.from_dict(raw)
 
+    def test_repeated_valuation_label(self):
+        raw = tiny_raw(functionals=[
+            {"type": "valuation", "label": "a", "coeffs": [0, 1, 0]},
+            {"type": "valuation", "label": "a", "coeffs": [0, 0, 1]},
+        ])
+        with pytest.raises(ConfigError, match="repeats with other"):
+            ExperimentConfig.from_dict(raw)
+
     def test_file_errors_carry_path(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

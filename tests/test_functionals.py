@@ -249,6 +249,14 @@ class TestEvaluators:
         with pytest.raises(ValueError, match="built-in column"):
             build_evaluators([spec, {"type": "multivariate"}], d=2)
 
+    def test_repeated_valuation_label(self):
+        first = {"type": "valuation", "label": "a", "coeffs": [0, 1, 0]}
+        other = {"type": "valuation", "label": "a", "coeffs": [0, 0, 1]}
+        with pytest.raises(ValueError, match="repeats with other"):
+            build_evaluators([first, other], d=2)
+        same = dict(first, coeffs=[0.0, 1.0, 0.0])
+        assert [n for n, _ in build_evaluators([first, same], d=2)] == ["a"]
+
     def test_valuation_label_free_in_other_dimension(self):
         spec = {"type": "valuation", "label": "V_3", "coeffs": [0, 1, 0]}
         assert [n for n, _ in build_evaluators([spec], d=2)] == ["V_3"]

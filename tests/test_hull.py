@@ -84,6 +84,21 @@ class TestConstruction:
         assert volume(p) == pytest.approx(1.0, abs=1e-12)
         assert surface_measure(p) == pytest.approx(6.0, abs=1e-12)
 
+    def test_tesseract_lattice(self):
+        # two 3-cube facets share a square ridge of 4 = d vertices
+        p = convex_hull(unit_cube_vertices(4))
+        assert f_vector(p).counts == (16, 32, 24, 8)
+        assert not p.is_simplicial
+        assert volume(p) == pytest.approx(1.0, abs=1e-12)
+        assert surface_measure(p) == pytest.approx(8.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = random_ball_points(10, 3, seed=9)
+        pts[4, 1] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            convex_hull(pts)
+
     def test_vertices_satisfy_facets(self):
         p = convex_hull(random_ball_points(200, 3, seed=10))
         excess = p.local_vertices @ p.facet_normals.T - p.facet_offsets

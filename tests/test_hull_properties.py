@@ -1,0 +1,141 @@
+"""Property tests for the array path of hull construction and metrics.
+
+Random point sets in d = 2, 3, 4, their permutations and their translates
+by up to 1e3 are checked against the face lattice built on demand, the
+brute-force facet oracle, and per-simplex reference loops kept here.
+"""
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from randpoly.bodies import Ball
+from randpoly.hull import (
+    _subfaces,
+    brute_force_facets,
+    convex_hull,
+    exact_intrinsic_volumes,
+    f_vector,
+    hull_facets_as_source_sets,
+    surface_measure,
+    volume,
+)
+
+REL = 1e-12
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+@st.composite
+def point_set_variants(draw, d, n_max):
+    """A uniform sample in the unit d-ball, a permutation and a translate."""
+    n = draw(st.integers(d + 1, n_max))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pts = Ball(d).sample_uniform(np.random.default_rng(seed), n)
+    perm = draw(st.permutations(range(n)))
+    shift = draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d))
+    return [pts, pts[list(perm)], pts + np.array(shift)]
+
+
+# -- per-simplex reference loops -------------------------------------------
+
+
+def reference_volume(poly):
+    centroid = poly.local_vertices.mean(axis=0)
+    fact = math.factorial(poly.affine_dim)
+    total = 0.0
+    for s in poly.facet_simplices:
+        total += abs(np.linalg.det(poly.local_vertices[list(s)] - centroid)) / fact
+    return total
+
+
+def reference_surface(poly):
+    fact = math.factorial(poly.affine_dim - 1)
+    total = 0.0
+    for s in poly.facet_simplices:
+        vs = poly.local_vertices[list(s)]
+        e = vs[1:] - vs[0]
+        det = np.linalg.det(e @ e.T)
+        if det > 0:
+            total += math.sqrt(det) / fact
+    return total
+
+
+def reference_mean_width_3d(poly):
+    """Sum over lattice edges of length times exterior angle, / 2 pi."""
+    total = 0.0
+    for edge in sorted(poly.faces[1]):
+        fids = [fi for fi, fs in enumerate(poly.facet_vertex_sets)
+                if set(edge) <= set(fs)]
+        assert len(fids) == 2
+        n1, n2 = poly.facet_normals[fids[0]], poly.facet_normals[fids[1]]
+        ext = math.acos(float(np.clip(n1 @ n2, -1.0, 1.0)))
+        length = float(np.linalg.norm(poly.local_vertices[edge[0]]
+                                      - poly.local_vertices[edge[1]]))
+        total += length * ext
+    return total / (2.0 * math.pi)
+
+
+# -- properties --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_counts_match_lattice(d):
+    @PROPERTY
+    @given(point_set_variants(d, 60))
+    def check(variants):
+        counts = set()
+        for pts in variants:
+            poly = convex_hull(pts)
+            assert poly.is_simplicial
+            fv = f_vector(poly).counts  # counted before the lattice exists
+            assert fv == tuple(len(poly.faces[i]) for i in range(d))
+            counts.add(fv)
+        assert len(counts) == 1
+
+    check()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_facets_match_brute_force(d):
+    @PROPERTY
+    @given(point_set_variants(d, 12))
+    def check(variants):
+        for pts in variants:
+            poly = convex_hull(pts)
+            assert hull_facets_as_source_sets(poly) == brute_force_facets(pts)
+
+    check()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_metrics_match_reference_loops(d):
+    @PROPERTY
+    @given(point_set_variants(d, 60))
+    def check(variants):
+        for pts in variants:
+            poly = convex_hull(pts)
+            assert volume(poly) == pytest.approx(reference_volume(poly),
+                                                 rel=REL)
+            assert surface_measure(poly) == pytest.approx(
+                reference_surface(poly), rel=REL)
+            if d == 3:
+                assert exact_intrinsic_volumes(poly)[1] == pytest.approx(
+                    reference_mean_width_3d(poly), rel=REL)
+
+    check()
+
+
+def test_subfaces_without_integer_keys():
+    """Indices too large for int64 keys give the same distinct subsets."""
+    rng = np.random.default_rng(5)
+    facets = np.sort([rng.choice(9, 4, replace=False) for _ in range(20)], 1)
+    for m in (1, 2, 3):
+        expected = np.unique(
+            [c for row in facets for c in itertools.combinations(row, m)],
+            axis=0)
+        assert np.array_equal(_subfaces(facets, m), expected)
+        big = _subfaces(facets * 2**40, m)
+        assert np.array_equal(big // 2**40, expected)
