@@ -39,7 +39,7 @@ def _cmd_taus(args) -> int:
         raise ConfigError("malliavin", "config has no malliavin block")
     t_index = list(config.t_grid).index(config.malliavin.t)
     table = run_replications(config, t_index, workers=args.workers)
-    report = _malliavin_report(config, table)
+    report = _malliavin_report(config, table, args.workers)
     text = json.dumps({"malliavin_stein": report}, indent=2, sort_keys=True)
     print(text)
     if args.out:

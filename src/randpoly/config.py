@@ -11,7 +11,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bodies import body_from_spec
-from .functionals import ValuationSpec, build_evaluators, multivariate_labels
+from .functionals import (
+    ColumnValues,
+    ValuationSpec,
+    build_evaluators,
+    multivariate_labels,
+)
 from .hull import Polytope
 
 __all__ = ["ConfigError", "ExperimentConfig", "MalliavinSettings"]
@@ -187,34 +192,30 @@ class ExperimentConfig:
             config.malliavin_functional()
         return config
 
-    def malliavin_functional(self):
-        """Labels and exact values of the columns the bound report
-        differentiates: the multivariate ones, or the one that
-        ``malliavin.functional`` names ("V_d" is the top intrinsic volume).
-        The values come from the tables' own evaluators, called with an
-        exact-mode context and a fresh cache per polytope."""
+    def malliavin_functional(self) -> ColumnValues:
+        """Exact values of the columns the bound report differentiates:
+        the multivariate ones, or the one that ``malliavin.functional``
+        names ("V_d" is the top intrinsic volume).  The values come from
+        the tables' own evaluators, called with an exact-mode context and
+        a fresh cache per polytope; the callable is picklable, so the
+        report's outer loop can run in a process pool."""
         d = body_from_spec(self.body).dim
         ms = self.malliavin
         labels = (multivariate_labels(d) if ms.multivariate
                   else [f"V_{d}" if ms.functional == "V_d" else ms.functional])
-        columns = dict(build_evaluators(list(self.functionals), d))
+        values = ColumnValues(self.functionals, labels, d, ms.t, self.n_dirs)
+        columns = values.columns()
         missing = ", ".join(lab for lab in labels if lab not in columns)
         if missing:
             raise ConfigError("malliavin.functional", "no table column "
                               f"{missing} (columns: {', '.join(columns)})")
-
-        def values(poly):
-            ctx = {"t": ms.t, "rng": None, "cache": {}, "mode": "exact",
-                   "n_dirs": self.n_dirs}
-            return [columns[lab](poly, ctx) for lab in labels]
-
         if d > 3:  # exact intrinsic volumes stop at dimension 3
             try:
                 values(Polytope(d))
             except ValueError as exc:
                 msg = f"cannot evaluate {', '.join(labels)} exactly in dim {d}"
                 raise ConfigError("malliavin.functional", msg) from exc
-        return labels, values
+        return values
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":

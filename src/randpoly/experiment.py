@@ -239,22 +239,26 @@ def _write_plot_data(outdir: Path, summaries: list[dict]) -> list[str]:
     return written
 
 
-def _malliavin_report(config: ExperimentConfig, table: ReplicationTable) -> dict:
+def _malliavin_report(config: ExperimentConfig, table: ReplicationTable,
+                      workers: int | None = None) -> dict:
     """Estimate the error terms at the configured intensity using plug-in
-    moments from the replication table."""
+    moments from the replication table.  The outer loop runs on
+    ``workers`` processes (default: the config's); the report does not
+    depend on that count."""
     ms = config.malliavin
     body = body_from_spec(config.body)
     rng = stream(config.seed, MALLIAVIN_STAGE, table.t_index)
-    labels, values = config.malliavin_functional()
+    values = config.malliavin_functional()
+    labels = values.labels
+    workers = config.workers if workers is None else workers
 
     if ms.multivariate:
         scales = np.array([table.column(l).std(ddof=1) for l in labels])
         ss = covariance_matrix(table, labels)
-        vf = VectorFunctional(fn=lambda poly: np.array(values(poly)),
-                              labels=tuple(labels), scales=scales)
+        vf = VectorFunctional(fn=values, labels=labels, scales=scales)
         g = estimate_gammas(body, ms.t, vf, ss.covariance, ms.n_outer,
                             ms.n_inner, rng, sampling=ms.sampling,
-                            shell_c=ms.c)
+                            shell_c=ms.c, workers=workers)
         return {
             "kind": "multivariate",
             "labels": list(g.labels),
@@ -267,9 +271,9 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable) -> dict
 
     label, = labels
     variance = float(table.column(label).var(ddof=1))
-    tau = estimate_taus(body, ms.t, lambda poly: values(poly)[0], variance,
+    tau = estimate_taus(body, ms.t, values.scalar, variance,
                         ms.n_outer, ms.n_inner, rng, sampling=ms.sampling,
-                        shell_c=ms.c, label=label)
+                        shell_c=ms.c, label=label, workers=workers)
     return {
         "kind": "univariate",
         "functional": label,
@@ -358,7 +362,8 @@ def run(config, outdir=None, workers: int | None = None,
         report = _derive_report(config, tables)
         if config.malliavin is not None:
             ti = list(config.t_grid).index(config.malliavin.t)
-            report["malliavin_stein"] = _malliavin_report(config, tables[ti])
+            report["malliavin_stein"] = _malliavin_report(config, tables[ti],
+                                                          workers)
 
         report_path = out / "report.json"
         report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -30,6 +30,7 @@ __all__ = [
     "oracle_estimate",
     "multivariate_labels",
     "build_evaluators",
+    "ColumnValues",
 ]
 
 DEFAULT_MC_DIRS = 4096
@@ -83,7 +84,8 @@ def intrinsic_volumes(
     rng: np.random.Generator | None = None,
 ) -> list[float]:
     """(V_0, ..., V_d), exact for ambient dimension <= 3 or by projection
-    Monte Carlo for any dimension."""
+    Monte Carlo for any dimension.  In ``mc`` mode V_d is still exact:
+    its "projection" is a rotation, so it is the volume itself."""
     d = poly.dim_ambient
     if mode == "exact":
         return exact_intrinsic_volumes(poly)
@@ -93,10 +95,10 @@ def intrinsic_volumes(
         if rng is None:
             raise ValueError("mc mode needs an rng")
         out = [euler_indicator(poly)]
-        for j in range(1, d + 1):
+        for j in range(1, d):
             est, _ = intrinsic_volume_mc(poly, j, n_dirs, rng)
             out.append(est)
-        return out
+        return out + [volume(poly)]
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -243,3 +245,44 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
         else:
             raise ValueError(f"functionals[{i}]: unknown type {kind!r}")
     return cols
+
+
+class ColumnValues:
+    """Exact values of named table columns on a polytope, as a picklable
+    callable: ``self(poly)`` lists the values of the ``labels`` columns
+    that ``build_evaluators(functional_specs, d)`` makes, each polytope
+    with a fresh cache.
+
+    It holds the functional records rather than their evaluators (which
+    are closures and do not pickle) and builds the evaluators on first
+    use, once in each process it is unpickled in.
+    """
+
+    def __init__(self, functional_specs, labels, d: int, t: float,
+                 n_dirs: int):
+        self.functional_specs = [dict(f) for f in functional_specs]
+        self.labels = tuple(labels)
+        self.d = d
+        self.t = t
+        self.n_dirs = n_dirs
+        self._columns = None
+
+    def __getstate__(self):
+        return {**self.__dict__, "_columns": None}
+
+    def columns(self) -> dict:
+        if self._columns is None:
+            self._columns = dict(build_evaluators(self.functional_specs,
+                                                  self.d))
+        return self._columns
+
+    def __call__(self, poly: Polytope) -> list[float]:
+        columns = self.columns()
+        ctx = {"t": self.t, "rng": None, "cache": {}, "mode": "exact",
+               "n_dirs": self.n_dirs}
+        return [columns[lab](poly, ctx) for lab in self.labels]
+
+    def scalar(self, poly: Polytope) -> float:
+        """The value of the single column (the univariate report)."""
+        value, = self(poly)
+        return value

@@ -17,6 +17,7 @@ remains the ground truth at small t.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .bodies import (
     sample_poisson_process,
 )
 from .hull import Polytope, convex_hull
-from .rng import substream
+from .rng import map_blocks, substream
 
 __all__ = [
     "TauEstimate",
@@ -289,32 +290,28 @@ def _vector_diffs(body, t, vf, x1, x2, x3, rng, want_second, want_first):
     return out
 
 
-def _estimate_core(body, t, vf, n_outer, n_inner, rng, sampling, shell_c):
-    """Shared Monte Carlo engine for the tau and gamma terms.
+def _outer_block(body, t, vf, n_inner, rng, sampling, shell_c, k0, k1):
+    """Rows (term1, term2, term3) of the outer steps k0..k1-1, shape
+    (3, k1 - k0).
 
-    Per integration triple, the n_inner independent process draws are split
+    Step k draws only from ``substream(rng, k)``, so a block's rows do
+    not depend on which process runs it or on the other blocks.  Per
+    integration triple, the n_inner independent process draws are split
     round-robin into four disjoint groups so that every factor of a moment
     product is estimated from its own draws (a product of independent
     unbiased estimates is unbiased for the product of moments).
     """
-    if n_inner < 4:
-        raise ValueError("n_inner must be >= 4: the moment products combine "
-                         "four expectations, each needing disjoint draws")
-    if n_outer < 2:
-        raise ValueError("n_outer must be >= 2 to report standard errors")
-    draw_points, region_volume = _region_sampler(body, t, sampling, shell_c)
-
+    draw_points, _ = _region_sampler(body, t, sampling, shell_c)
     m = vf.m
-    term1 = np.empty(n_outer)
-    term2 = np.empty(n_outer)
-    term3 = np.empty(n_outer)
+    terms = np.empty((3, k1 - k0))
     groups = [range(g, n_inner, 4) for g in range(4)]
+    sizes = [len(g) for g in groups]
 
     # what each draw group evaluates: second diffs for the first moment
     # copies, second diffs plus first diffs for the independent copies
     needs = [((0,), ()), ((1,), ()), ((0,), (0,)), ((1,), (1,))]
 
-    for k in range(n_outer):
+    for k in range(k0, k1):
         rk = substream(rng, k)
         x1, x2, x3 = draw_points(rk, 3)
         # group accumulators: fourth moments of the difference operators
@@ -343,7 +340,6 @@ def _estimate_core(body, t, vf, n_outer, n_inner, rng, sampling, shell_c):
                     b2 += d["d2_1"] ** 4
                     e4 += d["d1_1"] ** 4
                     abs3_2 += np.abs(d["d1_1"]) ** 3
-        sizes = [len(g) for g in groups]
         a /= sizes[0]
         b /= sizes[1]
         a2 /= sizes[2]
@@ -356,9 +352,39 @@ def _estimate_core(body, t, vf, n_outer, n_inner, rng, sampling, shell_c):
         s_ab = float(((a * b) ** 0.25).sum())
         s_ce = float(((c4 * e4) ** 0.25).sum())
         s_a2b2 = float(((a2 * b2) ** 0.25).sum())
-        term1[k] = s_ab * s_ce
-        term2[k] = s_ab * s_a2b2
-        term3[k] = 0.5 * float(abs3_1.sum() + abs3_2.sum())
+        terms[:, k - k0] = (s_ab * s_ce, s_ab * s_a2b2,
+                            0.5 * float(abs3_1.sum() + abs3_2.sum()))
+    return terms
+
+
+def _estimate_core(body, t, vf, n_outer, n_inner, rng, sampling, shell_c,
+                   workers):
+    """Shared Monte Carlo engine for the tau and gamma terms.
+
+    The outer steps run in contiguous blocks (:func:`_outer_block`), in a
+    process pool when ``workers > 1``.  Their rows are stacked in step
+    order and reduced the same way for any worker count, so the estimates
+    are bit-identical across worker counts.
+    """
+    if n_inner < 4:
+        raise ValueError("n_inner must be >= 4: the moment products combine "
+                         "four expectations, each needing disjoint draws")
+    if n_outer < 2:
+        raise ValueError("n_outer must be >= 2 to report standard errors")
+    _, region_volume = _region_sampler(body, t, sampling, shell_c)
+    if workers > 1:
+        try:
+            pickle.dumps(vf)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(
+                "workers > 1 needs a picklable functional (a module-level "
+                f"function or class instance): {exc}"
+            ) from exc
+
+    term1, term2, term3 = np.hstack(map_blocks(
+        _outer_block, n_outer, workers,
+        (body, t, vf, n_inner, rng, sampling, shell_c),
+    ))
 
     w3 = t * region_volume
     w1 = w3**3
@@ -375,6 +401,17 @@ def _estimate_core(body, t, vf, n_outer, n_inner, rng, sampling, shell_c):
     return (g1, g2, g3, se1, se2, se3)
 
 
+class _Scalar:
+    """A scalar functional as a length-1 vector functional; picklable
+    whenever the functional is."""
+
+    def __init__(self, functional):
+        self.functional = functional
+
+    def __call__(self, poly) -> np.ndarray:
+        return np.array([float(self.functional(poly))])
+
+
 def estimate_taus(
     body: ConvexBody,
     t: float,
@@ -386,22 +423,26 @@ def estimate_taus(
     sampling: str = "plain",
     shell_c: float = 2.0,
     label: str = "F",
+    workers: int = 1,
 ) -> TauEstimate:
     """Monte Carlo estimates of the three univariate error terms.
 
     ``functional`` maps a polytope to a raw scalar; ``variance_estimate``
     is the plug-in variance used to put the functional on unit-variance
     scale (means cancel inside differences, so only the scale matters).
+    With ``workers > 1`` the outer steps run in a process pool, which
+    needs a picklable ``functional``; the estimates are the same for any
+    worker count.
     """
     if variance_estimate <= 0:
         raise ValueError("variance_estimate must be positive")
     vf = VectorFunctional(
-        fn=lambda poly: np.array([float(functional(poly))]),
+        fn=_Scalar(functional),
         labels=(label,),
         scales=np.array([math.sqrt(variance_estimate)]),
     )
     g1, g2, g3, se1, se2, se3 = _estimate_core(
-        body, t, vf, n_outer, n_inner, rng, sampling, shell_c
+        body, t, vf, n_outer, n_inner, rng, sampling, shell_c, workers
     )
     return TauEstimate(
         tau1=g1, tau2=g2, tau3=g3, se1=se1, se2=se2, se3=se3,
@@ -420,11 +461,12 @@ def estimate_gammas(
     rng: np.random.Generator,
     sampling: str = "plain",
     shell_c: float = 2.0,
+    workers: int = 1,
 ) -> GammaEstimate:
     """Monte Carlo estimates of the three multivariate error terms.
 
     With a single component and the same generator state this reduces
-    exactly to :func:`estimate_taus`.
+    exactly to :func:`estimate_taus`; ``workers`` works as there.
     """
     m = vector_functional.m
     cov = np.asarray(covariance_estimate, dtype=float)
@@ -438,7 +480,8 @@ def estimate_gammas(
     if np.linalg.eigvalsh(cov).min() < -1e-8:
         raise ValueError("covariance_estimate must be positive semi-definite")
     g1, g2, g3, se1, se2, se3 = _estimate_core(
-        body, t, vector_functional, n_outer, n_inner, rng, sampling, shell_c
+        body, t, vector_functional, n_outer, n_inner, rng, sampling, shell_c,
+        workers,
     )
     return GammaEstimate(
         gamma1=g1, gamma2=g2, gamma3=g3, se1=se1, se2=se2, se3=se3,

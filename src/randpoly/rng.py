@@ -4,13 +4,19 @@ Every stochastic routine in this package takes an explicit
 ``numpy.random.Generator``.  Streams are derived from a base seed plus an
 integer key path (e.g. ``(t_index, rep_index)``) through a counter-based
 Philox generator, so results are bit-identical no matter how replications
-are scheduled across workers.
+are scheduled across workers.  :func:`map_blocks` is that scheduler: it
+splits a range of work items into contiguous blocks and returns their
+results in item order, in one process or in a process pool.
 """
 from __future__ import annotations
 
+import functools
+import math
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 
-__all__ = ["stream", "substream"]
+__all__ = ["stream", "substream", "map_blocks"]
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -35,3 +41,22 @@ def substream(rng: np.random.Generator, index: int) -> np.random.Generator:
         entropy=root.entropy, spawn_key=root.spawn_key + (int(index),)
     )
     return np.random.Generator(np.random.Philox(child))
+
+
+def map_blocks(fn, n: int, workers: int, args: tuple = ()) -> list:
+    """``[fn(*args, start, stop), ...]`` over contiguous blocks covering
+    ``range(n)``, in block order.
+
+    With ``workers <= 1`` this is the single call ``fn(*args, 0, n)`` in
+    this process.  Otherwise about four blocks per worker run in a
+    process pool, so ``fn`` and ``args`` must be picklable.  Each work
+    item must draw only from its own keyed stream; then the concatenated
+    results do not depend on ``workers``.
+    """
+    if workers <= 1:
+        return [fn(*args, 0, n)]
+    chunk = max(1, math.ceil(n / (workers * 4)))
+    starts = range(0, n, chunk)
+    stops = [min(s + chunk, n) for s in starts]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(functools.partial(fn, *args), starts, stops))

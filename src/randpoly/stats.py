@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .bodies import (
 from .config import ExperimentConfig
 from .functionals import build_evaluators
 from .hull import convex_hull, f_vector
-from .rng import stream, substream
+from .rng import map_blocks, stream, substream
 
 __all__ = [
     "ReplicationTable",
@@ -126,8 +125,9 @@ class ReplicationTable:
 # replication engine
 
 
-def _check_hull_identities(poly, n_points: int, d: int) -> None:
-    """Per-sample exact identities; violations indicate a hull bug."""
+def _check_hull_identities(poly, n_points: int, d: int):
+    """Per-sample exact identities; violations indicate a hull bug.
+    Returns the f-vector it counted."""
     fv = f_vector(poly)
     if fv[0] > n_points:
         raise RuntimeError("hull has more vertices than sample points")
@@ -140,11 +140,11 @@ def _check_hull_identities(poly, n_points: int, d: int) -> None:
             raise RuntimeError(
                 f"simplicial 3-polytope identity violated: f={fv.counts}"
             )
+    return fv
 
 
-def _block_rows(args) -> np.ndarray:
-    (body_spec, t, t_index, seed, rep_start, rep_stop, functional_specs,
-     mode, n_dirs) = args
+def _block_rows(body_spec, t, t_index, seed, functional_specs, mode, n_dirs,
+                rep_start, rep_stop) -> np.ndarray:
     body = body_from_spec(body_spec)
     evaluators = build_evaluators(list(functional_specs), body.dim)
     out = np.empty((rep_stop - rep_start, 1 + len(evaluators)))
@@ -152,8 +152,9 @@ def _block_rows(args) -> np.ndarray:
         rng = stream(seed, t_index, r)
         cloud = sample_poisson_process(body, t, rng)
         poly = convex_hull(cloud)
-        _check_hull_identities(poly, len(cloud), body.dim)
-        ctx = {"t": t, "rng": rng, "cache": {}, "mode": mode, "n_dirs": n_dirs}
+        fv = _check_hull_identities(poly, len(cloud), body.dim)
+        ctx = {"t": t, "rng": rng, "cache": {"fvec": fv}, "mode": mode,
+               "n_dirs": n_dirs}
         row = out[r - rep_start]
         row[0] = len(cloud)
         for i, (_, fn) in enumerate(evaluators):
@@ -176,20 +177,11 @@ def run_replications(config: ExperimentConfig, t_index: int = 0,
         name for name, _ in build_evaluators(list(config.functionals), body.dim)
     ]
 
-    def block_args(start, stop):
-        return (config.body, t, t_index, config.seed, start, stop,
-                config.functionals, config.mode, config.n_dirs)
-
-    if workers <= 1:
-        mat = _block_rows(block_args(0, n_reps))
-    else:
-        chunk = max(1, math.ceil(n_reps / (workers * 4)))
-        blocks = [(s, min(s + chunk, n_reps))
-                  for s in range(0, n_reps, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_block_rows,
-                                  [block_args(s, e) for s, e in blocks]))
-        mat = np.vstack(parts)
+    mat = np.vstack(map_blocks(
+        _block_rows, n_reps, workers,
+        (config.body, t, t_index, config.seed, config.functionals,
+         config.mode, config.n_dirs),
+    ))
 
     cols = {name: mat[:, i].copy() for i, name in enumerate(names)}
     return ReplicationTable(

@@ -227,6 +227,10 @@ def test_criterion_09_clt_trend(tables_clt_trend):
            f"w1: {w_first:.4f} (t=250) -> {w_last:.4f} (t=4000), cap 0.05")
 
 
+def area(poly):
+    return intrinsic_volumes(poly, mode="exact")[2]
+
+
 def test_criterion_10_bound_domination(table_d2_t500):
     col = table_d2_t500.column("V_2")
     variance = float(col.var(ddof=1))
@@ -234,12 +238,10 @@ def test_criterion_10_bound_domination(table_d2_t500):
     w1 = w1_to_normal(z)
     w1_se = w1_bootstrap_se(z, rng=stream(905))
 
-    def area(poly):
-        return intrinsic_volumes(poly, mode="exact")[2]
-
     tau = estimate_taus(Ball(2), 500.0, area, variance, n_outer=10_000,
                         n_inner=8, rng=stream(101),
-                        sampling="boundary_shell", label="V_2")
+                        sampling="boundary_shell", label="V_2",
+                        workers=WORKERS)
     bound = tau.bound()
     combined_se = math.hypot(tau.bound_standard_error(), w1_se)
     ok = bound - w1 >= -4.0 * combined_se

@@ -225,6 +225,20 @@ class TestRunAndManifest:
         assert ms["functional"] == functional
         assert math.isfinite(ms["bound"]) and ms["bound"] > 0
 
+    @pytest.mark.parametrize("block", [
+        {"functional": "V_2", "sampling": "boundary_shell"},
+        {"multivariate": True, "sampling": "plain"},
+    ])
+    def test_malliavin_report_independent_of_workers(self, tmp_path, block):
+        raw = tiny_raw(t_grid=[60.0], n_reps=60, malliavin={
+            "t": 60.0, "n_outer": 12, "n_inner": 4, **block})
+        for w in (1, 2):
+            run(raw, outdir=tmp_path / f"w{w}", workers=w)
+        one, two = (tmp_path / f"w{w}" / "tiny" / "report.json"
+                    for w in (1, 2))
+        assert "malliavin_stein" in json.loads(one.read_text())
+        assert one.read_bytes() == two.read_bytes()
+
 
 class TestPresets:
     def test_catalogue_nonempty(self):
@@ -288,6 +302,18 @@ class TestCLI:
         assert "malliavin_stein" in blob
         assert blob["malliavin_stein"]["tau3"] >= 0.0
 
+    def test_taus_output_independent_of_workers(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(
+            t_grid=[60.0], n_reps=60,
+            malliavin={"t": 60.0, "functional": "V_2", "n_outer": 12,
+                       "n_inner": 4},
+        )))
+        outputs = []
+        for w in ("1", "2"):
+            assert cli_main(["taus", str(cfg_path), "--workers", w]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "tau3" in outputs[0] and outputs[0] == outputs[1]
 
     def test_taus_rejects_unknown_column(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -10,13 +10,14 @@ from randpoly.functionals import (
     ValuationSpec,
     build_evaluators,
     euler_indicator,
+    intrinsic_volumes,
     multivariate_labels,
     oracle_estimate,
     valuation,
     wills,
     wills_spec,
 )
-from randpoly.hull import convex_hull, volume
+from randpoly.hull import convex_hull, intrinsic_volume_mc, volume
 from randpoly.rng import stream
 
 
@@ -118,6 +119,18 @@ class TestValuation:
         exact = wills(poly)
         est = wills(poly, mode="mc", n_dirs=4000, rng=stream(44))
         assert est == pytest.approx(exact, rel=0.05)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_mc_mode_top_volume_is_exact(self, d):
+        # V_d is the volume itself; V_1..V_{d-1} are the projection
+        # estimates drawn from the generator in order of j
+        poly = convex_hull(Ball(d).sample_uniform(stream(46), 40))
+        vols = intrinsic_volumes(poly, mode="mc", n_dirs=16, rng=stream(47))
+        rng = stream(47)
+        expected = [intrinsic_volume_mc(poly, j, 16, rng)[0]
+                    for j in range(1, d)]
+        assert vols[1:d] == expected
+        assert vols[d] == volume(poly)
 
     def test_mc_mode_needs_dirs(self):
         poly = convex_hull(unit_cube_vertices(2))

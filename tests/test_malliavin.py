@@ -29,6 +29,10 @@ def area(poly):
     return intrinsic_volumes(poly, mode="exact")[2]
 
 
+def area_and_f0(poly):
+    return np.array([area(poly), f0(poly)])
+
+
 class TestFirstDifference:
     def test_interior_point_is_exactly_zero(self):
         cloud = Ball(2).sample_uniform(stream(50), 40)
@@ -194,6 +198,20 @@ class TestTauEstimation:
             estimate_taus(Ellipsoid(2, semi_axes=[1.0, 2.0]), 50.0, area,
                           1.0, 10, 4, stream(0), sampling="boundary_shell")
 
+    def test_worker_count_invariance(self):
+        kw = dict(n_outer=30, n_inner=4, sampling="boundary_shell",
+                  label="V_2")
+        one = estimate_taus(Ball(2), 200.0, area, 2e-4, rng=stream(65),
+                            workers=1, **kw)
+        two = estimate_taus(Ball(2), 200.0, area, 2e-4, rng=stream(65),
+                            workers=2, **kw)
+        assert one == two
+
+    def test_unpicklable_functional_with_workers(self):
+        with pytest.raises(ValueError, match="picklable"):
+            estimate_taus(Ball(2), 80.0, lambda p: area(p), 1e-3, 10, 4,
+                          stream(65), workers=2)
+
     def test_regression_pin_area_t500(self):
         # frozen from this module's own converged estimate (n_outer = 1e4,
         # n_inner = 8, three seeds agreeing within 3 se: tau3 = 0.66 +- 0.03);
@@ -234,6 +252,20 @@ class TestGammaEstimation:
         g = estimate_gammas(Ball(2), 80.0, vf, np.eye(1), 40, 4, stream(68))
         tau = estimate_taus(Ball(2), 80.0, area, 0.05**2, 40, 4, stream(68))
         assert (g.gamma1, g.gamma2, g.gamma3) == (tau.tau1, tau.tau2, tau.tau3)
+
+    def test_worker_count_invariance(self):
+        vf = VectorFunctional(fn=area_and_f0, labels=("V_2", "f_0"),
+                              scales=np.array([1e-2, 2.0]))
+        one, two = (estimate_gammas(Ball(2), 100.0, vf, np.eye(2), 30, 4,
+                                    stream(70), sampling="boundary_shell",
+                                    workers=w) for w in (1, 2))
+        assert one == two
+
+    def test_unpicklable_functional_with_workers(self):
+        vf = VectorFunctional(fn=lambda p: np.zeros(2), labels=("a", "b"))
+        with pytest.raises(ValueError, match="picklable"):
+            estimate_gammas(Ball(2), 50.0, vf, np.eye(2), 10, 4, stream(69),
+                            workers=2)
 
     def test_zero_vector_gives_zero(self):
         vf = VectorFunctional(fn=lambda p: np.zeros(2),
