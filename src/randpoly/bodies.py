@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "ConvexBody",
@@ -314,7 +314,9 @@ def ball_floating_body_radius(d: int, r: float, eps: float) -> float:
         raise ValueError(
             f"eps must lie in (0, {half_volume:.6g}] (half the ball volume)"
         )
+    from scipy.optimize import brentq  # ~0.4 s to import; only used here
+
     f = lambda rho: ball_cap_volume(d, r, rho) - eps
     if f(0.0) <= 0.0:  # eps at (or within rounding of) the half volume
         return 0.0
-    return float(optimize.brentq(f, 0.0, r, xtol=1e-15, rtol=1e-12))
+    return float(brentq(f, 0.0, r, xtol=1e-15, rtol=1e-12))

@@ -156,19 +156,25 @@ def _correlation_bootstrap_ci(mat: np.ndarray, names, rng,
     """Central 95% bootstrap intervals for each correlation entry.
 
     The limiting correlations are unknown, so reports carry trajectories
-    with uncertainty bands instead of asserting limits.
+    with uncertainty bands instead of asserting limits.  A column constant
+    in a resample has no correlation there and is dropped like NaN.
     """
     n, m = mat.shape
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    samples = np.empty((n_boot, len(pairs)))
+    rows, cols = np.triu_indices(m, 1)
+    draws = np.empty((n_boot, n), dtype=np.int64)
+    samples = np.empty((n_boot, len(rows)))
     for b in range(n_boot):
-        sub = mat[rng.integers(0, n, size=n)]
+        draws[b] = rng.integers(0, n, size=n)
         with np.errstate(invalid="ignore"):
-            corr = np.corrcoef(sub, rowvar=False)
-        for p, (i, j) in enumerate(pairs):
-            samples[b, p] = corr[i, j]
+            corr = np.corrcoef(mat[draws[b]], rowvar=False).reshape(m, m)
+        samples[b] = corr[rows, cols]
+    # (b, k) is True when column k is constant in resample b
+    const = np.column_stack(
+        [(c[draws] == c[draws[:, :1]]).all(axis=1) for c in mat.T]
+    )
+    samples[const[:, rows] | const[:, cols]] = math.nan
     out = {}
-    for p, (i, j) in enumerate(pairs):
+    for p, (i, j) in enumerate(zip(rows, cols)):
         col = samples[:, p]
         col = col[np.isfinite(col)]
         lo, hi = np.percentile(col, [2.5, 97.5]) if len(col) else (math.nan,

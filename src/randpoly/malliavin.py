@@ -371,6 +371,8 @@ def _estimate_core(body, t, vf, n_outer, n_inner, rng, sampling, shell_c,
                          "four expectations, each needing disjoint draws")
     if n_outer < 2:
         raise ValueError("n_outer must be >= 2 to report standard errors")
+    # Called before the pool forks, so workers inherit the scipy.optimize
+    # that the shell sampler's radius imports on first use.
     _, region_volume = _region_sampler(body, t, sampling, shell_c)
     if workers > 1:
         try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as spstats
+from scipy import special
 
 from .bodies import (
     Ball,
@@ -207,7 +207,7 @@ def standardize(column: np.ndarray) -> np.ndarray:
 
 def _normal_grid_quantiles(n: int) -> np.ndarray:
     """N(0,1) quantiles at the midpoint grid (i - 1/2)/n, i = 1..n."""
-    return spstats.norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    return special.ndtri((np.arange(1, n + 1) - 0.5) / n)
 
 
 def w1_to_normal(standardized_column: np.ndarray) -> float:
@@ -429,9 +429,9 @@ def mardia_normality(table: ReplicationTable, columns: list[str],
 
     skew_stat = n * b1 / 6.0
     df = p * (p + 1) * (p + 2) / 6.0
-    skew_p = float(spstats.chi2.sf(skew_stat, df))
+    skew_p = float(special.chdtrc(df, skew_stat))
     kurt_stat = (b2 - p * (p + 2)) / math.sqrt(8.0 * p * (p + 2) / n)
-    kurt_p = float(2.0 * spstats.norm.sf(abs(kurt_stat)))
+    kurt_p = float(2.0 * special.ndtr(-abs(kurt_stat)))
     return MardiaResult(
         skewness_stat=skew_stat, skewness_pvalue=skew_p,
         kurtosis_stat=kurt_stat, kurtosis_pvalue=kurt_p,

@@ -3,11 +3,19 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from randpoly.cli import main as cli_main
 from randpoly.config import ConfigError, ExperimentConfig
-from randpoly.experiment import PRESETS, preset_config, run, verify
+from randpoly.experiment import (
+    PRESETS,
+    _correlation_bootstrap_ci,
+    preset_config,
+    run,
+    verify,
+)
+from randpoly.rng import stream
 
 
 def tiny_raw(**overrides):
@@ -238,6 +246,37 @@ class TestRunAndManifest:
                     for w in (1, 2))
         assert "malliavin_stein" in json.loads(one.read_text())
         assert one.read_bytes() == two.read_bytes()
+
+
+class TestCorrelationBootstrap:
+    # Each row repeated three times is a resample with constant columns;
+    # np.corrcoef gives -1.0 for every one of these rows, not NaN.
+    ROWS = np.array([[0.7, 0.8], [0.8, 1.4], [1.4, 1.6]])
+
+    def test_constant_resamples_dropped(self):
+        # the other resamples have correlation 1 (two distinct rows, both
+        # columns increasing) or 0.78 (all three rows)
+        r = np.corrcoef(self.ROWS, rowvar=False)[0, 1]
+        ci = _correlation_bootstrap_ci(self.ROWS, ["a", "b"], stream(1))
+        lo, hi = ci["a.b"]
+        assert r - 1e-12 <= lo <= hi <= 1.0 + 1e-12
+
+    def test_constant_column_gives_nan(self):
+        mat = np.column_stack([self.ROWS[:, 0], [0.1, 0.1, 0.1]])
+        ci = _correlation_bootstrap_ci(mat, ["a", "b"], stream(1))
+        assert all(math.isnan(v) for v in ci["a.b"])
+
+    def test_single_column_has_no_pairs(self):
+        assert _correlation_bootstrap_ci(self.ROWS[:, :1], ["a"],
+                                         stream(1)) == {}
+
+    def test_random_stream_unchanged(self):
+        rng = stream(2)
+        _correlation_bootstrap_ci(self.ROWS, ["a", "b"], rng, n_boot=50)
+        ref = stream(2)
+        for _ in range(50):
+            ref.integers(0, 3, size=3)
+        assert rng.random() == ref.random()
 
 
 class TestPresets:

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as spstats
 
 from randpoly.bodies import Ball
 from randpoly.config import ExperimentConfig
 from randpoly.rng import stream
 from randpoly.stats import (
     ReplicationTable,
+    _normal_grid_quantiles,
     covariance_matrix,
     mardia_normality,
     numeric_rank,
@@ -136,6 +138,12 @@ class TestW1:
     def test_bootstrap_se_positive(self):
         z = stream(85).standard_normal(2000)
         assert w1_bootstrap_se(z, n_boot=50, rng=stream(86)) > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 5000])
+    def test_grid_quantiles_match_scipy_stats(self, n):
+        grid = (np.arange(1, n + 1) - 0.5) / n
+        expected = spstats.norm.ppf(grid)
+        assert _normal_grid_quantiles(n).tobytes() == expected.tobytes()
 
 
 class TestCovariance:
@@ -314,6 +322,26 @@ class TestMardia:
         res = mardia_normality(table, ["V_1", "V_2", "f_0", "f_1"])
         assert res.dropped == ("f_1",)
         assert res.p == 3
+
+    @pytest.mark.parametrize("case", ["normal", "exponential", "singular"])
+    def test_pvalues_match_scipy_stats(self, case):
+        if case == "normal":
+            x = stream(98).multivariate_normal(np.zeros(3), np.eye(3),
+                                               size=10_000)
+        elif case == "exponential":
+            x = stream(99).exponential(size=(10_000, 2))
+        else:
+            x = stream(100).normal(size=(2000, 3))
+            f0 = x[:, 0] + 0.5 * x[:, 2]
+            x = np.column_stack([x[:, 0], x[:, 1], f0, f0])
+        names = [f"c{k}" for k in range(x.shape[1])]
+        table = synthetic_table(dict(zip(names, x.T)))
+        res = mardia_normality(table, names)
+        df = res.p * (res.p + 1) * (res.p + 2) / 6.0
+        assert res.skewness_pvalue == float(
+            spstats.chi2.sf(res.skewness_stat, df))
+        assert res.kurtosis_pvalue == float(
+            2.0 * spstats.norm.sf(abs(res.kurtosis_stat)))
 
     def test_needs_enough_replications(self):
         rng = stream(101)
