@@ -28,6 +28,7 @@ __all__ = [
     "unit_ball_volume",
     "ball_cap_volume",
     "ball_floating_body_radius",
+    "ball_core_radius",
 ]
 
 # Consecutive rejections tolerated by the bounding-box fallback sampler
@@ -320,3 +321,24 @@ def ball_floating_body_radius(d: int, r: float, eps: float) -> float:
     if f(0.0) <= 0.0:  # eps at (or within rounding of) the half volume
         return 0.0
     return float(brentq(f, 0.0, r, xtol=1e-15, rtol=1e-12))
+
+
+def ball_core_radius(d: int, r: float, eps: float) -> float | None:
+    """``ball_floating_body_radius`` to within 2^-40 r, without a root finder.
+
+    A fixed bisection on the decreasing cap volume, so it never imports
+    ``scipy.optimize``; the hull prefilter, which only needs some radius
+    near the floating body's, calls it in every replication block.
+    Returns None where the floating body is undefined (eps outside
+    (0, half the ball volume]).
+    """
+    if not 0.0 < eps <= unit_ball_volume(d) * r**d / 2.0:
+        return None
+    lo, hi = 0.0, r
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if ball_cap_volume(d, r, mid) > eps:
+            lo = mid
+        else:
+            hi = mid
+    return lo

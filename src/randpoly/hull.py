@@ -14,6 +14,11 @@ a lattice derived by downward closure.
 Intrinsic volumes are available exactly in ambient dimension <= 3 and by
 Monte Carlo averaging of projection volumes over Haar-random subspaces in
 any dimension.
+
+Most points of a Poisson sample in a smooth body lie inside its floating
+body, which the hull contains with high probability, so they never become
+vertices.  :func:`prefiltered_hull` hands qhull only the points outside a
+core ball and proves afterwards that the dropped points changed nothing.
 """
 from __future__ import annotations
 
@@ -24,13 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull as _QhullHull
 
-from .bodies import PointCloud, unit_ball_volume
+from .bodies import Ball, PointCloud, ball_core_radius, unit_ball_volume
 
 __all__ = [
     "Polytope",
     "FVector",
     "Subspace",
     "convex_hull",
+    "outer_hull",
+    "prefiltered_hull",
+    "floating_core",
     "f_vector",
     "volume",
     "surface_measure",
@@ -44,6 +52,12 @@ __all__ = [
 # Facet-membership and affine-rank decisions are made at this tolerance,
 # relative to the diameter of the input point set.
 REL_TOL = 1e-9
+
+# Full-dimensional inputs whose bounding box lies farther from the origin
+# than this many diameters reach qhull centred on the box.  On raw
+# coordinates, qhull's planes for a unit disc at 1e8 miss their own
+# vertices by 1.5e-8, more than REL_TOL times the diameter.
+FAR_FROM_ORIGIN = 1e3
 
 
 @dataclass(frozen=True)
@@ -88,7 +102,9 @@ class Polytope:
     tuple of its vertex indices.  For inputs of affine dimension k < d the
     lattice is that of the k-dimensional polytope inside its affine hull
     (``origin`` + ``basis`` give the chart), and ``degeneracy`` records the
-    situation; facet hyperplane data then lives in chart coordinates.
+    situation.  Facet hyperplane data lives in chart coordinates
+    (``local_vertices``); for a full-dimensional polytope the chart is the
+    identity, or the shift by ``origin`` for inputs far from the origin.
 
     A simplicial hull keeps qhull's arrays: ``facet_vertex_sets`` is the
     (F, k) array of sorted facet vertex ids, facet f being simplex f of
@@ -159,20 +175,21 @@ class Polytope:
     def facet_planes(self) -> tuple[np.ndarray, np.ndarray]:
         """Outward unit normals and offsets (n . x <= b) in ambient coordinates.
 
-        Only meaningful for full-dimensional polytopes, where the chart is
-        the identity.
+        Only meaningful for full-dimensional polytopes, whose chart is the
+        identity or a shift.
         """
         if not self.is_full_dimensional():
             raise ValueError("facet planes in ambient coordinates require a "
                              "full-dimensional polytope")
-        return self.facet_normals, self.facet_offsets
+        return (self.facet_normals,
+                self.facet_offsets + self.facet_normals @ self.origin)
 
     def max_facet_excess(self, x: np.ndarray) -> float:
         """max_F (n_F . x - b_F); <= 0 means x lies in the polytope."""
         if not self.is_full_dimensional():
             raise ValueError("membership test requires a full-dimensional "
                              "polytope")
-        return float((self.facet_normals @ np.asarray(x, float)
+        return float((self.facet_normals @ (np.asarray(x, float) - self.origin)
                       - self.facet_offsets).max())
 
 
@@ -198,9 +215,11 @@ def convex_hull(cloud: PointCloud | np.ndarray, dim: int | None = None) -> Polyt
     if n == 0:
         return poly
 
-    # bounding-box diagonal; rows of the transpose reduce ~10x faster than
-    # numpy's axis-0 reduction of an (n, d) array
-    diam = float(np.linalg.norm(np.ptp(np.ascontiguousarray(pts.T), axis=1)))
+    # bounding box; rows of the transpose reduce ~10x faster than numpy's
+    # axis-0 reduction of an (n, d) array
+    rows = np.ascontiguousarray(pts.T)
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    diam = float(np.linalg.norm(hi - lo))
     if diam == 0.0:  # all points coincide
         _as_point(poly, pts[0], 0)
         return poly
@@ -213,7 +232,14 @@ def convex_hull(cloud: PointCloud | np.ndarray, dim: int | None = None) -> Polyt
     k = int((svals > REL_TOL * svals[0]).sum())
 
     if k == d:
-        _build_full(poly, pts, np.arange(n))
+        # the box's midpoint, like its diagonal, depends only on the hull's
+        # vertices, so dropping interior points changes neither
+        mid = 0.5 * (lo + hi)
+        if float(np.linalg.norm(mid)) > FAR_FROM_ORIGIN * diam:
+            _build_full(poly, pts - mid, np.arange(n), ambient_pts=pts,
+                        origin=mid, basis=np.eye(d))
+        else:
+            _build_full(poly, pts, np.arange(n))
         poly.affine_dim = d
         poly.degeneracy = "full_dimensional"
     else:
@@ -224,6 +250,79 @@ def convex_hull(cloud: PointCloud | np.ndarray, dim: int | None = None) -> Polyt
         poly.affine_dim = k
         poly.degeneracy = "lower_dimensional"
     return poly
+
+
+def outer_hull(points: np.ndarray, center: np.ndarray, rho: float,
+               build=convex_hull) -> tuple[Polytope, float] | None:
+    """Hull of the points at distance >= rho from ``center``, and the least
+    distance from ``center`` to its facet planes.
+
+    ``source_indices`` refer to ``points``, and ``build`` makes the hull.
+    Returns None when d or fewer points are that far out, or when their
+    hull is not full-dimensional.
+
+    If the distance is at least rho, the core ball B_rho, and with it every
+    dropped point, lies in the returned hull, which is then the hull of
+    all the points.  Otherwise B_rho is not in the hull of all the points
+    either: were it inside, no dropped point (each interior to B_rho)
+    could be a vertex, and the two hulls would be equal; the same holds
+    when None is returned.  Up to ties at rho, which have probability zero
+    for sampled points, this decides whether the full hull contains B_rho.
+    """
+    d = points.shape[1]
+    # column by column: numpy reduces the short rows of an (n, d) array
+    # several times slower
+    r2 = np.zeros(len(points))
+    for x, c in zip(points.T, center):
+        r2 += (x - c) ** 2
+    keep = np.nonzero(r2 >= rho * rho)[0]
+    if len(keep) <= d:
+        return None
+    poly = build(points[keep])
+    if not poly.is_full_dimensional():
+        return None
+    poly.source_indices = keep[poly.source_indices]
+    dist = poly.facet_offsets - poly.facet_normals @ (center - poly.origin)
+    return poly, float(dist.min())
+
+
+def prefiltered_hull(cloud: PointCloud | np.ndarray,
+                     core: tuple[np.ndarray, float] | None,
+                     build=convex_hull) -> Polytope:
+    """``build(cloud)``, with qhull given only the points outside the core.
+
+    ``core`` is a ball (center, rho), or None to hull every point.  The hull
+    of the points outside it (:func:`outer_hull`) is returned when every
+    facet plane lies farther than rho (1 + REL_TOL) from the center; then
+    it is the hull of the whole cloud, with ``source_indices`` into the
+    cloud.  Otherwise the whole cloud is hulled.  Callers pass their own
+    module's ``convex_hull`` as ``build``, so a profiler that wraps it
+    there sees every hull at its call site.
+    """
+    if core is not None:
+        pts = cloud.points if isinstance(cloud, PointCloud) else cloud
+        got = outer_hull(np.asarray(pts, dtype=float), *core, build=build)
+        if got is not None and got[1] > core[1] * (1.0 + REL_TOL):
+            return got[0]
+    return build(cloud)
+
+
+def floating_core(body, t: float) -> tuple[np.ndarray, float] | None:
+    """Core ball for :func:`prefiltered_hull` of a Poisson sample of ``body``
+    at intensity t: the floating body at cap volume 2 log t / t of a
+    2-dimensional ball.  None for every other body, and where that
+    floating body is undefined.
+
+    In d = 2 the hull of the outer points comes out of qhull with the same
+    vertex and facet arrays as the hull of all the points, so every
+    metric is bit-identical.  In d >= 3 qhull orders the facets
+    differently, which moves volumes at round-off, so the prefilter is
+    not used there.
+    """
+    if not (isinstance(body, Ball) and body.dim == 2 and t > 1.0):
+        return None
+    rho = ball_core_radius(2, body.radius, 2.0 * math.log(t) / t)
+    return None if rho is None else (body.center, rho)
 
 
 def _as_point(poly: Polytope, p: np.ndarray, src: int) -> None:
@@ -672,11 +771,25 @@ def sample_haar_subspace(d: int, j: int, rng: np.random.Generator) -> Subspace:
     """
     if not 1 <= j <= d:
         raise ValueError("need 1 <= j <= d")
-    while True:
-        g = rng.standard_normal((d, j))
-        q, r = np.linalg.qr(g)
-        if np.abs(np.diag(r)).min() > 1e-12 * max(1.0, np.abs(r).max()):
-            return Subspace(d, j, q)
+    return Subspace(d, j, _haar_bases(d, j, 1, rng)[0])
+
+
+def _haar_bases(d: int, j: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal bases, shape (n, d, j), of n Haar-random j-subspaces.
+
+    One batched QR; the draws, redraws and values are those of n
+    successive single draws, because a stack of Gaussian matrices takes
+    the stream's normals in the same order, and the QR factors each
+    matrix of a stack alone.
+    """
+    bases = []
+    while n > 0:
+        q, r = np.linalg.qr(rng.standard_normal((n, d, j)))
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1)
+        ok = diag > 1e-12 * np.maximum(1.0, np.abs(r).max(axis=(1, 2)))
+        bases.append(q[ok])
+        n -= int(ok.sum())
+    return np.concatenate(bases)
 
 
 def project(poly: Polytope, sub: Subspace) -> PointCloud:
@@ -708,9 +821,12 @@ def intrinsic_volume_mc(
         return 0.0, 0.0
     c = projection_mean_coefficient(d, j)
     vals = np.empty(n_dirs)
-    for i in range(n_dirs):
-        sub = sample_haar_subspace(d, j, rng)
-        vals[i] = volume(convex_hull(project(poly, sub)))
+    for i, basis in enumerate(_haar_bases(d, j, n_dirs, rng)):
+        image = poly.vertices @ basis  # as project() takes it
+        if j == 1:  # a projection onto a line is an interval: the width
+            vals[i] = image.max() - image.min()
+        else:
+            vals[i] = volume(convex_hull(image))
     est = c * float(vals.mean())
     se = c * float(vals.std(ddof=1)) / math.sqrt(n_dirs)
     return est, se

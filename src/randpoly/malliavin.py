@@ -29,7 +29,7 @@ from .bodies import (
     ball_floating_body_radius,
     sample_poisson_process,
 )
-from .hull import Polytope, convex_hull
+from .hull import Polytope, convex_hull, floating_core, prefiltered_hull
 from .rng import map_blocks, substream
 
 __all__ = [
@@ -59,11 +59,12 @@ class _Rehuller:
     extras), so after one full hull the add-one re-hulls touch only a
     handful of points.  Adding a point strictly inside the base hull is
     detected and short-circuits to the base polytope, which makes
-    differences at interior points exactly zero.
+    differences at interior points exactly zero.  Given a ``core`` ball
+    (:func:`floating_core`), the base hull skips the points inside it.
     """
 
-    def __init__(self, cloud: PointCloud | np.ndarray, dim: int | None = None):
-        self.base = convex_hull(cloud, dim=dim)
+    def __init__(self, cloud: PointCloud | np.ndarray, core=None):
+        self.base = prefiltered_hull(cloud, core, convex_hull)
         self._tol = _INSIDE_TOL * max(1.0, self.base.diameter)
 
     def _strictly_inside(self, x: np.ndarray) -> bool:
@@ -251,16 +252,18 @@ def _region_sampler(body: ConvexBody, t: float, sampling: str, shell_c: float):
     raise ValueError(f"unknown sampling {sampling!r}")
 
 
-def _vector_diffs(body, t, vf, x1, x2, x3, rng, want_second, want_first):
+def _vector_diffs(body, t, vf, x1, x2, x3, rng, want_second, want_first,
+                  core):
     """One process draw: standardized difference-operator values.
 
     ``want_second``/``want_first`` select which of D2_{x1,x3} (index 0) /
     D2_{x2,x3} (index 1) resp. D1_{x1} / D1_{x2} to evaluate; unneeded
     re-hulls are skipped.  Returns a dict with keys "d2_0", "d2_1",
-    "d1_0", "d1_1" (length-m arrays) for the requested entries.
+    "d1_0", "d1_1" (length-m arrays) for the requested entries.  ``core``
+    is the base hull's prefilter ball, or None.
     """
     cloud = sample_poisson_process(body, t, rng)
-    re = _Rehuller(cloud, dim=body.dim)
+    re = _Rehuller(cloud, core)
     memo: dict[str, np.ndarray] = {}
 
     def v(key, pts):
@@ -302,6 +305,7 @@ def _outer_block(body, t, vf, n_inner, rng, sampling, shell_c, k0, k1):
     unbiased estimates is unbiased for the product of moments).
     """
     draw_points, _ = _region_sampler(body, t, sampling, shell_c)
+    core = floating_core(body, t)
     m = vf.m
     terms = np.empty((3, k1 - k0))
     groups = [range(g, n_inner, 4) for g in range(4)]
@@ -327,7 +331,7 @@ def _outer_block(body, t, vf, n_inner, rng, sampling, shell_c, k0, k1):
             want_second, want_first = needs[gi]
             for _ in idxs:
                 d = _vector_diffs(body, t, vf, x1, x2, x3, rk,
-                                  want_second, want_first)
+                                  want_second, want_first, core)
                 if gi == 0:
                     a += d["d2_0"] ** 4
                 elif gi == 1:

@@ -29,7 +29,13 @@ from .bodies import (
 )
 from .config import ExperimentConfig
 from .functionals import build_evaluators
-from .hull import convex_hull, f_vector
+from .hull import (
+    convex_hull,
+    f_vector,
+    floating_core,
+    outer_hull,
+    prefiltered_hull,
+)
 from .rng import map_blocks, stream, substream
 
 __all__ = [
@@ -147,11 +153,12 @@ def _block_rows(body_spec, t, t_index, seed, functional_specs, mode, n_dirs,
                 rep_start, rep_stop) -> np.ndarray:
     body = body_from_spec(body_spec)
     evaluators = build_evaluators(list(functional_specs), body.dim)
+    core = floating_core(body, t)
     out = np.empty((rep_stop - rep_start, 1 + len(evaluators)))
     for r in range(rep_start, rep_stop):
         rng = stream(seed, t_index, r)
         cloud = sample_poisson_process(body, t, rng)
-        poly = convex_hull(cloud)
+        poly = prefiltered_hull(cloud, core, convex_hull)
         fv = _check_hull_identities(poly, len(cloud), body.dim)
         ctx = {"t": t, "rng": rng, "cache": {"fvec": fv}, "mode": mode,
                "n_dirs": n_dirs}
@@ -354,7 +361,8 @@ def sandwich_probability(body: Ball, t: float, c: float, n_reps: int,
                          rng: np.random.Generator) -> float:
     """Frequency with which the floating body (cap parameter c log t / t)
     lies inside the hull: every facet plane at distance >= the floating
-    radius from the center."""
+    radius from the center.  The hull of the points outside the floating
+    body decides this alone (:func:`~randpoly.hull.outer_hull`)."""
     if not isinstance(body, Ball):
         raise ValueError("floating-body containment is implemented for "
                          "balls only")
@@ -366,12 +374,8 @@ def sandwich_probability(body: Ball, t: float, c: float, n_reps: int,
     for i in range(int(n_reps)):
         ri = substream(rng, i)
         cloud = sample_poisson_process(body, t, ri)
-        poly = convex_hull(cloud)
-        if not poly.is_full_dimensional():
-            continue
-        normals, offsets = poly.facet_planes()
-        dist = offsets - normals @ body.center
-        if dist.min() >= rho:
+        got = outer_hull(cloud.points, body.center, rho, convex_hull)
+        if got is not None and got[1] >= rho:
             hits += 1
     return hits / n_reps
 

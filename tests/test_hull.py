@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from randpoly.bodies import Ball
+from randpoly.bodies import Ball, sample_poisson_process
 from randpoly.hull import (
     Subspace,
+    _haar_bases,
     brute_force_facets,
     convex_hull,
     exact_intrinsic_volumes,
@@ -16,6 +17,7 @@ from randpoly.hull import (
     hull_facets_as_source_sets,
     intrinsic_volume_mc,
     project,
+    projection_mean_coefficient,
     sample_haar_subspace,
     surface_measure,
     volume,
@@ -355,3 +357,101 @@ class TestMotionInvariance:
         assert exact_intrinsic_volumes(pm) == pytest.approx(
             exact_intrinsic_volumes(p), rel=1e-9
         )
+
+
+class TestWidthAverage:
+    """V_1 by Monte Carlo takes widths; it must equal the projection-hull
+    average it replaces, on the same subspace draws, bit for bit."""
+
+    @staticmethod
+    def hull_path(poly, n_dirs, rng):
+        d = poly.dim_ambient
+        vals = np.array([volume(convex_hull(project(
+            poly, sample_haar_subspace(d, 1, rng)))) for _ in range(n_dirs)])
+        c = projection_mean_coefficient(d, 1)
+        return (c * float(vals.mean()),
+                c * float(vals.std(ddof=1)) / math.sqrt(n_dirs))
+
+    @pytest.mark.parametrize("poly", [
+        convex_hull(random_ball_points(40, 2, seed=60)),
+        convex_hull(random_ball_points(60, 3, seed=61)),
+        convex_hull(random_ball_points(80, 4, seed=62)),
+        convex_hull(unit_cube_vertices(3)),
+        convex_hull(np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 3.0]])),
+    ], ids=["d2", "d3", "d4", "cube", "segment"])
+    def test_equals_projection_hulls(self, poly):
+        got = intrinsic_volume_mc(poly, 1, 300, stream(63))
+        assert got == self.hull_path(poly, 300, stream(63))
+
+    def test_batched_draws_redraw_like_single_draws(self):
+        """A rank-deficient draw is skipped and the stream moves on, as
+        the one-at-a-time loop did; here the second of five is zero."""
+
+        class Normals:
+            def __init__(self):
+                self.values = stream(69).standard_normal(40)
+                self.values[6:12] = 0.0  # the second 3 x 2 draw
+                self.used = 0
+
+            def standard_normal(self, shape):
+                n = math.prod(shape)
+                out = self.values[self.used:self.used + n].reshape(shape)
+                self.used += n
+                return out
+
+        rng = Normals()
+        expected = []
+        while len(expected) < 4:  # the single-draw loop, kept as reference
+            q, r = np.linalg.qr(rng.standard_normal((3, 2)))
+            if np.abs(np.diag(r)).min() > 1e-12 * max(1.0, np.abs(r).max()):
+                expected.append(q)
+        batched = Normals()
+        assert np.array_equal(_haar_bases(3, 2, 4, batched), expected)
+        assert batched.used == rng.used == 30
+
+    def test_rng_left_where_the_hull_path_leaves_it(self):
+        poly = convex_hull(random_ball_points(30, 3, seed=64))
+        a, b = stream(65), stream(65)
+        intrinsic_volume_mc(poly, 1, 20, a)
+        self.hull_path(poly, 20, b)
+        assert a.random() == b.random()
+
+
+class TestFarFromOrigin:
+    """Inputs far from the origin relative to their size reach qhull
+    centred; on raw coordinates a unit disc at 1e8 failed the facet check
+    on every draw."""
+
+    CENTER = np.array([1e8, 1e8])
+
+    @pytest.mark.parametrize("rep", range(3))
+    def test_disc_at_1e8(self, rep):
+        body = Ball(2, center=self.CENTER)
+        cloud = sample_poisson_process(body, 1000.0, stream(66, rep))
+        poly = convex_hull(cloud)
+        near = convex_hull(cloud.points - self.CENTER)
+        assert hull_facets_as_source_sets(poly) == \
+            hull_facets_as_source_sets(near)
+        assert volume(poly) == pytest.approx(volume(near), rel=1e-12)
+        assert np.array_equal(poly.vertices, cloud.points[poly.source_indices])
+        # membership and facet planes stay ambient
+        assert poly.max_facet_excess(self.CENTER) < -0.9
+        assert poly.max_facet_excess(self.CENTER + [2.0, 0.0]) > 0.9
+        normals, offsets = poly.facet_planes()
+        assert np.array_equal(normals, near.facet_normals)
+        assert np.allclose(offsets - normals @ self.CENTER, near.facet_offsets,
+                           rtol=0, atol=1e-7)
+
+    def test_ball_at_1e8_in_3d(self):
+        cloud = sample_poisson_process(Ball(3, center=[1e8, 0.0, -1e8]),
+                                       500.0, stream(67))
+        poly = convex_hull(cloud)
+        near = convex_hull(cloud.points - [1e8, 0.0, -1e8])
+        assert f_vector(poly).counts == f_vector(near).counts
+        assert exact_intrinsic_volumes(poly) == pytest.approx(
+            exact_intrinsic_volumes(near), rel=1e-9)
+
+    def test_near_inputs_keep_raw_coordinates(self):
+        poly = convex_hull(random_ball_points(50, 2, seed=68) + 100.0)
+        assert not poly.origin.any()
+        assert poly.local_vertices is poly.vertices

@@ -38,3 +38,38 @@ def test_import_skips_scipy_stats_and_optimize(module):
     ).stdout.split()
     # the floating-body radius imports its root finder on first use
     assert out == ["0.8567581563109014", "True"]
+
+
+RUN_CHILD = """
+import sys
+import numpy as np
+from randpoly.bodies import Ball
+from randpoly.config import ExperimentConfig
+from randpoly.functionals import intrinsic_volumes
+from randpoly.malliavin import estimate_taus
+from randpoly.rng import stream
+from randpoly.stats import run_replications
+cfg = ExperimentConfig.from_dict({
+    "name": "small", "body": {"kind": "ball", "dim": 2, "radius": 1.0},
+    "t_grid": [200.0], "n_reps": 3, "functionals": [{"type": "multivariate"}],
+    "seed": 1,
+})
+run_replications(cfg)
+estimate_taus(Ball(2), 200.0, lambda p: intrinsic_volumes(p)[2], 1.0, 2, 4,
+              stream(2), sampling="plain")
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_small_run_and_plain_taus_skip_scipy_optimize():
+    """The d = 2 hull prefilter finds its core radius without a root
+    finder, so a run's warm-up and forked workers import none."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_CHILD],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["False"]

@@ -366,3 +366,17 @@ class TestMardia:
         res = mardia_normality(table, ["V_1", "V_2", "f_0", "f_1"])
         assert res.dropped == ("f_1",)
         assert res.passed
+
+
+class TestFarFromOrigin:
+    def test_replications_of_a_disc_at_1e8(self):
+        """A d = 2 table on a unit disc at (1e8, 1e8) runs, through the
+        prefilter, and matches the table of the disc at the origin."""
+        far = run_replications(small_config(
+            body={"kind": "ball", "dim": 2, "radius": 1.0,
+                  "center": [1e8, 1e8]},
+            t_grid=[1000.0], n_reps=4))
+        near = run_replications(small_config(t_grid=[1000.0], n_reps=4))
+        for name in near.names:
+            assert far.column(name) == pytest.approx(near.column(name),
+                                                     rel=1e-6), name
