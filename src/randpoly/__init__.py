@@ -30,20 +30,16 @@ from .functionals import (
     oracle_estimate,
     valuation,
     wills,
-    wills_spec,
 )
 from .hull import (
     FVector,
     Polytope,
-    Subspace,
     brute_force_facets,
     convex_hull,
     exact_intrinsic_volumes,
     f_vector,
     hull_facets_as_source_sets,
     intrinsic_volume_mc,
-    project,
-    sample_haar_subspace,
     surface_measure,
     volume,
 )

@@ -1,9 +1,9 @@
 """Convex bodies, uniform sampling, and Poisson point processes.
 
-A body supplies exact volume, membership, a bounding box, and a direct
-uniform sampler.  Point processes with intensity ``t`` times Lebesgue
-measure restricted to the body are sampled by drawing a Poisson number
-of points and placing them i.i.d. uniformly.
+A body supplies exact volume, membership, and a direct uniform sampler.
+Point processes with intensity ``t`` times Lebesgue measure restricted
+to the body are sampled by drawing a Poisson number of points and
+placing them i.i.d. uniformly.
 
 The ball and the ellipsoid have smooth boundary with positive curvature
 everywhere; the cube does not and is provided only as an exact-answer
@@ -31,11 +31,6 @@ __all__ = [
     "ball_core_radius",
 ]
 
-# Consecutive rejections tolerated by the bounding-box fallback sampler
-# before giving up; guards against degenerate bodies hanging forever.
-MAX_REJECTIONS = 10**6
-
-
 def unit_ball_volume(k: int) -> float:
     """Volume of the k-dimensional unit ball, pi^(k/2) / Gamma(1 + k/2)."""
     return math.pi ** (k / 2.0) / math.gamma(1.0 + k / 2.0)
@@ -57,19 +52,12 @@ class PointCloud:
 
 
 class ConvexBody:
-    """Base class: membership, volume, bbox, and a uniform sampler.
-
-    Subclasses with a closed-form sampler override :meth:`sample_uniform`;
-    the default is bounding-box rejection (bounded by ``MAX_REJECTIONS``).
-    """
+    """Base class: membership, volume, and a closed-form uniform sampler."""
 
     dim: int
     kind: str
     volume: float
     is_smooth: bool
-
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
 
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
@@ -77,48 +65,30 @@ class ConvexBody:
             raise ValueError(
                 f"point has shape {x.shape}, expected ({self.dim},)"
             )
-        return self._contains(x)
+        return bool(self._contains_many(x[None, :])[0])
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n, d) array."""
         pts = np.asarray(pts, dtype=float).reshape(-1, self.dim)
         return self._contains_many(pts)
 
-    def _contains(self, x: np.ndarray) -> bool:
-        return bool(self._contains_many(x[None, :])[0])
-
     def _contains_many(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def sample_uniform(self, rng: np.random.Generator, n: int | None = None):
         """Uniform point(s) on the body; (n, d) array if ``n`` is given."""
-        m = 1 if n is None else int(n)
-        lo, hi = self.bbox()
-        out = np.empty((m, self.dim))
-        filled = 0
-        rejections = 0
-        while filled < m:
-            batch = max(m - filled, 64)
-            cand = rng.uniform(lo, hi, size=(batch, self.dim))
-            ok = self._contains_many(cand)
-            k = int(ok.sum())
-            if k == 0:
-                rejections += batch
-                if rejections > MAX_REJECTIONS:
-                    raise RuntimeError(
-                        f"rejection sampler exceeded {MAX_REJECTIONS} "
-                        f"consecutive misses on body kind={self.kind!r}"
-                    )
-                continue
-            rejections = 0
-            take = min(k, m - filled)
-            out[filled : filled + take] = cand[ok][:take]
-            filled += take
-        return out[0] if n is None else out
+        raise NotImplementedError
 
     def spec(self) -> dict:
         """JSON-serializable description, invertible by body_from_spec."""
         raise NotImplementedError
+
+
+def _as_center(dim: int, center) -> np.ndarray:
+    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    if c.shape != (dim,):
+        raise ValueError("center has wrong dimension")
+    return c
 
 
 @dataclass(frozen=True)
@@ -134,19 +104,11 @@ class Ball(ConvexBody):
             raise ValueError("dim must be >= 1")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        c = np.zeros(self.dim) if self.center is None else np.asarray(
-            self.center, dtype=float
-        )
-        if c.shape != (self.dim,):
-            raise ValueError("center has wrong dimension")
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _as_center(self.dim, self.center))
 
     @property
     def volume(self) -> float:
         return unit_ball_volume(self.dim) * self.radius**self.dim
-
-    def bbox(self):
-        return self.center - self.radius, self.center + self.radius
 
     def _contains_many(self, pts):
         d2 = ((pts - self.center) ** 2).sum(axis=1)
@@ -181,20 +143,12 @@ class Ellipsoid(ConvexBody):
         a = np.asarray(self.semi_axes, dtype=float)
         if a.shape != (self.dim,) or np.any(a <= 0):
             raise ValueError("semi_axes must be dim positive reals")
-        c = np.zeros(self.dim) if self.center is None else np.asarray(
-            self.center, dtype=float
-        )
-        if c.shape != (self.dim,):
-            raise ValueError("center has wrong dimension")
         object.__setattr__(self, "semi_axes", a)
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _as_center(self.dim, self.center))
 
     @property
     def volume(self) -> float:
         return unit_ball_volume(self.dim) * float(np.prod(self.semi_axes))
-
-    def bbox(self):
-        return self.center - self.semi_axes, self.center + self.semi_axes
 
     def _contains_many(self, pts):
         u = (pts - self.center) / self.semi_axes
@@ -236,10 +190,6 @@ class Cube(ConvexBody):
     @property
     def volume(self) -> float:
         return self.side**self.dim
-
-    def bbox(self):
-        h = self.side / 2.0
-        return np.full(self.dim, -h), np.full(self.dim, h)
 
     def _contains_many(self, pts):
         h = self.side / 2.0 * (1.0 + 1e-15)

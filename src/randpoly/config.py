@@ -7,7 +7,7 @@ message pinpoints the problem inside the file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .bodies import body_from_spec
@@ -28,6 +28,16 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _reject_unknown_keys(raw: dict, cls, where: str = "") -> None:
+    """Config keys are the fields of ``cls``; a misspelt key would
+    otherwise leave its field at the default without a word."""
+    known = [f.name for f in fields(cls)]
+    for key in raw:
+        if key not in known:
+            raise ConfigError(where + key,
+                              f"unknown key (known: {', '.join(known)})")
+
+
 @dataclass(frozen=True)
 class MalliavinSettings:
     t: float
@@ -41,6 +51,7 @@ class MalliavinSettings:
     @staticmethod
     def from_dict(d: dict, t_grid: list[float]) -> "MalliavinSettings":
         where = "malliavin"
+        _reject_unknown_keys(d, MalliavinSettings, where + ".")
         if "t" not in d:
             raise ConfigError(where + ".t", "required (an entry of t_grid)")
         t = float(d["t"])
@@ -66,14 +77,6 @@ class MalliavinSettings:
             multivariate=bool(d.get("multivariate", False)),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t, "functional": self.functional,
-            "n_outer": self.n_outer, "n_inner": self.n_inner,
-            "sampling": self.sampling, "c": self.c,
-            "multivariate": self.multivariate,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -98,6 +101,7 @@ class ExperimentConfig:
                 raise ConfigError(key, "required key is missing")
             return raw[key]
 
+        _reject_unknown_keys(raw, ExperimentConfig)
         body_spec = need("body")
         try:
             body = body_from_spec(body_spec)
@@ -245,7 +249,7 @@ class ExperimentConfig:
             "allow_non_clt": self.allow_non_clt,
         }
         if self.malliavin is not None:
-            d["malliavin"] = self.malliavin.to_dict()
+            d["malliavin"] = asdict(self.malliavin)
         if self.outputs is not None:
             d["outputs"] = self.outputs
         return d

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,18 +74,7 @@ class RunManifest:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "status": self.status,
-            "wall_seconds": self.wall_seconds,
-            "seeds": self.seeds,
-            "tables": self.tables,
-            "reports": self.reports,
-            "preset": self.preset,
-            "error": self.error,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_file(path: str | Path) -> "RunManifest":
@@ -391,12 +380,10 @@ def run(config, outdir=None, workers: int | None = None,
 # verification
 
 
-def _isclose(a, b, rel=1e-12) -> bool:
-    if isinstance(a, float) and isinstance(b, float):
-        if math.isnan(a) and math.isnan(b):
-            return True
-        return math.isclose(a, b, rel_tol=rel, abs_tol=1e-300)
-    return a == b
+def _isclose(a: float, b: float, rel=1e-12) -> bool:
+    if math.isnan(a) and math.isnan(b):
+        return True
+    return math.isclose(a, b, rel_tol=rel, abs_tol=1e-300)
 
 
 def _deep_compare(a, b, path="") -> list[str]:

@@ -26,7 +26,6 @@ __all__ = [
     "intrinsic_volumes",
     "valuation",
     "wills",
-    "wills_spec",
     "oracle_estimate",
     "multivariate_labels",
     "build_evaluators",
@@ -65,11 +64,6 @@ class ValuationSpec:
                 "evaluated but is not covered by the normal-limit checks",
                 stacklevel=3,
             )
-
-
-def wills_spec(d: int) -> ValuationSpec:
-    """The all-ones combination: total intrinsic volume."""
-    return ValuationSpec((1.0,) * (d + 1), label="wills")
 
 
 def euler_indicator(poly: Polytope) -> float:
@@ -119,14 +113,20 @@ def valuation(
     if all(c == 0.0 for c in spec.coeffs):
         return 0.0
     vols = intrinsic_volumes(poly, mode=mode, n_dirs=n_dirs, rng=rng)
-    return float(sum(c * v for c, v in zip(spec.coeffs, vols)))
+    return _combination(spec.coeffs, vols)
 
 
 def wills(poly: Polytope, mode: str = "exact", n_dirs: int = DEFAULT_MC_DIRS,
           rng: np.random.Generator | None = None) -> float:
-    """Total intrinsic volume sum_j V_j(poly)."""
-    return valuation(poly, wills_spec(poly.dim_ambient), mode=mode,
-                     n_dirs=n_dirs, rng=rng)
+    """Total intrinsic volume sum_j V_j(poly): the all-ones valuation."""
+    vols = intrinsic_volumes(poly, mode=mode, n_dirs=n_dirs, rng=rng)
+    return _combination((1.0,) * (poly.dim_ambient + 1), vols)
+
+
+def _combination(coeffs, vols) -> float:
+    """sum_j c_j V_j, summed in index order (a coefficient of 1.0 leaves
+    its volume as it is, so the all-ones case is the plain sum)."""
+    return float(sum(c * v for c, v in zip(coeffs, vols)))
 
 
 def oracle_estimate(poly: Polytope, t: float) -> float:
@@ -193,6 +193,8 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
 
     for i, spec in enumerate(functional_specs):
         kind = spec.get("type")
+        if kind in ("intrinsic", "f") and "j" not in spec:
+            raise ValueError(f"functionals[{i}]: type {kind!r} needs 'j'")
         if kind == "intrinsic":
             j = int(spec["j"])
             if not 0 <= j <= d:
@@ -209,7 +211,8 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
             add(f"f_{j}",
                 lambda p, ctx, j=j: float(_cached_fvector(p, ctx)[j]))
         elif kind == "wills":
-            add("wills", lambda p, ctx: float(sum(_cached_volumes(p, ctx))))
+            add("wills", lambda p, ctx: _combination(
+                (1.0,) * (d + 1), _cached_volumes(p, ctx)))
         elif kind == "oracle":
             add("oracle", lambda p, ctx: oracle_estimate(p, ctx["t"]))
         elif kind == "valuation":
@@ -231,10 +234,8 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
                                  f"{vspec.label!r} repeats with other "
                                  "coefficients")
             vspec.warn_if_not_clt()
-            add(vspec.label,
-                lambda p, ctx, v=vspec: float(
-                    sum(c * x for c, x in zip(v.coeffs, _cached_volumes(p, ctx)))
-                ))
+            add(vspec.label, lambda p, ctx, v=vspec: _combination(
+                v.coeffs, _cached_volumes(p, ctx)))
         elif kind == "multivariate":
             for j in range(1, d + 1):
                 add(f"V_{j}",

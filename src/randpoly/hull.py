@@ -1,4 +1,4 @@
-"""Convex hulls with full face lattices, projections, and intrinsic volumes.
+"""Convex hulls with full face lattices, and their intrinsic volumes.
 
 Hull construction handles every degeneracy totally: an empty input gives an
 empty polytope, a single point a point polytope, and inputs whose affine
@@ -34,7 +34,6 @@ from .bodies import Ball, PointCloud, ball_core_radius, unit_ball_volume
 __all__ = [
     "Polytope",
     "FVector",
-    "Subspace",
     "convex_hull",
     "outer_hull",
     "prefiltered_hull",
@@ -42,8 +41,6 @@ __all__ = [
     "f_vector",
     "volume",
     "surface_measure",
-    "sample_haar_subspace",
-    "project",
     "intrinsic_volume_mc",
     "exact_intrinsic_volumes",
     "brute_force_facets",
@@ -74,24 +71,6 @@ class FVector:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * c for i, c in enumerate(self.counts))
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A j-dimensional linear subspace of R^d given by an orthonormal basis."""
-
-    ambient_dim: int
-    dim: int
-    basis: np.ndarray  # (d, j), columns orthonormal
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
-        if b.shape != (self.ambient_dim, self.dim):
-            raise ValueError("basis must be (ambient_dim, dim)")
-        gram = b.T @ b
-        if not np.allclose(gram, np.eye(self.dim), atol=1e-12):
-            raise ValueError("basis is not orthonormal to 1e-12")
-        object.__setattr__(self, "basis", b)
 
 
 class Polytope:
@@ -759,28 +738,18 @@ def _edge_facet_pairs(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# subspaces and projections
-
-
-def sample_haar_subspace(d: int, j: int, rng: np.random.Generator) -> Subspace:
-    """Haar-distributed j-dimensional linear subspace of R^d.
-
-    Orthonormalizes a d x j standard Gaussian matrix; the column span of
-    such a matrix is rotation invariant, which characterizes the Haar
-    measure.  Redraws on (numerically) rank-deficient draws.
-    """
-    if not 1 <= j <= d:
-        raise ValueError("need 1 <= j <= d")
-    return Subspace(d, j, _haar_bases(d, j, 1, rng)[0])
+# projections onto Haar-random subspaces
 
 
 def _haar_bases(d: int, j: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal bases, shape (n, d, j), of n Haar-random j-subspaces.
 
-    One batched QR; the draws, redraws and values are those of n
-    successive single draws, because a stack of Gaussian matrices takes
-    the stream's normals in the same order, and the QR factors each
-    matrix of a stack alone.
+    Orthonormalizes d x j standard Gaussian matrices, whose column spans
+    are rotation invariant, which characterizes the Haar measure; a
+    (numerically) rank-deficient draw is redrawn.  One batched QR gives
+    the draws, redraws and values of n successive single draws, because a
+    stack of Gaussian matrices takes the stream's normals in the same
+    order, and the QR factors each matrix of a stack alone.
     """
     bases = []
     while n > 0:
@@ -790,13 +759,6 @@ def _haar_bases(d: int, j: int, n: int, rng: np.random.Generator) -> np.ndarray:
         bases.append(q[ok])
         n -= int(ok.sum())
     return np.concatenate(bases)
-
-
-def project(poly: Polytope, sub: Subspace) -> PointCloud:
-    """Vertex images in subspace coordinates (j-vectors)."""
-    if sub.ambient_dim != poly.dim_ambient:
-        raise ValueError("subspace ambient dimension does not match polytope")
-    return PointCloud(sub.dim, poly.vertices @ sub.basis)
 
 
 def projection_mean_coefficient(d: int, j: int) -> float:
@@ -822,7 +784,7 @@ def intrinsic_volume_mc(
     c = projection_mean_coefficient(d, j)
     vals = np.empty(n_dirs)
     for i, basis in enumerate(_haar_bases(d, j, n_dirs, rng)):
-        image = poly.vertices @ basis  # as project() takes it
+        image = poly.vertices @ basis
         if j == 1:  # a projection onto a line is an interval: the width
             vals[i] = image.max() - image.min()
         else:

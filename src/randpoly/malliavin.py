@@ -57,28 +57,46 @@ class _Rehuller:
 
     The hull of (cloud + extras) equals the hull of (hull vertices +
     extras), so after one full hull the add-one re-hulls touch only a
-    handful of points.  Adding a point strictly inside the base hull is
-    detected and short-circuits to the base polytope, which makes
-    differences at interior points exactly zero.  Given a ``core`` ball
-    (:func:`floating_core`), the base hull skips the points inside it.
+    handful of points.  Given a ``core`` ball (:func:`floating_core`), the
+    base hull skips the points inside it.
     """
 
     def __init__(self, cloud: PointCloud | np.ndarray, core=None):
         self.base = prefiltered_hull(cloud, core, convex_hull)
         self._tol = _INSIDE_TOL * max(1.0, self.base.diameter)
 
-    def _strictly_inside(self, x: np.ndarray) -> bool:
+    def strictly_inside(self, x: np.ndarray) -> bool:
         return (self.base.is_full_dimensional()
                 and self.base.max_facet_excess(x) < -self._tol)
 
     def with_points(self, *xs: np.ndarray) -> Polytope:
-        outside = [x for x in xs if not self._strictly_inside(x)]
-        if not outside:
-            return self.base
-        return convex_hull(
-            np.vstack([self.base.vertices, np.asarray(outside)]),
-            dim=self.base.dim_ambient,
-        )
+        return convex_hull(np.vstack([self.base.vertices, *xs]),
+                           dim=self.base.dim_ambient)
+
+
+def _differences(re: _Rehuller, fn, x, y, first: bool):
+    """(D2_{x,y}, D1_x) of ``fn`` on the configuration of ``re``.
+
+    D2 = F(+x+y) - F(+x) - F(+y) + F() is None when ``y`` is None, and
+    D1 = F(+x) - F() is None unless ``first`` is set.  A point strictly
+    inside the base hull changes no hull, so every difference it enters
+    is exactly 0.0 and takes no re-hull.  ``fn`` is evaluated once per
+    hull it needs, as a float array.
+    """
+    def F(hull):
+        return np.asarray(fn(hull), dtype=float)
+
+    x_moves = not re.strictly_inside(x)
+    y_moves = y is not None and not re.strictly_inside(y)
+    d2 = None if y is None else 0.0
+    d1 = 0.0 if first else None
+    if x_moves and (first or y_moves):
+        fx, f0 = F(re.with_points(x)), F(re.base)
+        if first:
+            d1 = fx - f0
+        if y_moves:
+            d2 = F(re.with_points(x, y)) - fx - F(re.with_points(y)) + f0
+    return d2, d1
 
 
 def _check_in_body(body: ConvexBody | None, *xs) -> None:
@@ -96,28 +114,19 @@ def first_difference(cloud, x, functional, body: ConvexBody | None = None) -> fl
     If ``body`` is given, x is validated to lie in it.
     """
     _check_in_body(body, x)
-    re = _Rehuller(cloud)
-    x = np.asarray(x, dtype=float)
-    hx = re.with_points(x)
-    if hx is re.base:
-        return 0.0
-    return float(functional(hx)) - float(functional(re.base))
+    _, d1 = _differences(_Rehuller(cloud), functional,
+                         np.asarray(x, dtype=float), None, True)
+    return float(d1)
 
 
 def second_difference(cloud, x, y, functional,
                       body: ConvexBody | None = None) -> float:
     """Four-term alternating sum F(+x+y) - F(+x) - F(+y) + F()."""
     _check_in_body(body, x, y)
-    re = _Rehuller(cloud)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    hx = re.with_points(x)
-    hy = re.with_points(y)
-    if hx is re.base or hy is re.base:
-        return 0.0  # an interior point changes nothing in any term
-    hxy = re.with_points(x, y)
-    f = functional
-    return (float(f(hxy)) - float(f(hx)) - float(f(hy)) + float(f(re.base)))
+    d2, _ = _differences(_Rehuller(cloud), functional,
+                         np.asarray(x, dtype=float),
+                         np.asarray(y, dtype=float), False)
+    return float(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -252,45 +261,14 @@ def _region_sampler(body: ConvexBody, t: float, sampling: str, shell_c: float):
     raise ValueError(f"unknown sampling {sampling!r}")
 
 
-def _vector_diffs(body, t, vf, x1, x2, x3, rng, want_second, want_first,
-                  core):
-    """One process draw: standardized difference-operator values.
-
-    ``want_second``/``want_first`` select which of D2_{x1,x3} (index 0) /
-    D2_{x2,x3} (index 1) resp. D1_{x1} / D1_{x2} to evaluate; unneeded
-    re-hulls are skipped.  Returns a dict with keys "d2_0", "d2_1",
-    "d1_0", "d1_1" (length-m arrays) for the requested entries.  ``core``
-    is the base hull's prefilter ball, or None.
+def _vector_diffs(body, t, vf, x, y, rng, first, core):
+    """One process draw: the standardized (D2_{x,y}, D1_x) of ``vf``, as
+    length-m arrays; D1 is None unless ``first`` is set.  ``core`` is the
+    base hull's prefilter ball, or None.
     """
-    cloud = sample_poisson_process(body, t, rng)
-    re = _Rehuller(cloud, core)
-    memo: dict[str, np.ndarray] = {}
-
-    def v(key, pts):
-        if key not in memo:
-            memo[key] = np.asarray(vf.fn(re.with_points(*pts)), dtype=float)
-        return memo[key]
-
-    xs = (x1, x2)
-    inside = [re._strictly_inside(x1), re._strictly_inside(x2),
-              re._strictly_inside(x3)]
-    zero = np.zeros(vf.m)
-    out: dict[str, np.ndarray] = {}
-    for i in (0, 1):
-        if i in want_first:
-            if inside[i]:
-                out[f"d1_{i}"] = zero
-            else:
-                out[f"d1_{i}"] = (v(f"{i}", (xs[i],)) - v("", ())) / vf.scales
-        if i in want_second:
-            if inside[i] or inside[2]:
-                out[f"d2_{i}"] = zero
-            else:
-                out[f"d2_{i}"] = (
-                    v(f"{i}3", (xs[i], x3)) - v(f"{i}", (xs[i],))
-                    - v("3", (x3,)) + v("", ())
-                ) / vf.scales
-    return out
+    re = _Rehuller(sample_poisson_process(body, t, rng), core)
+    d2, d1 = _differences(re, vf.fn, x, y, first)
+    return d2 / vf.scales, (d1 / vf.scales if first else None)
 
 
 def _outer_block(body, t, vf, n_inner, rng, sampling, shell_c, k0, k1):
@@ -306,58 +284,33 @@ def _outer_block(body, t, vf, n_inner, rng, sampling, shell_c, k0, k1):
     """
     draw_points, _ = _region_sampler(body, t, sampling, shell_c)
     core = floating_core(body, t)
-    m = vf.m
     terms = np.empty((3, k1 - k0))
     groups = [range(g, n_inner, 4) for g in range(4)]
-    sizes = [len(g) for g in groups]
-
-    # what each draw group evaluates: second diffs for the first moment
-    # copies, second diffs plus first diffs for the independent copies
-    needs = [((0,), ()), ((1,), ()), ((0,), (0,)), ((1,), (1,))]
+    sizes = np.array([len(g) for g in groups])
 
     for k in range(k0, k1):
         rk = substream(rng, k)
-        x1, x2, x3 = draw_points(rk, 3)
-        # group accumulators: fourth moments of the difference operators
-        a = np.zeros(m)    # E (D2_{x1,x3})^4   from group 0
-        b = np.zeros(m)    # E (D2_{x2,x3})^4   from group 1
-        a2 = np.zeros(m)   # second copy of a   from group 2
-        b2 = np.zeros(m)   # second copy of b   from group 3
-        c4 = np.zeros(m)   # E (D1_{x1})^4      from group 2
-        e4 = np.zeros(m)   # E (D1_{x2})^4      from group 3
-        abs3_1 = np.zeros(m)  # E |D1_{x1}|^3   from group 2
-        abs3_2 = np.zeros(m)  # E |D1_{x2}|^3   from group 3
-        for gi, idxs in enumerate(groups):
-            want_second, want_first = needs[gi]
+        xs = draw_points(rk, 3)
+        # Group g estimates E (D2_{x_{g mod 2}, x_3})^4, so x_1 and x_2 get
+        # two independent copies each; groups 2 and 3 also estimate
+        # E (D1)^4 and E |D1|^3 at their point, rows 0 and 1 of d1[g - 2].
+        d2 = np.zeros((4, vf.m))
+        d1 = np.zeros((2, 2, vf.m))
+        for g, idxs in enumerate(groups):
             for _ in idxs:
-                d = _vector_diffs(body, t, vf, x1, x2, x3, rk,
-                                  want_second, want_first, core)
-                if gi == 0:
-                    a += d["d2_0"] ** 4
-                elif gi == 1:
-                    b += d["d2_1"] ** 4
-                elif gi == 2:
-                    a2 += d["d2_0"] ** 4
-                    c4 += d["d1_0"] ** 4
-                    abs3_1 += np.abs(d["d1_0"]) ** 3
-                else:
-                    b2 += d["d2_1"] ** 4
-                    e4 += d["d1_1"] ** 4
-                    abs3_2 += np.abs(d["d1_1"]) ** 3
-        a /= sizes[0]
-        b /= sizes[1]
-        a2 /= sizes[2]
-        c4 /= sizes[2]
-        abs3_1 /= sizes[2]
-        b2 /= sizes[3]
-        e4 /= sizes[3]
-        abs3_2 /= sizes[3]
+                second, first = _vector_diffs(body, t, vf, xs[g % 2], xs[2],
+                                              rk, g >= 2, core)
+                d2[g] += second ** 4
+                if g >= 2:
+                    d1[g - 2] += first ** 4, np.abs(first) ** 3
+        d2 /= sizes[:, None]
+        d1 /= sizes[2:, None, None]
 
-        s_ab = float(((a * b) ** 0.25).sum())
-        s_ce = float(((c4 * e4) ** 0.25).sum())
-        s_a2b2 = float(((a2 * b2) ** 0.25).sum())
+        s_ab = float(((d2[0] * d2[1]) ** 0.25).sum())
+        s_ce = float(((d1[0, 0] * d1[1, 0]) ** 0.25).sum())
+        s_a2b2 = float(((d2[2] * d2[3]) ** 0.25).sum())
         terms[:, k - k0] = (s_ab * s_ce, s_ab * s_a2b2,
-                            0.5 * float(abs3_1.sum() + abs3_2.sum()))
+                            0.5 * float(d1[0, 1].sum() + d1[1, 1].sum()))
     return terms
 
 

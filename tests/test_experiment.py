@@ -10,6 +10,8 @@ from randpoly.cli import main as cli_main
 from randpoly.config import ConfigError, ExperimentConfig
 from randpoly.experiment import (
     PRESETS,
+    RunManifest,
+    _config_hash,
     _correlation_bootstrap_ci,
     preset_config,
     run,
@@ -123,6 +125,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="repeats with other"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("kind", ["intrinsic", "f"])
+    def test_functional_without_index(self, kind):
+        raw = tiny_raw(functionals=[{"type": "multivariate"}, {"type": kind}])
+        with pytest.raises(ConfigError, match=r"functionals\[1\]") as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == "functionals"
+
+    def test_unknown_top_level_key(self):
+        with pytest.raises(ConfigError, match="unknown key") as exc:
+            ExperimentConfig.from_dict(tiny_raw(n_dir=16))
+        assert exc.value.path == "n_dir"
+
+    def test_unknown_malliavin_key(self):
+        raw = tiny_raw(malliavin={"t": 80.0, "functional": "V_2",
+                                  "n_outter": 50})
+        with pytest.raises(ConfigError, match="unknown key") as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == "malliavin.n_outter"
+
     def test_file_errors_carry_path(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -191,6 +212,15 @@ class TestRunAndManifest:
         failed = [c for c in result["checks"] if not c["passed"]]
         assert len(failed) == 1 and key in failed[0]["detail"]
         assert failed[0]["name"] == "report reproducible from tables"
+
+    def test_manifest_round_trip(self, tmp_path):
+        run(tiny_raw(t_grid=[30.0], n_reps=10), outdir=tmp_path)
+        path = tmp_path / "tiny" / "manifest.json"
+        stored = json.loads(path.read_text())
+        assert RunManifest.from_file(path).to_dict() == stored
+        assert set(stored) == {"config", "config_hash", "version", "status",
+                               "wall_seconds", "seeds", "tables", "reports",
+                               "preset", "error"}
 
     def test_failed_run_preserves_manifest(self, tmp_path, monkeypatch):
         import randpoly.experiment as exp
@@ -288,6 +318,27 @@ class TestPresets:
             cfg = preset_config(name)
             assert cfg.name == name
 
+    # sha256 of each preset's canonical config; a run's manifest carries it
+    CONFIG_HASHES = {
+        "bound": "ee522328904c4a81f98116e37775cda6"
+                 "435a0e2c205f87d2b445c03b5c059516",
+        "clt_trend": "79c14c9dc74c171aeb1a62383e69f985"
+                     "964e2cd04b74e0dca41a556c6d3e3ad2",
+        "oracle": "52e2e2f9eedd735a095444b4f60d9e11"
+                  "03ff6e86a76d3dec883d834020a1bf77",
+        "smoke": "93319713a7b680c7131d7329e1a26bb0"
+                 "d759055e78dec6c93a4049a68fe28fa0",
+        "theorem1": "63ecaf98543743b95c9d79db54783b27"
+                    "24a3061a164679fd8b6be6cd6f3c68d5",
+        "theorem1_d3": "058497a3a0f92c8f1bf8ba821bb920c9"
+                       "f78946a2919da9b8cca328ff041cf82d",
+    }
+
+    def test_config_hashes_pinned(self):
+        assert sorted(self.CONFIG_HASHES) == sorted(PRESETS)
+        for name, digest in self.CONFIG_HASHES.items():
+            assert _config_hash(preset_config(name)) == digest, name
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config("nope")
@@ -327,6 +378,15 @@ class TestCLI:
         cfg_path.write_text(json.dumps(tiny_raw(t_grid=[5.0, 1.0])))
         assert cli_main(["run", str(cfg_path)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("functional", [{"type": "intrinsic"},
+                                            {"type": "f"}])
+    def test_functional_without_index_exit_code(self, tmp_path, capsys,
+                                                functional):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(functionals=[functional])))
+        assert cli_main(["run", str(cfg_path)]) == 1
+        assert "functionals[0]" in capsys.readouterr().err
 
     def test_taus_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -15,7 +15,6 @@ from randpoly.functionals import (
     oracle_estimate,
     valuation,
     wills,
-    wills_spec,
 )
 from randpoly.hull import convex_hull, intrinsic_volume_mc, volume
 from randpoly.rng import stream
@@ -56,7 +55,7 @@ class TestEulerIndicator:
 
 class TestValuationSpec:
     def test_gate_accepts_wills(self):
-        assert wills_spec(3).clt_compatible()
+        assert ValuationSpec((1.0,) * 4, label="wills").clt_compatible()
 
     def test_gate_rejects_mixed_signs(self):
         assert not ValuationSpec((1.0, -1.0, 0.0)).clt_compatible()
@@ -114,6 +113,21 @@ class TestValuation:
         with pytest.raises(ValueError):
             valuation(poly, ValuationSpec((1.0, 1.0), label="short"))
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_wills_is_the_all_ones_valuation(self, mode):
+        poly = convex_hull(Ball(3).sample_uniform(stream(45), 30))
+        ones = ValuationSpec((1.0,) * 4, label="ones")
+        assert wills(poly, mode, 16, stream(46)) == valuation(
+            poly, ones, mode, 16, stream(46))
+
+    def test_zero_valuation_draws_nothing_in_mc_mode(self):
+        poly = convex_hull(Ball(3).sample_uniform(stream(48), 30))
+        rng, untouched = stream(49), stream(49)
+        with pytest.warns(UserWarning, match="coefficient gate"):
+            assert valuation(poly, ValuationSpec((0.0,) * 4), "mc", 16,
+                             rng) == 0.0
+        assert rng.random() == untouched.random()
+
     def test_mc_mode_agrees(self):
         poly = convex_hull(Ball(3).sample_uniform(stream(43), 30))
         exact = wills(poly)
@@ -135,7 +149,7 @@ class TestValuation:
     def test_mc_mode_needs_dirs(self):
         poly = convex_hull(unit_cube_vertices(2))
         with pytest.raises(ValueError):
-            valuation(poly, wills_spec(2), mode="mc", n_dirs=1,
+            valuation(poly, ValuationSpec((1.0,) * 3), mode="mc", n_dirs=1,
                       rng=stream(0))
 
 
@@ -249,6 +263,18 @@ class TestEvaluators:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             build_evaluators([{"type": "perimeter"}], d=2)
+
+    @pytest.mark.parametrize("kind", ["intrinsic", "f"])
+    def test_missing_index(self, kind):
+        with pytest.raises(ValueError, match=r"functionals\[1\].*needs 'j'"):
+            build_evaluators([{"type": "oracle"}, {"type": kind}], d=2)
+
+    def test_wills_column_is_wills(self):
+        (_, column), = build_evaluators([{"type": "wills"}], d=3)
+        poly = convex_hull(Ball(3).sample_uniform(stream(50), 30))
+        ctx = {"t": 1.0, "rng": None, "cache": {}, "mode": "exact",
+               "n_dirs": 16}
+        assert column(poly, ctx) == wills(poly)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):

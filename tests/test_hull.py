@@ -8,7 +8,6 @@ from scipy import stats as spstats
 
 from randpoly.bodies import Ball, sample_poisson_process
 from randpoly.hull import (
-    Subspace,
     _haar_bases,
     brute_force_facets,
     convex_hull,
@@ -16,9 +15,7 @@ from randpoly.hull import (
     f_vector,
     hull_facets_as_source_sets,
     intrinsic_volume_mc,
-    project,
     projection_mean_coefficient,
-    sample_haar_subspace,
     surface_measure,
     volume,
 )
@@ -213,20 +210,16 @@ class TestBruteForceOracle:
 
 class TestHaarSubspaces:
     def test_orthonormal(self):
-        sub = sample_haar_subspace(5, 3, stream(20))
-        gram = sub.basis.T @ sub.basis
+        basis, = _haar_bases(5, 3, 1, stream(20))
+        gram = basis.T @ basis
         assert np.allclose(gram, np.eye(3), atol=1e-12)
-
-    def test_bad_subspace_rejected(self):
-        with pytest.raises(ValueError):
-            Subspace(3, 2, np.ones((3, 2)))
 
     def test_angle_uniform_on_grassmannian_2_1(self):
         # lines in the plane have uniform angle in [0, pi)
         rng = stream(21)
         angles = np.empty(10_000)
         for i in range(len(angles)):
-            b = sample_haar_subspace(2, 1, rng).basis[:, 0]
+            b = _haar_bases(2, 1, 1, rng)[0][:, 0]
             angles[i] = math.atan2(b[1], b[0]) % math.pi
         stat = spstats.kstest(angles / math.pi, "uniform")
         assert stat.pvalue > 0.01
@@ -244,8 +237,8 @@ class TestHaarSubspaces:
             out = np.empty(n)
             poly = convex_hull(points)
             for i in range(n):
-                sub = sample_haar_subspace(2, 1, rng)
-                out[i] = volume(convex_hull(project(poly, sub)))
+                basis, = _haar_bases(2, 1, 1, rng)
+                out[i] = volume(convex_hull(poly.vertices @ basis))
             return out
 
         a = lengths(seg, 10_000)
@@ -254,30 +247,12 @@ class TestHaarSubspaces:
 
 
 class TestProjection:
-    def test_cube_onto_coordinate_plane(self):
-        p = convex_hull(unit_cube_vertices(3))
-        sub = Subspace(3, 2, np.eye(3)[:, :2])
-        shadow = convex_hull(project(p, sub))
-        assert volume(shadow) == pytest.approx(1.0)
-
-    def test_segment_at_angle(self):
-        seg = convex_hull(np.array([[0.0, 0.0], [2.0, 0.0]]))
-        theta = 0.3
-        basis = np.array([[math.cos(theta)], [math.sin(theta)]])
-        shadow = convex_hull(project(seg, Subspace(2, 1, basis)))
-        assert volume(shadow) == pytest.approx(2.0 * math.cos(theta))
-
     def test_full_dimensional_projection_preserves_volume(self):
         p = convex_hull(random_ball_points(30, 3, seed=23))
-        sub = sample_haar_subspace(3, 3, stream(24))
-        assert volume(convex_hull(project(p, sub))) == pytest.approx(
+        basis, = _haar_bases(3, 3, 1, stream(24))
+        assert volume(convex_hull(p.vertices @ basis)) == pytest.approx(
             volume(p), rel=1e-10
         )
-
-    def test_dimension_mismatch(self):
-        p = convex_hull(random_ball_points(10, 2, seed=25))
-        with pytest.raises(ValueError):
-            project(p, sample_haar_subspace(3, 2, stream(26)))
 
 
 class TestIntrinsicVolumeMC:
@@ -366,8 +341,9 @@ class TestWidthAverage:
     @staticmethod
     def hull_path(poly, n_dirs, rng):
         d = poly.dim_ambient
-        vals = np.array([volume(convex_hull(project(
-            poly, sample_haar_subspace(d, 1, rng)))) for _ in range(n_dirs)])
+        vals = np.array([volume(convex_hull(
+            poly.vertices @ _haar_bases(d, 1, 1, rng)[0]))
+            for _ in range(n_dirs)])
         c = projection_mean_coefficient(d, 1)
         return (c * float(vals.mean()),
                 c * float(vals.std(ddof=1)) / math.sqrt(n_dirs))

@@ -313,3 +313,29 @@ class TestGammaEstimation:
         assert g.gamma3 == pytest.approx(4.0273678781063635, rel=1e-9)
         assert abs(g.gamma3 - 4.2) <= 4 * g.se3
         assert math.isfinite(ms_bound_multivariate(g))
+
+
+class TestSecondDifferencePins:
+    """Pins on every term at small t, where plain sampling puts the points
+    where second differences are large, so tau1/tau2 and gamma1/gamma2
+    (the fourth moments of D2) are far from round-off."""
+
+    def test_tau_pin_plain_t2(self):
+        tau = estimate_taus(Ball(2), 2.0, volume, 0.05, 40, 8, stream(7),
+                            sampling="plain")
+        assert (tau.tau1, tau.tau2, tau.tau3) == pytest.approx(
+            (3.3814716023519624, 0.016504253410181694, 13.331694001500733),
+            rel=1e-9)
+
+    def test_gamma_pin_plain_t3(self):
+        def fn(poly):
+            vols = intrinsic_volumes(poly, mode="exact")
+            return np.array([vols[1], vols[2], f0(poly)])
+
+        vf = VectorFunctional(fn=fn, labels=("V_1", "V_2", "f_0"),
+                              scales=np.array([0.3, 0.3, 1.0]))
+        g = estimate_gammas(Ball(2), 3.0, vf, np.eye(3), 40, 8, stream(8),
+                            sampling="plain")
+        assert (g.gamma1, g.gamma2, g.gamma3) == pytest.approx(
+            (53.01966139274035, 42.05433181463077, 16.635731090474543),
+            rel=1e-9)
