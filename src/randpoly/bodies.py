@@ -205,11 +205,24 @@ class Cube(ConvexBody):
         return {"kind": "cube", "dim": self.dim, "side": self.side}
 
 
+# the keys a body spec of each kind may carry; a misspelt optional key
+# would otherwise leave its default in place without a word
+_SPEC_KEYS = {"ball": ("kind", "dim", "radius", "center"),
+              "ellipsoid": ("kind", "dim", "semi_axes", "center"),
+              "cube": ("kind", "dim", "side")}
+
+
 def body_from_spec(spec: dict) -> ConvexBody:
     """Build a body from its config record, e.g. {"kind":"ball","dim":2,"radius":1.0}."""
     if "kind" not in spec or "dim" not in spec:
         raise ValueError("body spec needs 'kind' and 'dim'")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown body kind {kind!r}")
+    for key in spec:
+        if key not in _SPEC_KEYS[kind]:
+            raise ValueError(f"unknown key {key!r} for kind {kind!r} "
+                             f"(known: {', '.join(_SPEC_KEYS[kind])})")
     dim = int(spec["dim"])
     if kind == "ball":
         return Ball(dim, radius=float(spec.get("radius", 1.0)),
@@ -219,9 +232,7 @@ def body_from_spec(spec: dict) -> ConvexBody:
             raise ValueError("ellipsoid spec needs 'semi_axes'")
         return Ellipsoid(dim, semi_axes=spec["semi_axes"],
                          center=spec.get("center"))
-    if kind == "cube":
-        return Cube(dim, side=float(spec.get("side", 1.0)))
-    raise ValueError(f"unknown body kind {kind!r}")
+    return Cube(dim, side=float(spec.get("side", 1.0)))
 
 
 def sample_poisson_process(

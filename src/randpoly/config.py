@@ -38,6 +38,21 @@ def _reject_unknown_keys(raw: dict, cls, where: str = "") -> None:
                               f"unknown key (known: {', '.join(known)})")
 
 
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"must be a JSON object, not {value!r}")
+    return value
+
+
+def _convert(kind, value, path: str):
+    """``kind(value)``; a value of the wrong type is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, f"expected {kind.__name__}, "
+                                f"not {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class MalliavinSettings:
     t: float
@@ -51,14 +66,15 @@ class MalliavinSettings:
     @staticmethod
     def from_dict(d: dict, t_grid: list[float]) -> "MalliavinSettings":
         where = "malliavin"
-        _reject_unknown_keys(d, MalliavinSettings, where + ".")
+        _reject_unknown_keys(_mapping(d, where), MalliavinSettings,
+                             where + ".")
         if "t" not in d:
             raise ConfigError(where + ".t", "required (an entry of t_grid)")
-        t = float(d["t"])
+        t = _convert(float, d["t"], where + ".t")
         if t not in t_grid:
             raise ConfigError(where + ".t", f"{t} is not in t_grid")
-        n_outer = int(d.get("n_outer", 2000))
-        n_inner = int(d.get("n_inner", 8))
+        n_outer = _convert(int, d.get("n_outer", 2000), where + ".n_outer")
+        n_inner = _convert(int, d.get("n_inner", 8), where + ".n_inner")
         if n_outer < 2:
             raise ConfigError(where + ".n_outer", "must be >= 2")
         if n_inner < 4:
@@ -68,7 +84,7 @@ class MalliavinSettings:
         if sampling not in ("plain", "boundary_shell"):
             raise ConfigError(where + ".sampling",
                               "must be 'plain' or 'boundary_shell'")
-        c = float(d.get("c", 2.0))
+        c = _convert(float, d.get("c", 2.0), where + ".c")
         if c <= 0:
             raise ConfigError(where + ".c", "must be positive")
         return MalliavinSettings(
@@ -101,14 +117,16 @@ class ExperimentConfig:
                 raise ConfigError(key, "required key is missing")
             return raw[key]
 
-        _reject_unknown_keys(raw, ExperimentConfig)
+        _reject_unknown_keys(_mapping(raw, "config"), ExperimentConfig)
         body_spec = need("body")
         try:
             body = body_from_spec(body_spec)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError("body", str(exc)) from exc
 
-        t_grid = [float(t) for t in need("t_grid")]
+        t_grid = [_convert(float, t, f"t_grid[{i}]")
+                  for i, t in enumerate(_convert(list, need("t_grid"),
+                                                 "t_grid"))]
         if not t_grid:
             raise ConfigError("t_grid", "must be non-empty")
         if any(t <= 0 for t in t_grid):
@@ -120,7 +138,9 @@ class ExperimentConfig:
         if isinstance(n_reps_raw, (int, float)):
             n_reps = [int(n_reps_raw)] * len(t_grid)
         else:
-            n_reps = [int(n) for n in n_reps_raw]
+            n_reps = [_convert(int, n, f"n_reps[{i}]")
+                      for i, n in enumerate(_convert(list, n_reps_raw,
+                                                     "n_reps"))]
             if len(n_reps) != len(t_grid):
                 raise ConfigError("n_reps",
                                   "list must have one entry per t_grid value")
@@ -128,16 +148,24 @@ class ExperimentConfig:
             if n < 2:
                 raise ConfigError(f"n_reps[{i}]", "must be >= 2")
 
-        functionals = need("functionals")
+        functionals = _convert(list, need("functionals"), "functionals")
         if not functionals:
             raise ConfigError("functionals", "must be non-empty")
 
         allow_non_clt = bool(raw.get("allow_non_clt", False))
         for i, f in enumerate(functionals):
+            _mapping(f, f"functionals[{i}]")
+            if "j" in f:
+                _convert(int, f["j"], f"functionals[{i}].j")
             if (f.get("type") == "valuation" and not allow_non_clt
                     and "coeffs" in f):
-                vs = ValuationSpec(tuple(f["coeffs"]),
-                                   f.get("label", "valuation"))
+                try:
+                    vs = ValuationSpec(tuple(f["coeffs"]),
+                                       f.get("label", "valuation"))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"functionals[{i}].coeffs",
+                                      "expected a list of numbers, "
+                                      f"not {f['coeffs']!r}") from exc
                 if not vs.clt_compatible():
                     raise ConfigError(
                         f"functionals[{i}]",
@@ -146,8 +174,8 @@ class ExperimentConfig:
                         "to evaluate it anyway",
                     )
         try:
-            build_evaluators(list(functionals), body.dim)
-        except ValueError as exc:
+            build_evaluators(functionals, body.dim)
+        except (TypeError, ValueError) as exc:
             raise ConfigError("functionals", str(exc)) from exc
 
         mode = raw.get("mode", "exact")
@@ -156,7 +184,7 @@ class ExperimentConfig:
         if mode == "exact" and body.dim > 3:
             raise ConfigError("mode", "exact intrinsic volumes need dim <= 3; "
                                       "use mode='mc'")
-        n_dirs = int(raw.get("n_dirs", 4096))
+        n_dirs = _convert(int, raw.get("n_dirs", 4096), "n_dirs")
         if mode == "mc" and n_dirs < 2:
             raise ConfigError("n_dirs", "must be >= 2 in mc mode")
 
@@ -169,7 +197,7 @@ class ExperimentConfig:
                 "run anyway",
             )
 
-        workers = int(raw.get("workers", 1))
+        workers = _convert(int, raw.get("workers", 1), "workers")
         if workers < 1:
             raise ConfigError("workers", "must be >= 1")
 
@@ -185,7 +213,7 @@ class ExperimentConfig:
             functionals=tuple(dict(f) for f in functionals),
             mode=mode,
             n_dirs=n_dirs,
-            seed=int(raw.get("seed", 0)),
+            seed=_convert(int, raw.get("seed", 0), "seed"),
             workers=workers,
             malliavin=malliavin,
             outputs=raw.get("outputs"),

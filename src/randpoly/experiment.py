@@ -140,6 +140,29 @@ def _summarize_table(table: ReplicationTable, seed: int) -> dict:
     return out
 
 
+# a bootstrap gathers at most this many resampled values at a time
+_BOOT_BLOCK = 1 << 20
+
+
+def _resample_correlations(res: np.ndarray, rows, cols) -> np.ndarray:
+    """Entries (rows, cols) of ``np.corrcoef(r, rowvar=False)`` for each
+    resample r of the stack ``res`` (b, n, m), overwriting ``res``; NaN
+    where a column is constant in r.  The steps are ``np.corrcoef``'s
+    (centre, one gemm per resample, scale, divide by the deviations,
+    clip), so each value rounds as ``np.corrcoef`` rounds it."""
+    const = (res == res[:, :1]).all(axis=1)
+    res -= res.mean(axis=1, keepdims=True)
+    cov = res.transpose(0, 2, 1) @ res
+    cov *= np.true_divide(1, res.shape[1] - 1)
+    sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    with np.errstate(invalid="ignore"):
+        cov /= sd[:, :, None]
+        cov /= sd[:, None, :]
+    corr = np.clip(cov, -1, 1, out=cov)[:, rows, cols]
+    corr[const[:, rows] | const[:, cols]] = math.nan
+    return corr
+
+
 def _correlation_bootstrap_ci(mat: np.ndarray, names, rng,
                               n_boot: int = 200) -> dict:
     """Central 95% bootstrap intervals for each correlation entry.
@@ -150,26 +173,26 @@ def _correlation_bootstrap_ci(mat: np.ndarray, names, rng,
     """
     n, m = mat.shape
     rows, cols = np.triu_indices(m, 1)
-    draws = np.empty((n_boot, n), dtype=np.int64)
+    draws = rng.integers(0, n, size=(n_boot, n))
     samples = np.empty((n_boot, len(rows)))
-    for b in range(n_boot):
-        draws[b] = rng.integers(0, n, size=n)
-        with np.errstate(invalid="ignore"):
-            corr = np.corrcoef(mat[draws[b]], rowvar=False).reshape(m, m)
-        samples[b] = corr[rows, cols]
-    # (b, k) is True when column k is constant in resample b
-    const = np.column_stack(
-        [(c[draws] == c[draws[:, :1]]).all(axis=1) for c in mat.T]
-    )
-    samples[const[:, rows] | const[:, cols]] = math.nan
-    out = {}
-    for p, (i, j) in enumerate(zip(rows, cols)):
-        col = samples[:, p]
-        col = col[np.isfinite(col)]
-        lo, hi = np.percentile(col, [2.5, 97.5]) if len(col) else (math.nan,
-                                                                   math.nan)
-        out[f"{names[i]}.{names[j]}"] = [float(lo), float(hi)]
-    return out
+    step = max(1, _BOOT_BLOCK // (n * m))
+    for b in range(0, n_boot, step):  # a block's gather dies with the call
+        samples[b:b + step] = _resample_correlations(
+            mat[draws[b:b + step]], rows, cols)
+    # one percentile call per pattern of kept resamples; all the pairs
+    # usually share one or two patterns
+    ok = np.isfinite(samples)
+    patterns: dict[bytes, list[int]] = {}
+    for p, keep in enumerate(ok.T):
+        patterns.setdefault(keep.tobytes(), []).append(p)
+    ci = np.full((2, len(rows)), math.nan)
+    for pairs in patterns.values():
+        keep = ok[:, pairs[0]]
+        if keep.any():
+            ci[:, pairs] = np.percentile(samples[keep][:, pairs],
+                                         [2.5, 97.5], axis=0)
+    return {f"{names[i]}.{names[j]}": [float(lo), float(hi)]
+            for i, j, lo, hi in zip(rows, cols, *ci)}
 
 
 def _write_plot_data(outdir: Path, summaries: list[dict]) -> list[str]:

@@ -170,6 +170,14 @@ def _cached_fvector(poly, ctx):
     return ctx["cache"]["fvec"]
 
 
+# the keys a functional record of each type may carry; any other key,
+# a misspelt one say, is an error
+_RECORD_KEYS = {"intrinsic": ("type", "j"), "f": ("type", "j"),
+                "wills": ("type",), "oracle": ("type",),
+                "valuation": ("type", "label", "coeffs"),
+                "multivariate": ("type",)}
+
+
 def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
     """Turn config functional records into named column evaluators.
 
@@ -193,6 +201,13 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
 
     for i, spec in enumerate(functional_specs):
         kind = spec.get("type")
+        if not isinstance(kind, str) or kind not in _RECORD_KEYS:
+            raise ValueError(f"functionals[{i}]: unknown type {kind!r}")
+        for key in spec:
+            if key not in _RECORD_KEYS[kind]:
+                raise ValueError(f"functionals[{i}]: unknown key {key!r} for "
+                                 f"type {kind!r} (known: "
+                                 f"{', '.join(_RECORD_KEYS[kind])})")
         if kind in ("intrinsic", "f") and "j" not in spec:
             raise ValueError(f"functionals[{i}]: type {kind!r} needs 'j'")
         if kind == "intrinsic":
@@ -236,15 +251,13 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
             vspec.warn_if_not_clt()
             add(vspec.label, lambda p, ctx, v=vspec: _combination(
                 v.coeffs, _cached_volumes(p, ctx)))
-        elif kind == "multivariate":
+        else:  # multivariate
             for j in range(1, d + 1):
                 add(f"V_{j}",
                     lambda p, ctx, j=j: float(_cached_volumes(p, ctx)[j]))
             for j in range(d):
                 add(f"f_{j}",
                     lambda p, ctx, j=j: float(_cached_fvector(p, ctx)[j]))
-        else:
-            raise ValueError(f"functionals[{i}]: unknown type {kind!r}")
     return cols
 
 

@@ -232,16 +232,16 @@ def w1_bootstrap_se(standardized_column: np.ndarray, n_boot: int = 200,
                     rng: np.random.Generator | None = None) -> float:
     """Bootstrap standard error of the empirical W1 distance.
 
-    Draw b resamples the column with one ``rng.integers`` call, in draw
-    order, so the random stream is that of a loop over draws.
+    All resamples come from one ``rng.integers`` call of shape
+    (n_boot, n), which draws the same values and leaves the generator in
+    the same state as ``n_boot`` calls of size n.
     """
     x = np.asarray(standardized_column, dtype=float)
     rng = np.random.default_rng(0) if rng is None else rng
     n = len(x)
     if n < 2:
         raise ValueError("need at least 2 observations")
-    draws = np.array([rng.integers(0, n, size=n) for _ in range(n_boot)],
-                     dtype=np.intp).reshape(n_boot, n)
+    draws = rng.integers(0, n, size=(n_boot, n))
     vals = np.abs(np.sort(x[draws], axis=1)
                   - _normal_grid_quantiles(n)).mean(axis=1)
     return float(vals.std(ddof=1))

@@ -183,6 +183,15 @@ class TestBodySpecs:
         with pytest.raises(ValueError):
             body_from_spec({"kind": "torus", "dim": 3})
 
+    @pytest.mark.parametrize("spec, known", [
+        ({"kind": "ball", "dim": 2, "raduis": 3.0},
+         "kind, dim, radius, center"),
+        ({"kind": "cube", "dim": 2, "radius": 1.0}, "kind, dim, side"),
+    ], ids=["ball", "cube"])
+    def test_unknown_key(self, spec, known):
+        with pytest.raises(ValueError, match=f"unknown key .*known: {known}"):
+            body_from_spec(spec)
+
     def test_smoothness_flags(self):
         assert Ball(2).is_smooth and Ellipsoid(2, semi_axes=[1, 2]).is_smooth
         assert not Cube(2).is_smooth

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from randpoly import experiment
 from randpoly.cli import main as cli_main
 from randpoly.config import ConfigError, ExperimentConfig
 from randpoly.experiment import (
@@ -143,6 +144,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown key") as exc:
             ExperimentConfig.from_dict(raw)
         assert exc.value.path == "malliavin.n_outter"
+
+    @pytest.mark.parametrize("override, path", [
+        ({"workers": [2]}, "workers"),
+        ({"functionals": [{"type": "intrinsic", "j": None}]},
+         "functionals[0].j"),
+        ({"malliavin": [1]}, "malliavin"),
+    ], ids=["workers", "j", "malliavin"])
+    def test_wrong_json_type(self, override, path):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(tiny_raw(**override))
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("override", [
+        {"body": {"kind": ["ball"], "dim": 2}},
+        {"functionals": [{"type": ["f"], "j": 1}]},
+    ], ids=["body", "functional"])
+    def test_kind_of_wrong_type(self, override):
+        with pytest.raises(ConfigError, match=r"unknown (body kind|type) \["):
+            ExperimentConfig.from_dict(tiny_raw(**override))
+
+    def test_unknown_body_key(self):
+        raw = tiny_raw(body={"kind": "ball", "dim": 2, "raduis": 3.0})
+        with pytest.raises(ConfigError, match="'raduis'.*known: kind, dim, "
+                                              "radius, center") as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == "body"
+
+    def test_unknown_functional_key(self):
+        raw = tiny_raw(functionals=[{"type": "f", "j": 1, "jj": 0}])
+        with pytest.raises(ConfigError, match=r"functionals\[0\]: unknown "
+                                              "key 'jj'.*known: type, j"):
+            ExperimentConfig.from_dict(raw)
 
     def test_file_errors_carry_path(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -309,6 +342,108 @@ class TestCorrelationBootstrap:
         assert rng.random() == ref.random()
 
 
+def per_draw_correlation_ci(mat, names, rng, n_boot=200):
+    """Reference: one ``rng.integers`` call and one ``np.corrcoef`` call
+    per resample."""
+    n, m = mat.shape
+    rows, cols = np.triu_indices(m, 1)
+    draws = np.empty((n_boot, n), dtype=np.int64)
+    samples = np.empty((n_boot, len(rows)))
+    for b in range(n_boot):
+        draws[b] = rng.integers(0, n, size=n)
+        with np.errstate(invalid="ignore"):
+            corr = np.corrcoef(mat[draws[b]], rowvar=False).reshape(m, m)
+        samples[b] = corr[rows, cols]
+    const = np.column_stack(
+        [(c[draws] == c[draws[:, :1]]).all(axis=1) for c in mat.T]
+    )
+    samples[const[:, rows] | const[:, cols]] = math.nan
+    out = {}
+    for p, (i, j) in enumerate(zip(rows, cols)):
+        col = samples[:, p]
+        col = col[np.isfinite(col)]
+        lo, hi = np.percentile(col, [2.5, 97.5]) if len(col) else (math.nan,
+                                                                   math.nan)
+        out[f"{names[i]}.{names[j]}"] = [float(lo), float(hi)]
+    return out
+
+
+class TestCorrelationBootstrapBitIdentity:
+    """The stacked bootstrap gives the per-resample loop's values exactly,
+    and leaves the generator in the same state."""
+
+    @staticmethod
+    def check(mat, n_boot=200, seed=5):
+        names = [f"c{k}" for k in range(mat.shape[1])]
+        rng, ref = stream(seed), stream(seed)
+        got = _correlation_bootstrap_ci(mat, names, rng, n_boot=n_boot)
+        want = per_draw_correlation_ci(mat, names, ref, n_boot=n_boot)
+        # json.dumps writes each float by repr and NaN as NaN, so equal
+        # strings mean bit-equal values
+        assert json.dumps(got) == json.dumps(want)
+        assert got.keys() == want.keys()
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("m", [1, 2, 9])
+    @pytest.mark.parametrize("n", [2, 3, 20, 150])
+    def test_random_tables(self, n, m):
+        rng = stream(6, n, m)
+        scales = 10.0 ** rng.uniform(-3, 3, size=m)
+        self.check(rng.standard_normal((n, m)) * scales + rng.normal(size=m))
+
+    @pytest.mark.parametrize("n", [3, 20, 150])
+    def test_constant_column(self, n):
+        mat = stream(7, n).standard_normal((n, 3))
+        mat[:, 1] = 0.1
+        self.check(mat)
+
+    def test_column_constant_in_some_resamples(self):
+        self.check(TestCorrelationBootstrap.ROWS)
+        # a 0/1 column is constant in about one resample in 2^(n-1)
+        rng = stream(8)
+        mat = np.column_stack([rng.integers(0, 2, size=6) * 1.0,
+                               rng.standard_normal((6, 2))])
+        self.check(mat)
+
+    @pytest.mark.parametrize("n", [3, 20, 150])
+    def test_near_collinear_columns(self, n):
+        rng = stream(9, n)
+        a = rng.standard_normal(n)
+        mat = np.column_stack([a, 3.0 * a + 1e-9 * rng.standard_normal(n),
+                               -a + 1e-12 * rng.standard_normal(n),
+                               rng.standard_normal(n)])
+        self.check(mat)
+
+    def test_crosses_the_block_cap(self):
+        # 150 x 9 values per resample: 1000 resamples need two blocks
+        n, m = 150, 9
+        assert experiment._BOOT_BLOCK // (n * m) < 1000
+        self.check(stream(10).standard_normal((n, m)), n_boot=1000)
+
+    @pytest.mark.parametrize("block", [1, 7 * 20 * 3])
+    def test_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(experiment, "_BOOT_BLOCK", block)
+        self.check(stream(11).standard_normal((20, 3)), n_boot=50)
+
+
+GOLDEN = Path(__file__).parent / "data" / "reports"
+
+
+@pytest.mark.parametrize("name", ["exact_d2", "mc_d4"])
+def test_report_matches_golden_files(tmp_path, name):
+    """``report.json`` and the plot CSVs of two small runs are byte-equal
+    to stored copies, so any change in a summation order shows here."""
+    raw = json.loads((GOLDEN / name / "config.json").read_text())
+    run(raw, outdir=tmp_path)
+    want = sorted(p.relative_to(GOLDEN / name)
+                  for p in (GOLDEN / name).rglob("*")
+                  if p.is_file() and p.name != "config.json")
+    assert len(want) == 5
+    for rel in want:
+        got = (tmp_path / name / rel).read_bytes()
+        assert got == (GOLDEN / name / rel).read_bytes(), rel
+
+
 class TestPresets:
     def test_catalogue_nonempty(self):
         assert "smoke" in PRESETS and "theorem1" in PRESETS
@@ -387,6 +522,12 @@ class TestCLI:
         cfg_path.write_text(json.dumps(tiny_raw(functionals=[functional])))
         assert cli_main(["run", str(cfg_path)]) == 1
         assert "functionals[0]" in capsys.readouterr().err
+
+    def test_wrong_json_type_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(workers=[2])))
+        assert cli_main(["run", str(cfg_path)]) == 1
+        assert "cfg.json:workers" in capsys.readouterr().err
 
     def test_taus_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -264,6 +264,17 @@ class TestEvaluators:
         with pytest.raises(ValueError):
             build_evaluators([{"type": "perimeter"}], d=2)
 
+    @pytest.mark.parametrize("spec, known", [
+        ({"type": "f", "j": 1, "jj": 0}, "type, j"),
+        ({"type": "oracle", "j": 1}, "type"),
+        ({"type": "valuation", "label": "a", "coeffs": [0, 1, 1],
+          "coef": [1]}, "type, label, coeffs"),
+    ], ids=["f", "oracle", "valuation"])
+    def test_unknown_key(self, spec, known):
+        with pytest.raises(ValueError, match=r"functionals\[1\]: unknown "
+                                             f"key .*known: {known}"):
+            build_evaluators([{"type": "wills"}, spec], d=2)
+
     @pytest.mark.parametrize("kind", ["intrinsic", "f"])
     def test_missing_index(self, kind):
         with pytest.raises(ValueError, match=r"functionals\[1\].*needs 'j'"):

@@ -139,6 +139,25 @@ class TestW1:
         z = stream(85).standard_normal(2000)
         assert w1_bootstrap_se(z, n_boot=50, rng=stream(86)) > 0
 
+    @staticmethod
+    def per_draw_bootstrap_se(x, n_boot, rng):
+        # reference: one rng.integers call per resample
+        n = len(x)
+        draws = np.array([rng.integers(0, n, size=n) for _ in range(n_boot)],
+                         dtype=np.intp).reshape(n_boot, n)
+        vals = np.abs(np.sort(x[draws], axis=1)
+                      - _normal_grid_quantiles(n)).mean(axis=1)
+        return float(vals.std(ddof=1))
+
+    @pytest.mark.parametrize("n_boot", [2, 200])
+    @pytest.mark.parametrize("n", [2, 3, 20, 150])
+    def test_bootstrap_se_matches_per_draw_loop(self, n, n_boot):
+        x = standardize(stream(87, n).standard_normal(n))
+        rng, ref = stream(88, n), stream(88, n)
+        se = w1_bootstrap_se(x, n_boot=n_boot, rng=rng)
+        assert se == self.per_draw_bootstrap_se(x, n_boot, ref)
+        assert rng.random() == ref.random()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 5000])
     def test_grid_quantiles_match_scipy_stats(self, n):
         grid = (np.arange(1, n + 1) - 0.5) / n
