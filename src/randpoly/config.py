@@ -45,7 +45,12 @@ def _mapping(value, path: str) -> dict:
 
 
 def _convert(kind, value, path: str):
-    """``kind(value)``; a value of the wrong type is a ConfigError."""
+    """``kind(value)``; a value of the wrong type is a ConfigError, and so
+    is a bool or a fractional number where an int is expected (``int``
+    would truncate it)."""
+    if kind is int and (isinstance(value, bool) or isinstance(value, float)
+                        and not value.is_integer()):
+        raise ConfigError(path, f"expected int, not {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -119,6 +124,8 @@ class ExperimentConfig:
 
         _reject_unknown_keys(_mapping(raw, "config"), ExperimentConfig)
         body_spec = need("body")
+        if isinstance(body_spec, dict) and "dim" in body_spec:
+            _convert(int, body_spec["dim"], "body.dim")
         try:
             body = body_from_spec(body_spec)
         except (TypeError, ValueError) as exc:
@@ -136,7 +143,7 @@ class ExperimentConfig:
 
         n_reps_raw = need("n_reps")
         if isinstance(n_reps_raw, (int, float)):
-            n_reps = [int(n_reps_raw)] * len(t_grid)
+            n_reps = [_convert(int, n_reps_raw, "n_reps")] * len(t_grid)
         else:
             n_reps = [_convert(int, n, f"n_reps[{i}]")
                       for i, n in enumerate(_convert(list, n_reps_raw,

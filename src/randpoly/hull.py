@@ -1,15 +1,16 @@
-"""Convex hulls with full face lattices, and their intrinsic volumes.
+"""Convex hulls with their facets and face lattices, and their intrinsic
+volumes.
 
 Hull construction handles every degeneracy totally: an empty input gives an
 empty polytope, a single point a point polytope, and inputs whose affine
 hull has dimension k < d are processed inside an orthonormal chart of that
 affine hull, so one code path serves all cases.  Facet enumeration is
-delegated to qhull, and volumes, surface measures, exterior angles and
-face counts of simplicial hulls are array expressions over qhull's
-simplices, neighbors and plane equations; their face lattice is built only
-when asked for.  Coplanar simplices are merged back into true facets, so
-non-simplicial test bodies such as cubes get their true combinatorics from
-a lattice derived by downward closure.
+delegated to qhull, and every hull keeps qhull's simplices, neighbors and
+plane equations; volumes, surface measures, exterior angles and face
+counts are array expressions over them.  A facet is the group of simplices
+that share one plane equation, so non-simplicial test bodies such as cubes
+get their true facets back.  The face lattice is built only when asked
+for: from the facets of a simplicial hull, by downward closure otherwise.
 
 Intrinsic volumes are available exactly in ambient dimension <= 3 and by
 Monte Carlo averaging of projection volumes over Haar-random subspaces in
@@ -44,6 +45,7 @@ __all__ = [
     "intrinsic_volume_mc",
     "exact_intrinsic_volumes",
     "brute_force_facets",
+    "hull_facets_as_source_sets",
 ]
 
 # Facet-membership and affine-rank decisions are made at this tolerance,
@@ -85,15 +87,16 @@ class Polytope:
     (``local_vertices``); for a full-dimensional polytope the chart is the
     identity, or the shift by ``origin`` for inputs far from the origin.
 
-    A simplicial hull keeps qhull's arrays: ``facet_vertex_sets`` is the
-    (F, k) array of sorted facet vertex ids, facet f being simplex f of
-    ``facet_simplices``, and ``facet_neighbors[f, i]`` is the facet across
-    the ridge opposite slot i.  Metrics and face counts are array
-    expressions over these, and ``faces`` is built on first access.
-    Non-simplicial hulls (exact test bodies such as cubes) get their
-    lattice at construction; ``facet_vertex_sets`` is then a list of tuples,
-    ``facet_simplices`` a triangulation of the facets and
-    ``facet_neighbors`` is None.
+    A hull built by qhull keeps qhull's triangulation of its boundary:
+    ``facet_simplices[s]`` holds the vertex ids of simplex s,
+    ``facet_neighbors[s, i]`` is the simplex across the ridge opposite
+    slot i, and ``simplex_facet[s]`` is the facet that contains simplex s.
+    On a simplicial hull each simplex is a facet, and
+    ``facet_vertex_sets`` is the (F, k) array of sorted facet vertex ids.
+    On a non-simplicial hull (exact test bodies such as cubes) it is a
+    list of sorted tuples, one per facet.  Metrics and face counts are
+    array expressions over these arrays, and ``faces`` is built on first
+    access.
     """
 
     __slots__ = (
@@ -111,6 +114,7 @@ class Polytope:
         "facet_offsets",
         "facet_simplices",
         "facet_neighbors",
+        "simplex_facet",
         "is_simplicial",
         "diameter",
     )
@@ -129,7 +133,8 @@ class Polytope:
         self.facet_normals = np.empty((0, 0))
         self.facet_offsets = np.empty(0)
         self.facet_simplices = np.empty((0, 0), dtype=int)
-        self.facet_neighbors: np.ndarray | None = None
+        self.facet_neighbors = np.empty((0, 0), dtype=int)
+        self.simplex_facet = np.empty(0, dtype=int)
         self.is_simplicial = True
         self.diameter = 0.0
 
@@ -138,7 +143,12 @@ class Polytope:
     @property
     def faces(self) -> dict[int, frozenset]:
         if self._faces is None:
-            self._faces = _lattice_simplicial(self.facet_vertex_sets)
+            self._faces = (
+                _lattice_simplicial(self.facet_vertex_sets)
+                if self.is_simplicial else
+                _lattice_general(self.facet_vertex_sets, self.affine_dim,
+                                 self.n_vertices)
+            )
         return self._faces
 
     @property
@@ -359,108 +369,40 @@ def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
         poly.origin = origin.copy()
         poly.basis = basis.copy()
 
-    simplices = remap[hull.simplices]  # (F, k), new indexing
+    simplices = remap[hull.simplices]  # (S, k), new indexing
     eq = hull.equations
     neighbors = hull.neighbors
     poly.facet_simplices = simplices
+    poly.facet_neighbors = neighbors
 
     # qhull triangulates any facet it merged for convexity and stamps every
-    # simplex of that facet with one shared plane equation, so equal
-    # equations across a ridge recover qhull's facet structure exactly
-    # (cubes get squares back).  Nearly coplanar but distinct facets, e.g.
-    # sliver pairs on large random hulls, carry distinct equations and stay
-    # separate, so sampled hulls are simplicial.
+    # simplex of that facet with one shared plane equation, and distinct
+    # facets have distinct planes, so the groups of equal equations are the
+    # facets (cubes get squares back).  Nearly coplanar but distinct
+    # facets, e.g. sliver pairs on large random hulls, carry distinct
+    # equations and stay separate, so sampled hulls are simplicial.
     coplanar = (eq[neighbors] == eq[:, None]).all(axis=-1)
     if not coplanar.any():
+        firsts = slice(None)
+        poly.simplex_facet = np.arange(len(simplices))
         poly.facet_vertex_sets = np.sort(simplices, axis=1)
-        poly.facet_normals = np.ascontiguousarray(eq[:, :-1])
-        poly.facet_offsets = -eq[:, -1]
-        poly.facet_neighbors = neighbors
-        poly.is_simplicial = True
-        poly._faces = None
     else:
-        rows, slots = np.nonzero(coplanar)
-        groups = _merge_coplanar(len(simplices),
-                                 zip(rows.tolist(),
-                                     neighbors[rows, slots].tolist()))
-        groups = _merge_overlapping(groups, simplices, poly.local_vertices, k)
-        firsts = [members[0] for members in groups]
-        poly.facet_normals = eq[firsts, :-1]
-        poly.facet_offsets = -eq[firsts, -1]
+        _, firsts, fid = np.unique(eq, axis=0, return_index=True,
+                                   return_inverse=True)
+        order = np.argsort(firsts)  # facets in order of their first simplex
+        firsts = firsts[order]
+        fid = np.argsort(order)[fid]
+        poly.simplex_facet = fid
+        poly.facet_vertex_sets = [
+            tuple(np.unique(simplices[fid == f]).tolist())
+            for f in range(len(firsts))
+        ]
         poly.is_simplicial = False
-        facet_sets = [tuple(sorted(set(simplices[members].ravel().tolist())))
-                      for members in groups]
-        poly.facet_vertex_sets, poly._faces = _lattice_general(
-            poly, facet_sets, k
-        )
+    poly.facet_normals = np.ascontiguousarray(eq[firsts, :-1])
+    poly.facet_offsets = -eq[firsts, -1]
+    poly._faces = None
 
     _check_facet_inequalities(poly, REL_TOL * poly.diameter)
-
-
-def _merge_coplanar(n_simplices, pairs):
-    """Union-find over the pairs of adjacent simplices with one facet plane.
-
-    Returns the groups of simplex indices, each sorted, ordered by their
-    smallest member.
-    """
-    parent = list(range(n_simplices))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for f, g in pairs:
-        ra, rb = find(f), find(g)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for f in range(n_simplices):
-        groups.setdefault(find(f), []).append(f)
-    return list(groups.values())
-
-
-def _merge_overlapping(groups, simplices, pts, k):
-    """Merge facet groups whose shared vertices span a ridge-sized flat.
-
-    Distinct facets of a polytope intersect in a face of dimension at most
-    k - 2, so their shared vertices have affine rank at most k - 2; once
-    tolerance merging has declared some simplices coplanar, two groups
-    sharing vertices of affine rank k - 1 lie on one supporting plane and
-    must join (pairwise normal tests alone are not transitively
-    consistent).  A vertex count alone does not decide it: two 3-cube
-    facets of the 4-cube share a square of 4 = k vertices.  Merges until
-    stable.
-    """
-    while True:
-        vsets = [set(simplices[members].ravel().tolist())
-                 for members in groups]
-        incident: dict[int, list[int]] = {}
-        for gi, vs in enumerate(vsets):
-            for v in vs:
-                incident.setdefault(v, []).append(gi)
-        counts: dict[tuple[int, int], int] = {}
-        for gis in incident.values():
-            for key in itertools.combinations(gis, 2):
-                counts[key] = counts.get(key, 0) + 1
-        to_merge = next(
-            ((a, b) for (a, b), c in counts.items()
-             if c >= k and _affine_rank(pts[sorted(vsets[a] & vsets[b])])
-             >= k - 1),
-            None,
-        )
-        if to_merge is None:
-            return groups
-        a, b = to_merge
-        groups[a] = groups[a] + groups[b]
-        del groups[b]
-
-
-def _affine_rank(pts: np.ndarray) -> int:
-    """Affine rank of a point set, singular values cut at ``REL_TOL``."""
-    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-    return int((s > REL_TOL * s[0]).sum()) if s[0] > 0 else 0
 
 
 def _subfaces(facets: np.ndarray, m: int) -> np.ndarray:
@@ -489,37 +431,11 @@ def _lattice_simplicial(facets: np.ndarray) -> dict[int, frozenset]:
             for i in range(facets.shape[1])}
 
 
-def _lattice_general(poly, facet_sets, k):
-    """Lattice by downward closure: faces are intersections of facet vertex sets.
-
-    Non-extreme hull points reported by qhull (possible on constructed bodies
-    with boundary-collinear vertices) are pruned first: a point is a vertex
-    precisely when the facets through it intersect in that point alone.
-    """
+def _lattice_general(facet_sets, k, n_vertices):
+    """Lattice by downward closure: faces are intersections of facet vertex
+    sets.  ``k`` is the polytope's dimension and ``n_vertices`` its vertex
+    count."""
     fsets = [frozenset(fs) for fs in facet_sets]
-    m = poly.local_vertices.shape[0]
-
-    keep = []
-    for v in range(m):
-        through = [fs for fs in fsets if v in fs]
-        inter = frozenset.intersection(*through) if through else frozenset()
-        if inter == {v}:
-            keep.append(v)
-    if len(keep) < m:
-        remap = -np.ones(m, dtype=int)
-        remap[keep] = np.arange(len(keep))
-        poly.vertices = poly.vertices[keep]
-        poly.local_vertices = poly.local_vertices[keep]
-        poly.source_indices = poly.source_indices[keep]
-        fsets = [frozenset(int(remap[v]) for v in fs if remap[v] >= 0)
-                 for fs in fsets]
-        kept_simplices = []
-        # retriangulate each facet for metric use (fan inside the facet plane)
-        for fs in fsets:
-            idx = sorted(fs)
-            kept_simplices.extend(_fan_facet(idx, poly.local_vertices[idx], k))
-        poly.facet_simplices = np.asarray(kept_simplices, dtype=int)
-
     faces_all: set[frozenset] = set(fsets)
     frontier = set(fsets)
     while frontier:
@@ -555,32 +471,12 @@ def _lattice_general(poly, facet_sets, k):
     for fc, h in height.items():
         if h < k:
             faces[h].add(tuple(sorted(fc)))
-
-    facet_tuples = [tuple(sorted(fs)) for fs in fsets]
-    return facet_tuples, {i: frozenset(s) for i, s in faces.items()}
-
-
-def _fan_facet(idx, local, k):
-    """Triangulate one facet (vertex ids ``idx``, chart coords ``local``)."""
-    if len(idx) < k:
-        raise RuntimeError(f"facet with {len(idx)} vertices in a "
-                           f"{k}-dimensional hull; lattice bug")
-    if len(idx) == k:
-        return [tuple(idx)]
-    # order facet vertices by running a (k-1)-dim hull inside the facet plane
-    c = local.mean(axis=0)
-    _, _, vt = np.linalg.svd(local - c, full_matrices=False)
-    plane = (local - c) @ vt[: k - 1].T
-    if k - 1 == 1:
-        order = np.argsort(plane[:, 0])
-        return [(idx[order[i]], idx[order[i + 1]])
-                for i in range(len(idx) - 1)]
-    sub = _QhullHull(plane)
-    ring = sub.vertices  # counterclockwise for 2-d
-    tris = []
-    for i in range(1, len(ring) - 1):
-        tris.append((idx[ring[0]], idx[ring[i]], idx[ring[i + 1]]))
-    return tris
+    # a point that qhull reports as a vertex but that is not extreme lies
+    # inside a larger face and is no 0-face of the closure
+    if faces[0] != {(v,) for v in range(n_vertices)}:
+        raise RuntimeError("hull vertex is not a 0-face of the face "
+                           "lattice; hull construction bug")
+    return {i: frozenset(s) for i, s in faces.items()}
 
 
 def _check_facet_inequalities(poly, tol):
@@ -601,11 +497,13 @@ def f_vector(poly: Polytope) -> FVector:
 
     A simplicial hull is counted from its facet array, without a lattice:
     f_0 is the vertex count, f_{k-1} the facet count, and each f_i in
-    between the number of distinct (i+1)-subsets of the facets.
+    between the number of distinct (i+1)-subsets of the facets.  Any other
+    polytope counts the faces of its lattice.
     """
     d = poly.dim_ambient
-    if poly._faces is not None:
-        return FVector(tuple(len(poly._faces.get(i, ())) for i in range(d)))
+    if poly._faces is not None or not poly.is_simplicial:
+        faces = poly.faces
+        return FVector(tuple(len(faces.get(i, ())) for i in range(d)))
     facets = poly.facet_vertex_sets
     k = facets.shape[1]
     counts = [poly.n_vertices]
@@ -718,23 +616,17 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _edge_facet_pairs(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """Edges of a 3-polytope as (E, 2) vertex ids, and the two facets on each.
 
-    On a simplicial hull, the edge opposite slot i of facet f joins f and
-    g = facet_neighbors[f, i]; each edge is taken once, from f < g.
+    The edges are the ridges of qhull's triangulation between simplices of
+    different facets: the ridge opposite slot i of simplex s joins s and
+    n = facet_neighbors[s, i], and each is taken once, from s < n.
     """
     nb = poly.facet_neighbors
-    if nb is not None:
-        f, slot = np.nonzero(nb > np.arange(len(nb))[:, None])
-        s = poly.facet_simplices
-        edges = np.column_stack([s[f, (slot + 1) % 3], s[f, (slot + 2) % 3]])
-        return edges, np.column_stack([f, nb[f, slot]])
-    fsets = [set(fs) for fs in poly.facet_vertex_sets]
-    edges = sorted(poly.faces[1])
-    pairs = [[fi for fi, fs in enumerate(fsets) if fs.issuperset(edge)]
-             for edge in edges]
-    bad = [edge for edge, p in zip(edges, pairs) if len(p) != 2]
-    if bad:
-        raise RuntimeError(f"edge {bad[0]} does not lie in exactly 2 facets")
-    return np.array(edges), np.array(pairs)
+    fid = poly.simplex_facet
+    s, slot = np.nonzero((nb > np.arange(len(nb))[:, None])
+                         & (fid[nb] != fid[:, None]))
+    tri = poly.facet_simplices
+    edges = np.column_stack([tri[s, (slot + 1) % 3], tri[s, (slot + 2) % 3]])
+    return edges, np.column_stack([fid[s], fid[nb[s, slot]]])
 
 
 # ---------------------------------------------------------------------------

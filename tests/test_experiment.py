@@ -156,6 +156,31 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(tiny_raw(**override))
         assert exc.value.path == path
 
+    @pytest.mark.parametrize("override, path", [
+        ({"functionals": [{"type": "intrinsic", "j": 1.5}]},
+         "functionals[0].j"),
+        ({"n_reps": 2.9}, "n_reps"),
+        ({"n_reps": [10, 20.5, 30]}, "n_reps[1]"),
+        ({"workers": True}, "workers"),
+        ({"seed": 1.5}, "seed"),
+        ({"n_dirs": 100.5}, "n_dirs"),
+        ({"malliavin": {"t": 80.0, "functional": "V_2", "n_outer": 50.5}},
+         "malliavin.n_outer"),
+        ({"malliavin": {"t": 80.0, "functional": "V_2", "n_inner": True}},
+         "malliavin.n_inner"),
+        ({"body": {"kind": "ball", "dim": 2.5}}, "body.dim"),
+    ], ids=["j", "n_reps", "n_reps_list", "workers", "seed", "n_dirs",
+            "n_outer", "n_inner", "dim"])
+    def test_non_integral_int(self, override, path):
+        # int() would truncate these, or read a bool as 0 or 1
+        with pytest.raises(ConfigError, match="expected int") as exc:
+            ExperimentConfig.from_dict(tiny_raw(**override))
+        assert exc.value.path == path
+
+    def test_integral_float_is_an_int(self):
+        cfg = ExperimentConfig.from_dict(tiny_raw(n_reps=40.0, seed=3.0))
+        assert cfg.n_reps == (40, 40, 40) and cfg.seed == 3
+
     @pytest.mark.parametrize("override", [
         {"body": {"kind": ["ball"], "dim": 2}},
         {"functionals": [{"type": ["f"], "j": 1}]},
@@ -528,6 +553,12 @@ class TestCLI:
         cfg_path.write_text(json.dumps(tiny_raw(workers=[2])))
         assert cli_main(["run", str(cfg_path)]) == 1
         assert "cfg.json:workers" in capsys.readouterr().err
+
+    def test_non_integral_int_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(n_reps=2.9)))
+        assert cli_main(["run", str(cfg_path)]) == 1
+        assert "cfg.json:n_reps: expected int" in capsys.readouterr().err
 
     def test_taus_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

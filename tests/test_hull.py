@@ -9,6 +9,7 @@ from scipy import stats as spstats
 from randpoly.bodies import Ball, sample_poisson_process
 from randpoly.hull import (
     _haar_bases,
+    _lattice_general,
     brute_force_facets,
     convex_hull,
     exact_intrinsic_volumes,
@@ -90,6 +91,12 @@ class TestConstruction:
         assert not p.is_simplicial
         assert volume(p) == pytest.approx(1.0, abs=1e-12)
         assert surface_measure(p) == pytest.approx(8.0, abs=1e-12)
+
+    def test_non_extreme_vertex_is_a_lattice_error(self):
+        # vertex 4 lies inside the edge (0, 1) of the square 0-1-2-3
+        facets = [(0, 1, 4), (1, 2), (2, 3), (0, 3)]
+        with pytest.raises(RuntimeError, match="not a 0-face"):
+            _lattice_general(facets, 2, 5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_rejected(self, bad):

@@ -3,6 +3,8 @@
 Random point sets in d = 2, 3, 4, their permutations and their translates
 by up to 1e3 are checked against the face lattice built on demand, the
 brute-force facet oracle, and per-simplex reference loops kept here.
+Rotated, scaled and translated boxes check the non-simplicial path
+against the combinatorics and intrinsic volumes of a box.
 """
 import itertools
 import math
@@ -124,6 +126,50 @@ def test_metrics_match_reference_loops(d):
             if d == 3:
                 assert exact_intrinsic_volumes(poly)[1] == pytest.approx(
                     reference_mean_width_3d(poly), rel=REL)
+
+    check()
+
+
+@st.composite
+def boxes(draw, d):
+    """The corners of a box, then points on its facets and lower faces,
+    under one rotation and translation; returns the points and the
+    box's side lengths."""
+    sides = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=d,
+                                   max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=d)))
+    extra = rng.uniform(0.0, 1.0, (draw(st.integers(0, 6)), d))
+    for row in extra:  # pin 1 to d - 1 coordinates to a side
+        pinned = rng.choice(d, rng.integers(1, d), replace=False)
+        row[pinned] = rng.integers(0, 2, len(pinned))
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    shift = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+    pts = np.vstack([corners, extra]) * sides @ rotation.T + np.array(shift)
+    return pts, sides
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_boxes(d):
+    @PROPERTY
+    @given(boxes(d))
+    def check(drawn):
+        pts, sides = drawn
+        poly = convex_hull(pts)
+        assert poly._faces is None  # the lattice waits for a caller
+        assert poly.is_simplicial == (d == 2)
+        assert sorted(poly.source_indices.tolist()) == list(range(2**d))
+        fv = f_vector(poly).counts
+        assert fv == tuple(math.comb(d, i) * 2 ** (d - i) for i in range(d))
+        assert fv == tuple(len(poly.faces[i]) for i in range(d))
+        if d <= 3:
+            # V_j of a box is the j-th elementary symmetric polynomial of
+            # its sides; the translation by up to 1e3 costs digits
+            elementary = [sum(math.prod(c) for c in
+                              itertools.combinations(sides, j))
+                          for j in range(d + 1)]
+            assert exact_intrinsic_volumes(poly) == pytest.approx(
+                elementary, rel=1e-9)
 
     check()
 

@@ -59,7 +59,7 @@ def core_of(ball, t):
 def assert_same_polytope(a, b):
     for name in ("vertices", "local_vertices", "source_indices", "origin",
                  "facet_vertex_sets", "facet_normals", "facet_offsets",
-                 "facet_simplices", "facet_neighbors"):
+                 "facet_simplices", "facet_neighbors", "simplex_facet"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.diameter == b.diameter
     assert volume(a) == volume(b)
