@@ -7,14 +7,15 @@ message pinpoints the problem inside the file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .bodies import body_from_spec
+from .bodies import Ball, ConvexBody, body_from_spec
 from .functionals import (
-    ColumnValues,
     ValuationSpec,
     build_evaluators,
+    column_values,
     multivariate_labels,
 )
 from .hull import Polytope
@@ -47,10 +48,13 @@ def _mapping(value, path: str) -> dict:
 def _convert(kind, value, path: str):
     """``kind(value)``; a value of the wrong type is a ConfigError, and so
     is a bool or a fractional number where an int is expected (``int``
-    would truncate it)."""
+    would truncate it) and anything but true or false where a bool is
+    (``bool("false")`` is True)."""
     if kind is int and (isinstance(value, bool) or isinstance(value, float)
                         and not value.is_integer()):
         raise ConfigError(path, f"expected int, not {value!r}")
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, not {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -69,7 +73,8 @@ class MalliavinSettings:
     multivariate: bool = False
 
     @staticmethod
-    def from_dict(d: dict, t_grid: list[float]) -> "MalliavinSettings":
+    def from_dict(d: dict, t_grid: list[float],
+                  body: ConvexBody) -> "MalliavinSettings":
         where = "malliavin"
         _reject_unknown_keys(_mapping(d, where), MalliavinSettings,
                              where + ".")
@@ -92,10 +97,22 @@ class MalliavinSettings:
         c = _convert(float, d.get("c", 2.0), where + ".c")
         if c <= 0:
             raise ConfigError(where + ".c", "must be positive")
+        if sampling == "boundary_shell":
+            # the shell lies outside the floating body at cap volume
+            # c log t / t, which only a ball has in closed form here
+            if not isinstance(body, Ball):
+                raise ConfigError(where + ".sampling", "boundary_shell "
+                                  "needs a ball body; use 'plain'")
+            if t <= 1.0:
+                raise ConfigError(where + ".t", "boundary_shell needs t > 1")
+            if c * math.log(t) / t > body.volume / 2.0:
+                raise ConfigError(where + ".c", "c log t / t exceeds half "
+                                  "the ball's volume")
         return MalliavinSettings(
             t=t, functional=str(d.get("functional", "V_d")),
             n_outer=n_outer, n_inner=n_inner, sampling=sampling, c=c,
-            multivariate=bool(d.get("multivariate", False)),
+            multivariate=_convert(bool, d.get("multivariate", False),
+                                  where + ".multivariate"),
         )
 
 
@@ -159,7 +176,8 @@ class ExperimentConfig:
         if not functionals:
             raise ConfigError("functionals", "must be non-empty")
 
-        allow_non_clt = bool(raw.get("allow_non_clt", False))
+        allow_non_clt = _convert(bool, raw.get("allow_non_clt", False),
+                                 "allow_non_clt")
         for i, f in enumerate(functionals):
             _mapping(f, f"functionals[{i}]")
             if "j" in f:
@@ -195,7 +213,8 @@ class ExperimentConfig:
         if mode == "mc" and n_dirs < 2:
             raise ConfigError("n_dirs", "must be >= 2 in mc mode")
 
-        allow_nonsmooth = bool(raw.get("allow_nonsmooth", False))
+        allow_nonsmooth = _convert(bool, raw.get("allow_nonsmooth", False),
+                                   "allow_nonsmooth")
         if not body.is_smooth and not allow_nonsmooth:
             raise ConfigError(
                 "body",
@@ -210,7 +229,8 @@ class ExperimentConfig:
 
         malliavin = None
         if raw.get("malliavin") is not None:
-            malliavin = MalliavinSettings.from_dict(raw["malliavin"], t_grid)
+            malliavin = MalliavinSettings.from_dict(raw["malliavin"], t_grid,
+                                                    body)
 
         config = ExperimentConfig(
             name=str(raw.get("name", "experiment")),
@@ -231,30 +251,28 @@ class ExperimentConfig:
             config.malliavin_functional()
         return config
 
-    def malliavin_functional(self) -> ColumnValues:
-        """Exact values of the columns the bound report differentiates:
-        the multivariate ones, or the one that ``malliavin.functional``
-        names ("V_d" is the top intrinsic volume).  The values come from
-        the tables' own evaluators, called with an exact-mode context and
-        a fresh cache per polytope; the callable is picklable, so the
-        report's outer loop can run in a process pool."""
+    def malliavin_functional(self) -> tuple[list[str], tuple]:
+        """The labels of the columns the bound report differentiates (the
+        multivariate ones, or the one that ``malliavin.functional`` names;
+        "V_d" is the top intrinsic volume) and their evaluators, the
+        tables' own; :func:`column_values` calls them exactly."""
         d = body_from_spec(self.body).dim
         ms = self.malliavin
         labels = (multivariate_labels(d) if ms.multivariate
                   else [f"V_{d}" if ms.functional == "V_d" else ms.functional])
-        values = ColumnValues(self.functionals, labels, d, ms.t, self.n_dirs)
-        columns = values.columns()
+        columns = dict(build_evaluators(self.functionals, d))
         missing = ", ".join(lab for lab in labels if lab not in columns)
         if missing:
             raise ConfigError("malliavin.functional", "no table column "
                               f"{missing} (columns: {', '.join(columns)})")
+        evaluators = tuple(columns[lab] for lab in labels)
         if d > 3:  # exact intrinsic volumes stop at dimension 3
             try:
-                values(Polytope(d))
+                column_values(evaluators, ms.t, Polytope(d))
             except ValueError as exc:
                 msg = f"cannot evaluate {', '.join(labels)} exactly in dim {d}"
                 raise ConfigError("malliavin.functional", msg) from exc
-        return values
+        return labels, evaluators
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":

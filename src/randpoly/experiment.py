@@ -9,6 +9,7 @@ checksums), and evaluates the acceptance assertions bundled with presets.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__
 from .bodies import body_from_spec
 from .config import ConfigError, ExperimentConfig
+from .functionals import column_values
 from .malliavin import (
     VectorFunctional,
     estimate_gammas,
@@ -266,17 +268,16 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable,
     ms = config.malliavin
     body = body_from_spec(config.body)
     rng = stream(config.seed, MALLIAVIN_STAGE, table.t_index)
-    values = config.malliavin_functional()
-    labels = values.labels
+    labels, columns = config.malliavin_functional()
+    values = functools.partial(column_values, columns, ms.t)
     workers = config.workers if workers is None else workers
 
     if ms.multivariate:
         scales = np.array([table.column(l).std(ddof=1) for l in labels])
-        ss = covariance_matrix(table, labels)
         vf = VectorFunctional(fn=values, labels=labels, scales=scales)
-        g = estimate_gammas(body, ms.t, vf, ss.covariance, ms.n_outer,
-                            ms.n_inner, rng, sampling=ms.sampling,
-                            shell_c=ms.c, workers=workers)
+        g = estimate_gammas(body, ms.t, vf, ms.n_outer, ms.n_inner, rng,
+                            sampling=ms.sampling, shell_c=ms.c,
+                            workers=workers)
         return {
             "kind": "multivariate",
             "labels": list(g.labels),
@@ -289,7 +290,7 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable,
 
     label, = labels
     variance = float(table.column(label).var(ddof=1))
-    tau = estimate_taus(body, ms.t, values.scalar, variance,
+    tau = estimate_taus(body, ms.t, values, variance,
                         ms.n_outer, ms.n_inner, rng, sampling=ms.sampling,
                         shell_c=ms.c, label=label, workers=workers)
     return {
@@ -463,7 +464,10 @@ def verify(manifest_path, quiet: bool = False) -> dict:
             check(f"table {p.name} readable", False, str(exc))
 
     report_path = manifest.reports.get("report")
-    if report_path and Path(report_path).exists() and len(tables) == len(manifest.tables):
+    stored = {}
+    if not report_path or not Path(report_path).exists():
+        check("report exists", False, report_path or "not in the manifest")
+    elif len(tables) == len(manifest.tables):
         stored = json.loads(Path(report_path).read_text())
         diffs = []
         for key, value in _derive_report(config, tables).items():
@@ -473,15 +477,11 @@ def verify(manifest_path, quiet: bool = False) -> dict:
                 diffs.append(f"{key}: missing from the stored report")
         check("report reproducible from tables", not diffs,
               "; ".join(diffs[:3]))
-        stored_for_assert = stored
-    else:
-        stored_for_assert = {}
 
     if manifest.preset and manifest.preset in PRESETS:
         assertions = PRESETS[manifest.preset].get("assertions", [])
         for a in assertions:
-            name, passed, detail = _evaluate_assertion(a, tables,
-                                                       stored_for_assert)
+            name, passed, detail = _evaluate_assertion(a, tables, stored)
             check(name, passed, detail)
 
     ok = all(c["passed"] for c in checks)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,7 @@ __all__ = [
     "oracle_estimate",
     "multivariate_labels",
     "build_evaluators",
-    "ColumnValues",
+    "column_values",
 ]
 
 DEFAULT_MC_DIRS = 4096
@@ -152,7 +153,8 @@ def multivariate_labels(d: int) -> list[str]:
 
 # Evaluators receive (poly, ctx) where ctx carries the intensity "t", a
 # per-replication "rng", and a per-polytope value cache so the intrinsic
-# volumes are computed once no matter how many columns need them.
+# volumes are computed once no matter how many columns need them.  They
+# are module-level functions or partials of them, so they pickle.
 
 
 def _cached_volumes(poly, ctx):
@@ -168,6 +170,35 @@ def _cached_fvector(poly, ctx):
     if "fvec" not in ctx["cache"]:
         ctx["cache"]["fvec"] = f_vector(poly)
     return ctx["cache"]["fvec"]
+
+
+def _euler_column(poly, ctx) -> float:
+    return euler_indicator(poly)
+
+
+def _volume_column(j, poly, ctx) -> float:
+    return float(_cached_volumes(poly, ctx)[j])
+
+
+def _face_column(j, poly, ctx) -> float:
+    return float(_cached_fvector(poly, ctx)[j])
+
+
+def _combination_column(coeffs, poly, ctx) -> float:
+    return _combination(coeffs, _cached_volumes(poly, ctx))
+
+
+def _oracle_column(poly, ctx) -> float:
+    return oracle_estimate(poly, ctx["t"])
+
+
+def column_values(columns, t: float, poly: Polytope) -> list[float]:
+    """Exact values of the evaluators ``columns`` on ``poly`` at intensity
+    t, with a fresh cache: the bound report's functional, as a partial
+    over ``columns`` and ``t``."""
+    ctx = {"t": t, "rng": None, "cache": {}, "mode": "exact",
+           "n_dirs": DEFAULT_MC_DIRS}
+    return [fn(poly, ctx) for fn in columns]
 
 
 # the keys a functional record of each type may carry; any other key,
@@ -214,22 +245,16 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
             j = int(spec["j"])
             if not 0 <= j <= d:
                 raise ValueError(f"functionals[{i}]: j must be in 0..{d}")
-            if j == 0:
-                add("V_0", lambda p, ctx: euler_indicator(p))
-            else:
-                add(f"V_{j}",
-                    lambda p, ctx, j=j: float(_cached_volumes(p, ctx)[j]))
+            add(f"V_{j}", partial(_volume_column, j) if j else _euler_column)
         elif kind == "f":
             j = int(spec["j"])
             if not 0 <= j <= d - 1:
                 raise ValueError(f"functionals[{i}]: j must be in 0..{d - 1}")
-            add(f"f_{j}",
-                lambda p, ctx, j=j: float(_cached_fvector(p, ctx)[j]))
+            add(f"f_{j}", partial(_face_column, j))
         elif kind == "wills":
-            add("wills", lambda p, ctx: _combination(
-                (1.0,) * (d + 1), _cached_volumes(p, ctx)))
+            add("wills", partial(_combination_column, (1.0,) * (d + 1)))
         elif kind == "oracle":
-            add("oracle", lambda p, ctx: oracle_estimate(p, ctx["t"]))
+            add("oracle", _oracle_column)
         elif kind == "valuation":
             if "coeffs" not in spec or "label" not in spec:
                 raise ValueError(
@@ -249,54 +274,10 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
                                  f"{vspec.label!r} repeats with other "
                                  "coefficients")
             vspec.warn_if_not_clt()
-            add(vspec.label, lambda p, ctx, v=vspec: _combination(
-                v.coeffs, _cached_volumes(p, ctx)))
+            add(vspec.label, partial(_combination_column, vspec.coeffs))
         else:  # multivariate
             for j in range(1, d + 1):
-                add(f"V_{j}",
-                    lambda p, ctx, j=j: float(_cached_volumes(p, ctx)[j]))
+                add(f"V_{j}", partial(_volume_column, j))
             for j in range(d):
-                add(f"f_{j}",
-                    lambda p, ctx, j=j: float(_cached_fvector(p, ctx)[j]))
+                add(f"f_{j}", partial(_face_column, j))
     return cols
-
-
-class ColumnValues:
-    """Exact values of named table columns on a polytope, as a picklable
-    callable: ``self(poly)`` lists the values of the ``labels`` columns
-    that ``build_evaluators(functional_specs, d)`` makes, each polytope
-    with a fresh cache.
-
-    It holds the functional records rather than their evaluators (which
-    are closures and do not pickle) and builds the evaluators on first
-    use, once in each process it is unpickled in.
-    """
-
-    def __init__(self, functional_specs, labels, d: int, t: float,
-                 n_dirs: int):
-        self.functional_specs = [dict(f) for f in functional_specs]
-        self.labels = tuple(labels)
-        self.d = d
-        self.t = t
-        self.n_dirs = n_dirs
-        self._columns = None
-
-    def __getstate__(self):
-        return {**self.__dict__, "_columns": None}
-
-    def columns(self) -> dict:
-        if self._columns is None:
-            self._columns = dict(build_evaluators(self.functional_specs,
-                                                  self.d))
-        return self._columns
-
-    def __call__(self, poly: Polytope) -> list[float]:
-        columns = self.columns()
-        ctx = {"t": self.t, "rng": None, "cache": {}, "mode": "exact",
-               "n_dirs": self.n_dirs}
-        return [columns[lab](poly, ctx) for lab in self.labels]
-
-    def scalar(self, poly: Polytope) -> float:
-        """The value of the single column (the univariate report)."""
-        value, = self(poly)
-        return value

@@ -360,17 +360,6 @@ def _estimate_core(body, t, vf, n_outer, n_inner, rng, sampling, shell_c,
     return (g1, g2, g3, se1, se2, se3)
 
 
-class _Scalar:
-    """A scalar functional as a length-1 vector functional; picklable
-    whenever the functional is."""
-
-    def __init__(self, functional):
-        self.functional = functional
-
-    def __call__(self, poly) -> np.ndarray:
-        return np.array([float(self.functional(poly))])
-
-
 def estimate_taus(
     body: ConvexBody,
     t: float,
@@ -386,9 +375,10 @@ def estimate_taus(
 ) -> TauEstimate:
     """Monte Carlo estimates of the three univariate error terms.
 
-    ``functional`` maps a polytope to a raw scalar; ``variance_estimate``
-    is the plug-in variance used to put the functional on unit-variance
-    scale (means cancel inside differences, so only the scale matters).
+    ``functional`` maps a polytope to a raw scalar or a one-element
+    sequence; ``variance_estimate`` is the plug-in variance used to put
+    the functional on unit-variance scale (means cancel inside
+    differences, so only the scale matters).
     With ``workers > 1`` the outer steps run in a process pool, which
     needs a picklable ``functional``; the estimates are the same for any
     worker count.
@@ -396,7 +386,7 @@ def estimate_taus(
     if variance_estimate <= 0:
         raise ValueError("variance_estimate must be positive")
     vf = VectorFunctional(
-        fn=_Scalar(functional),
+        fn=functional,
         labels=(label,),
         scales=np.array([math.sqrt(variance_estimate)]),
     )
@@ -414,7 +404,6 @@ def estimate_gammas(
     body: ConvexBody,
     t: float,
     vector_functional: VectorFunctional,
-    covariance_estimate: np.ndarray,
     n_outer: int,
     n_inner: int,
     rng: np.random.Generator,
@@ -425,26 +414,18 @@ def estimate_gammas(
     """Monte Carlo estimates of the three multivariate error terms.
 
     With a single component and the same generator state this reduces
-    exactly to :func:`estimate_taus`; ``workers`` works as there.
+    exactly to :func:`estimate_taus`; ``workers`` works as there.  The
+    bound m sqrt(gamma1) + (m/2) sqrt(gamma2) + (m^2/4) gamma3 is the
+    d_3 bound for the covariance of the standardized vector itself, so
+    no covariance matrix enters the estimate.
     """
-    m = vector_functional.m
-    cov = np.asarray(covariance_estimate, dtype=float)
-    if cov.shape != (m, m):
-        raise ValueError(f"covariance_estimate must be {m} x {m}")
-    if not np.allclose(cov, cov.T, atol=1e-10):
-        raise ValueError("covariance_estimate must be symmetric")
-    if np.max(np.abs(np.diag(cov) - 1.0)) > 1e-6:
-        raise ValueError("covariance_estimate must have unit diagonal "
-                         "(standardized components)")
-    if np.linalg.eigvalsh(cov).min() < -1e-8:
-        raise ValueError("covariance_estimate must be positive semi-definite")
     g1, g2, g3, se1, se2, se3 = _estimate_core(
         body, t, vector_functional, n_outer, n_inner, rng, sampling, shell_c,
         workers,
     )
     return GammaEstimate(
         gamma1=g1, gamma2=g2, gamma3=g3, se1=se1, se2=se2, se3=se3,
-        m=m, labels=vector_functional.labels,
+        m=vector_functional.m, labels=vector_functional.labels,
         n_outer=n_outer, n_inner=n_inner, t=t, sampling=sampling,
     )
 

@@ -202,6 +202,35 @@ class TestConfigValidation:
                                               "key 'jj'.*known: type, j"):
             ExperimentConfig.from_dict(raw)
 
+    ELLIPSE = {"kind": "ellipsoid", "dim": 2, "semi_axes": [1.0, 2.0]}
+
+    @pytest.mark.parametrize("override, block, path", [
+        ({"body": ELLIPSE}, {}, "malliavin.sampling"),
+        ({"t_grid": [1.0, 80.0]}, {"t": 1.0}, "malliavin.t"),
+        ({}, {"c": 100.0}, "malliavin.c"),
+    ], ids=["ellipsoid", "t", "c"])
+    def test_boundary_shell_checked_at_parse(self, override, block, path):
+        # the shell sampler would raise only after every table is written
+        raw = tiny_raw(**override, malliavin={"t": 80.0, "functional": "V_2",
+                                              **block})
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == path
+        raw["malliavin"]["sampling"] = "plain"
+        assert ExperimentConfig.from_dict(raw).malliavin.sampling == "plain"
+
+    @pytest.mark.parametrize("override, path", [
+        ({"allow_nonsmooth": "false"}, "allow_nonsmooth"),
+        ({"allow_non_clt": 0}, "allow_non_clt"),
+        ({"malliavin": {"t": 80.0, "multivariate": "false"}},
+         "malliavin.multivariate"),
+    ], ids=["allow_nonsmooth", "allow_non_clt", "multivariate"])
+    def test_boolean_keys_take_booleans_only(self, override, path):
+        # bool("false") is True
+        with pytest.raises(ConfigError, match="expected true or false") as exc:
+            ExperimentConfig.from_dict(tiny_raw(**override))
+        assert exc.value.path == path
+
     def test_file_errors_carry_path(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -270,6 +299,22 @@ class TestRunAndManifest:
         failed = [c for c in result["checks"] if not c["passed"]]
         assert len(failed) == 1 and key in failed[0]["detail"]
         assert failed[0]["name"] == "report reproducible from tables"
+
+    @pytest.mark.parametrize("how", ["file", "entry"])
+    def test_verify_fails_without_report(self, tmp_path, how):
+        run("smoke", outdir=tmp_path)
+        path = tmp_path / "smoke" / "manifest.json"
+        if how == "file":
+            (tmp_path / "smoke" / "report.json").unlink()
+        else:
+            stored = json.loads(path.read_text())
+            del stored["reports"]["report"]
+            path.write_text(json.dumps(stored))
+        result = verify(path, quiet=True)
+        assert not result["ok"]
+        failed = [c["name"] for c in result["checks"] if not c["passed"]]
+        # the preset's assertion still runs, on an empty report
+        assert failed == ["report exists", "assertion mean_close"]
 
     def test_manifest_round_trip(self, tmp_path):
         run(tiny_raw(t_grid=[30.0], n_reps=10), outdir=tmp_path)
@@ -559,6 +604,23 @@ class TestCLI:
         cfg_path.write_text(json.dumps(tiny_raw(n_reps=2.9)))
         assert cli_main(["run", str(cfg_path)]) == 1
         assert "cfg.json:n_reps: expected int" in capsys.readouterr().err
+
+    def test_string_boolean_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(
+            body={"kind": "cube", "dim": 2}, allow_nonsmooth="false")))
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert "cfg.json:allow_nonsmooth" in capsys.readouterr().err
+        assert not (tmp_path / "tiny").exists()
+
+    def test_shell_on_ellipsoid_writes_no_table(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(
+            body=TestConfigValidation.ELLIPSE,
+            malliavin={"t": 80.0, "functional": "V_2"})))
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert "cfg.json:malliavin.sampling" in capsys.readouterr().err
+        assert not (tmp_path / "tiny").exists()
 
     def test_taus_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

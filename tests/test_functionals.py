@@ -1,6 +1,8 @@
 """Tests for valuations, the total intrinsic volume, and the estimator."""
+import functools
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from randpoly.bodies import Ball, sample_poisson_process
 from randpoly.functionals import (
     ValuationSpec,
     build_evaluators,
+    column_values,
     euler_indicator,
     intrinsic_volumes,
     multivariate_labels,
@@ -252,6 +255,34 @@ class TestEvaluators:
         assert vals["oracle"] == pytest.approx(1.4)
         assert vals["wills"] == pytest.approx(4.0)
         assert vals["V_0"] == 1.0
+
+    RECORDS = [{"type": "intrinsic", "j": 0}, {"type": "intrinsic", "j": 2},
+               {"type": "f", "j": 1}, {"type": "wills"}, {"type": "oracle"},
+               {"type": "valuation", "label": "half_area",
+                "coeffs": [0.0, 0.0, 0.0, 0.5]},
+               {"type": "multivariate"}]
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("record", RECORDS,
+                             ids=lambda r: r.get("label", r["type"]))
+    def test_evaluators_pickle(self, record, mode):
+        poly = convex_hull(sample_poisson_process(Ball(3), 200.0, stream(9)))
+        for name, fn in build_evaluators([record], d=3):
+            copy = pickle.loads(pickle.dumps(fn))
+            a, b = (f(poly, {"t": 200.0, "rng": stream(1), "cache": {},
+                             "mode": mode, "n_dirs": 16}) for f in (fn, copy))
+            assert a == b, name
+
+    def test_column_values(self):
+        evals = build_evaluators([{"type": "multivariate"},
+                                  {"type": "oracle"}], d=2)
+        values = functools.partial(column_values,
+                                   tuple(fn for _, fn in evals), 50.0)
+        poly = convex_hull(sample_poisson_process(Ball(2), 50.0, stream(9)))
+        ctx = {"t": 50.0, "rng": None, "cache": {}, "mode": "exact",
+               "n_dirs": 64}
+        assert values(poly) == [fn(poly, ctx) for _, fn in evals]
+        assert pickle.loads(pickle.dumps(values))(poly) == values(poly)
 
     def test_duplicates_collapse(self):
         evals = build_evaluators(

@@ -4,7 +4,9 @@ Random point sets in d = 2, 3, 4, their permutations and their translates
 by up to 1e3 are checked against the face lattice built on demand, the
 brute-force facet oracle, and per-simplex reference loops kept here.
 Rotated, scaled and translated boxes check the non-simplicial path
-against the combinatorics and intrinsic volumes of a box.
+against the combinatorics and intrinsic volumes of a box.  Rotated and
+scaled copies of samples, with duplicated rows, check that f-vectors are
+invariant and V_j is homogeneous of degree j.
 """
 import itertools
 import math
@@ -170,6 +172,44 @@ def test_boxes(d):
                           for j in range(d + 1)]
             assert exact_intrinsic_volumes(poly) == pytest.approx(
                 elementary, rel=1e-9)
+
+    check()
+
+
+@st.composite
+def similar_copies(draw, d, n_max):
+    """A uniform sample in the unit d-ball and its image under a random
+    rotation and a scaling by s in [1e-3, 1e3], with some rows repeated
+    and all rows shuffled; returns the sample, the image and s."""
+    n = draw(st.integers(d + 1, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = Ball(d).sample_uniform(rng, n)
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    rotation[:, 0] *= np.linalg.det(rotation)  # a rotation, not a reflection
+    s = 10.0 ** draw(st.floats(-3.0, 3.0))
+    repeats = rng.integers(0, n, draw(st.integers(1, n)))
+    image = np.vstack([pts, pts[repeats]]) @ rotation.T * s
+    return pts, image[rng.permutation(len(image))], s
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_similarity_invariance(d):
+    @PROPERTY
+    @given(similar_copies(d, 60))
+    def check(drawn):
+        pts, image, s = drawn
+        base, moved = convex_hull(pts), convex_hull(image)
+        assert f_vector(moved).counts == f_vector(base).counts
+        if d <= 3:
+            expected = [v * s**j for j, v
+                        in enumerate(exact_intrinsic_volumes(base))]
+            assert exact_intrinsic_volumes(moved) == pytest.approx(
+                expected, rel=1e-9)
+        else:  # V_d and V_{d-1} are the volume and half the surface
+            assert volume(moved) == pytest.approx(volume(base) * s**d,
+                                                  rel=1e-9)
+            assert surface_measure(moved) == pytest.approx(
+                surface_measure(base) * s ** (d - 1), rel=1e-9)
 
     check()
 

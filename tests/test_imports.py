@@ -26,16 +26,21 @@ print("scipy.optimize" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("module", ["randpoly", "randpoly.cli"])
-def test_import_skips_scipy_stats_and_optimize(module):
+def child_output(code: str) -> list[str]:
+    """The words a fresh interpreter running ``code`` prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
     )
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD.format(module=module)],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.split()
+
+
+@pytest.mark.parametrize("module", ["randpoly", "randpoly.cli"])
+def test_import_skips_scipy_stats_and_optimize(module):
+    out = child_output(CHILD.format(module=module))
     # the floating-body radius imports its root finder on first use
     assert out == ["0.8567581563109014", "True"]
 
@@ -64,12 +69,23 @@ print("scipy.optimize" in sys.modules)
 def test_small_run_and_plain_taus_skip_scipy_optimize():
     """The d = 2 hull prefilter finds its core radius without a root
     finder, so a run's warm-up and forked workers import none."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", RUN_CHILD],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.split()
-    assert out == ["False"]
+    assert child_output(RUN_CHILD) == ["False"]
+
+
+PARSE_CHILD = """
+import sys
+from randpoly.config import ExperimentConfig
+cfg = ExperimentConfig.from_dict({
+    "name": "shell", "body": {"kind": "ball", "dim": 2, "radius": 1.0},
+    "t_grid": [500.0], "n_reps": 3, "functionals": [{"type": "multivariate"}],
+    "malliavin": {"t": 500.0, "functional": "V_2", "c": 2.0,
+                  "sampling": "boundary_shell"},
+})
+print(cfg.malliavin.sampling, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_parsing_a_shell_block_skips_scipy_optimize():
+    """The parse-time boundary_shell checks need no floating-body radius,
+    so parsing stays out of a run's set-up time."""
+    assert child_output(PARSE_CHILD) == ["boundary_shell", "False"]
