@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from .records import RECORDS, ConfigError, check_record
+
 __all__ = [
     "ConvexBody",
     "Ball",
@@ -81,7 +83,9 @@ class ConvexBody:
 
     def spec(self) -> dict:
         """JSON-serializable description, invertible by body_from_spec."""
-        raise NotImplementedError
+        spec = {key: getattr(self, key) for key in RECORDS["body"][self.kind]}
+        return {key: v.tolist() if isinstance(v, np.ndarray) else v
+                for key, v in spec.items()}
 
 
 def _as_center(dim: int, center) -> np.ndarray:
@@ -122,14 +126,6 @@ class Ball(ConvexBody):
         out = self.center + g * r[:, None]
         return out[0] if n is None else out
 
-    def spec(self):
-        return {
-            "kind": "ball",
-            "dim": self.dim,
-            "radius": self.radius,
-            "center": self.center.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class Ellipsoid(ConvexBody):
@@ -163,14 +159,6 @@ class Ellipsoid(ConvexBody):
         out = self.center + g * r[:, None] * self.semi_axes
         return out[0] if n is None else out
 
-    def spec(self):
-        return {
-            "kind": "ellipsoid",
-            "dim": self.dim,
-            "semi_axes": self.semi_axes.tolist(),
-            "center": self.center.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class Cube(ConvexBody):
@@ -201,38 +189,19 @@ class Cube(ConvexBody):
         out = rng.uniform(-h, h, size=(m, self.dim))
         return out[0] if n is None else out
 
-    def spec(self):
-        return {"kind": "cube", "dim": self.dim, "side": self.side}
-
-
-# the keys a body spec of each kind may carry; a misspelt optional key
-# would otherwise leave its default in place without a word
-_SPEC_KEYS = {"ball": ("kind", "dim", "radius", "center"),
-              "ellipsoid": ("kind", "dim", "semi_axes", "center"),
-              "cube": ("kind", "dim", "side")}
-
 
 def body_from_spec(spec: dict) -> ConvexBody:
     """Build a body from its config record, e.g. {"kind":"ball","dim":2,"radius":1.0}."""
-    if "kind" not in spec or "dim" not in spec:
-        raise ValueError("body spec needs 'kind' and 'dim'")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
-        raise ValueError(f"unknown body kind {kind!r}")
-    for key in spec:
-        if key not in _SPEC_KEYS[kind]:
-            raise ValueError(f"unknown key {key!r} for kind {kind!r} "
-                             f"(known: {', '.join(_SPEC_KEYS[kind])})")
-    dim = int(spec["dim"])
-    if kind == "ball":
-        return Ball(dim, radius=float(spec.get("radius", 1.0)),
-                    center=spec.get("center"))
-    if kind == "ellipsoid":
-        if "semi_axes" not in spec:
-            raise ValueError("ellipsoid spec needs 'semi_axes'")
-        return Ellipsoid(dim, semi_axes=spec["semi_axes"],
-                         center=spec.get("center"))
-    return Cube(dim, side=float(spec.get("side", 1.0)))
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in RECORDS["body"]:
+        raise ConfigError("body", f"unknown body kind {kind!r}")
+    args = check_record(spec, RECORDS["body"][kind], "body", at="body")
+    del args["kind"]
+    for key in ("semi_axes", "center"):
+        if args.get(key) is not None and len(args[key]) != args["dim"]:
+            raise ConfigError(f"body.{key}", f"must have dim = {args['dim']} "
+                                             "entries")
+    return {"ball": Ball, "ellipsoid": Ellipsoid, "cube": Cube}[kind](**args)
 
 
 def sample_poisson_process(

@@ -20,6 +20,7 @@ from .hull import (
     intrinsic_volume_mc,
     volume,
 )
+from .records import RECORDS, ConfigError, check_record
 
 __all__ = [
     "ValuationSpec",
@@ -201,24 +202,17 @@ def column_values(columns, t: float, poly: Polytope) -> list[float]:
     return [fn(poly, ctx) for fn in columns]
 
 
-# the keys a functional record of each type may carry; any other key,
-# a misspelt one say, is an error
-_RECORD_KEYS = {"intrinsic": ("type", "j"), "f": ("type", "j"),
-                "wills": ("type",), "oracle": ("type",),
-                "valuation": ("type", "label", "coeffs"),
-                "multivariate": ("type",)}
-
-
 def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
     """Turn config functional records into named column evaluators.
 
     Records: {"type": "intrinsic", "j": int} | {"type": "f", "j": int}
     | {"type": "wills"} | {"type": "oracle"}
     | {"type": "valuation", "label": str, "coeffs": [...]}
-    | {"type": "multivariate"}.  Duplicate column names collapse to the
-    first occurrence; a valuation label may not be ``n_points`` or a
-    built-in column name, which it would silently replace, nor repeat
-    with other coefficients, which would drop the later valuation.
+    | {"type": "multivariate"}, checked against ``RECORDS``.  Duplicate
+    column names collapse to the first occurrence; a valuation label may
+    not be ``n_points`` or a built-in column name, which it would silently
+    replace, nor repeat with other coefficients, which would drop the
+    later valuation.
     """
     cols: list[tuple] = []
     seen: set[str] = set()
@@ -230,49 +224,40 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
             seen.add(name)
             cols.append((name, fn))
 
+    def fail(message):
+        raise ConfigError("functionals", f"{where}: {message}")
+
     for i, spec in enumerate(functional_specs):
-        kind = spec.get("type")
-        if not isinstance(kind, str) or kind not in _RECORD_KEYS:
-            raise ValueError(f"functionals[{i}]: unknown type {kind!r}")
-        for key in spec:
-            if key not in _RECORD_KEYS[kind]:
-                raise ValueError(f"functionals[{i}]: unknown key {key!r} for "
-                                 f"type {kind!r} (known: "
-                                 f"{', '.join(_RECORD_KEYS[kind])})")
-        if kind in ("intrinsic", "f") and "j" not in spec:
-            raise ValueError(f"functionals[{i}]: type {kind!r} needs 'j'")
+        where = f"functionals[{i}]"
+        kind = spec.get("type") if isinstance(spec, dict) else None
+        if not isinstance(kind, str) or kind not in RECORDS["functionals"]:
+            fail(f"unknown type {kind!r}")
+        rec = check_record(spec, RECORDS["functionals"][kind], where,
+                           at="functionals")
         if kind == "intrinsic":
-            j = int(spec["j"])
+            j = rec["j"]
             if not 0 <= j <= d:
-                raise ValueError(f"functionals[{i}]: j must be in 0..{d}")
+                fail(f"j must be in 0..{d}")
             add(f"V_{j}", partial(_volume_column, j) if j else _euler_column)
         elif kind == "f":
-            j = int(spec["j"])
+            j = rec["j"]
             if not 0 <= j <= d - 1:
-                raise ValueError(f"functionals[{i}]: j must be in 0..{d - 1}")
+                fail(f"j must be in 0..{d - 1}")
             add(f"f_{j}", partial(_face_column, j))
         elif kind == "wills":
             add("wills", partial(_combination_column, (1.0,) * (d + 1)))
         elif kind == "oracle":
             add("oracle", _oracle_column)
         elif kind == "valuation":
-            if "coeffs" not in spec or "label" not in spec:
-                raise ValueError(
-                    f"functionals[{i}]: valuation needs 'label' and 'coeffs'"
-                )
-            vspec = ValuationSpec(tuple(spec["coeffs"]), spec["label"])
+            vspec = ValuationSpec(tuple(rec["coeffs"]), rec["label"])
             if vspec.label in builtin:
-                raise ValueError(f"functionals[{i}]: label {vspec.label!r} "
-                                 "is a built-in column name")
+                fail(f"label {vspec.label!r} is a built-in column name")
             if vspec.dim != d:
-                raise ValueError(
-                    f"functionals[{i}]: coeffs must have length {d + 1}"
-                )
+                fail(f"coeffs must have length {d + 1}")
             first = valuation_coeffs.setdefault(vspec.label, vspec.coeffs)
             if first != vspec.coeffs:
-                raise ValueError(f"functionals[{i}]: valuation label "
-                                 f"{vspec.label!r} repeats with other "
-                                 "coefficients")
+                fail(f"valuation label {vspec.label!r} repeats with other "
+                     "coefficients")
             vspec.warn_if_not_clt()
             add(vspec.label, partial(_combination_column, vspec.coeffs))
         else:  # multivariate

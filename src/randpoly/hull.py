@@ -353,7 +353,22 @@ def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
         poly.is_simplicial = True
         return
 
-    hull = _QhullHull(work_pts)
+    options, tol = None, REL_TOL * poly.diameter
+    if ambient_pts is not None and ambient_pts.shape[1] == k:
+        # a far-off input shifted to its box midpoint keeps the rounding of
+        # its coordinates, half an ulp each: a point on a box facet misses
+        # its plane by about k - 1 of them, and qhull merges the facet only
+        # when given that round-off (with Qx above 4-d, as scipy does).
+        # Not for thin inputs: the merges broke 4-d slabs up to 130 sqrt(n)
+        # round-offs thick.  Merged facets' vertices were seen up to 0.8 k
+        # round-offs off their planes.
+        round_off = (k - 1) * float(np.spacing(np.abs(ambient_pts).max())) / 2
+        thickness = np.linalg.svd(work_pts - work_pts.mean(axis=0),
+                                  compute_uv=False)[-1]
+        if thickness > 1e4 * math.sqrt(len(work_pts)) * round_off:
+            options = f"E{round_off}" + " Qx" * (k > 4)
+            tol = max(tol, 2 * k * round_off)
+    hull = _QhullHull(work_pts, qhull_options=options)
     vert_idx = hull.vertices  # indices into work_pts
     remap = -np.ones(work_pts.shape[0], dtype=int)
     remap[vert_idx] = np.arange(len(vert_idx))
@@ -402,7 +417,7 @@ def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
     poly.facet_offsets = -eq[firsts, -1]
     poly._faces = None
 
-    _check_facet_inequalities(poly, REL_TOL * poly.diameter)
+    _check_facet_inequalities(poly, tol)
 
 
 def _subfaces(facets: np.ndarray, m: int) -> np.ndarray:

@@ -192,6 +192,21 @@ class TestBodySpecs:
         with pytest.raises(ValueError, match=f"unknown key .*known: {known}"):
             body_from_spec(spec)
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "ball", "dim": 2.5}, r"body\.dim: expected int"),
+        ({"kind": "ball", "dim": True}, r"body\.dim: expected int"),
+        ({"kind": "ball", "dim": 2, "radius": "2"},
+         r"body\.radius: expected float"),
+        ({"kind": "cube", "dim": 2, "side": math.nan},
+         r"body\.side: expected float"),
+        ({"kind": "ball", "dim": 2, "center": [0.0, math.nan]},
+         r"body\.center\[1\]: expected float"),
+    ], ids=["dim", "dim_bool", "radius_string", "side_nan", "center_nan"])
+    def test_bad_value(self, spec, message):
+        # int() and float() used to truncate or convert these
+        with pytest.raises(ValueError, match=message):
+            body_from_spec(spec)
+
     def test_smoothness_flags(self):
         assert Ball(2).is_smooth and Ellipsoid(2, semi_axes=[1, 2]).is_smooth
         assert not Cube(2).is_smooth

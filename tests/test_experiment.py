@@ -1,6 +1,8 @@
 """Tests for configuration, orchestration, manifests, and the CLI."""
+import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from randpoly import experiment
 from randpoly.cli import main as cli_main
 from randpoly.config import ConfigError, ExperimentConfig
+from randpoly.records import RECORDS, REQUIRED
 from randpoly.experiment import (
     PRESETS,
     RunManifest,
@@ -150,7 +153,29 @@ class TestConfigValidation:
         ({"functionals": [{"type": "intrinsic", "j": None}]},
          "functionals[0].j"),
         ({"malliavin": [1]}, "malliavin"),
-    ], ids=["workers", "j", "malliavin"])
+        ({"t_grid": "123"}, "t_grid"),
+        ({"t_grid": [40.0, math.nan, 160.0]}, "t_grid[1]"),
+        ({"t_grid": [40.0, 80.0, math.inf]}, "t_grid[2]"),
+        ({"t_grid": [40.0, 80.0, 10**400]}, "t_grid[2]"),
+        ({"functionals": [{"type": "valuation", "label": "a",
+                           "coeffs": "012"}]}, "functionals[0].coeffs"),
+        ({"functionals": [{"type": "valuation", "label": "a",
+                           "coeffs": [0, True, 1]}]},
+         "functionals[0].coeffs[1]"),
+        ({"functionals": [{"type": "valuation", "label": 5,
+                           "coeffs": [0, 1, 1]}]}, "functionals[0].label"),
+        ({"body": {"kind": "ball", "dim": 2, "radius": True}}, "body.radius"),
+        ({"body": {"kind": "ball", "dim": 2, "radius": "2"}}, "body.radius"),
+        ({"body": {"kind": "ball", "dim": 2, "radius": math.nan}},
+         "body.radius"),
+        ({"malliavin": {"t": 80.0, "functional": "V_2", "c": math.nan}},
+         "malliavin.c"),
+        ({"seed": -1}, "seed"),  # a valid int, but no seed of the rng
+        ({"outputs": 5}, "outputs"),
+    ], ids=["workers", "j", "malliavin", "t_grid_string", "t_grid_nan",
+            "t_grid_inf", "t_grid_huge", "coeffs_string", "coeffs_bool", "label",
+            "radius_bool", "radius_string", "radius_nan", "c_nan",
+            "seed_negative", "outputs"])
     def test_wrong_json_type(self, override, path):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(tiny_raw(**override))
@@ -169,8 +194,11 @@ class TestConfigValidation:
         ({"malliavin": {"t": 80.0, "functional": "V_2", "n_inner": True}},
          "malliavin.n_inner"),
         ({"body": {"kind": "ball", "dim": 2.5}}, "body.dim"),
+        ({"functionals": [{"type": "intrinsic", "j": "1"}]},
+         "functionals[0].j"),
+        ({"n_reps": "456"}, "n_reps"),
     ], ids=["j", "n_reps", "n_reps_list", "workers", "seed", "n_dirs",
-            "n_outer", "n_inner", "dim"])
+            "n_outer", "n_inner", "dim", "j_string", "n_reps_string"])
     def test_non_integral_int(self, override, path):
         # int() would truncate these, or read a bool as 0 or 1
         with pytest.raises(ConfigError, match="expected int") as exc:
@@ -230,6 +258,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="expected true or false") as exc:
             ExperimentConfig.from_dict(tiny_raw(**override))
         assert exc.value.path == path
+
+    def test_readme_table_mirrors_records(self):
+        """Each field of RECORDS has a row in the README's key table, its
+        record and kind named in the first cell, and each row is a field."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = readme.split("| Record | Key | Type | Default | Range |\n")[1]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in itertools.takewhile(
+                    lambda line: line.startswith("|"),
+                    lines.splitlines()[1:])]
+        fields = []
+        for record, table in RECORDS.items():
+            kinded = isinstance(next(iter(table.values())), dict)
+            for kind, keys in table.items() if kinded else [(record, table)]:
+                for key, f in keys.items():
+                    default = (f.default if f.default is REQUIRED
+                               else f"`{json.dumps(f.default)}`")
+                    fields.append(({record, kind},
+                                   [f"`{key}`", f.type, default, f.range]))
+
+        def same(names, cells, row):
+            return (row[1:] == cells
+                    and names <= set(re.findall(r"\w+", row[0])))
+        for names, cells in fields:
+            assert any(same(names, cells, row) for row in rows), cells
+        for row in rows:
+            assert any(same(*field, row) for field in fields), row
 
     def test_file_errors_carry_path(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -621,6 +676,23 @@ class TestCLI:
         assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
         assert "cfg.json:malliavin.sampling" in capsys.readouterr().err
         assert not (tmp_path / "tiny").exists()
+
+    @pytest.mark.parametrize("override, path", [
+        ({"seed": -1}, "seed"),
+        ({"functionals": [{"type": "valuation", "label": 5,
+                           "coeffs": [0, 1, 1]}]}, "functionals[0].label"),
+    ], ids=["seed", "label"])
+    def test_bad_value_writes_nothing(self, tmp_path, capsys, override, path):
+        # both used to fail only while running: a negative seed after the
+        # manifest was written, an int label after the first table
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(t_grid=[30.0], n_reps=20,
+                                                **override)))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {cfg_path}:{path}: " in err
+        assert not out.exists()
 
     def test_taus_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -306,6 +306,20 @@ class TestEvaluators:
                                              f"key .*known: {known}"):
             build_evaluators([{"type": "wills"}, spec], d=2)
 
+    @pytest.mark.parametrize("spec, path", [
+        ({"type": "intrinsic", "j": 1.5}, r"functionals\[1\]\.j"),
+        ({"type": "f", "j": True}, r"functionals\[1\]\.j"),
+        ({"type": "f", "j": "1"}, r"functionals\[1\]\.j"),
+        ({"type": "valuation", "label": 5, "coeffs": [0, 1, 1]},
+         r"functionals\[1\]\.label"),
+        ({"type": "valuation", "label": "a", "coeffs": [0, True, 1]},
+         r"functionals\[1\]\.coeffs\[1\]"),
+    ], ids=["j", "j_bool", "j_string", "label", "coeffs_bool"])
+    def test_bad_value(self, spec, path):
+        # int(spec["j"]) used to build V_1 from 1.5 and f_1 from true
+        with pytest.raises(ValueError, match=path + ": expected"):
+            build_evaluators([{"type": "wills"}, spec], d=2)
+
     @pytest.mark.parametrize("kind", ["intrinsic", "f"])
     def test_missing_index(self, kind):
         with pytest.raises(ValueError, match=r"functionals\[1\].*needs 'j'"):

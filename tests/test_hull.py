@@ -434,6 +434,19 @@ class TestFarFromOrigin:
         assert exact_intrinsic_volumes(poly) == pytest.approx(
             exact_intrinsic_volumes(near), rel=1e-9)
 
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("shift", [600.0, 1e8])
+    def test_rotated_cube_keeps_its_facets(self, d, shift):
+        # shifted to its box midpoint, a small cube kept the rounding of
+        # its far-off coordinates, and qhull split its squares
+        cube = 0.25 * unit_cube_vertices(d)
+        for seed in range(10):
+            rng = stream(69, seed)
+            rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            poly = convex_hull(cube @ rotation.T + shift)
+            assert f_vector(poly).counts == tuple(
+                math.comb(d, i) * 2 ** (d - i) for i in range(d))
+
     def test_near_inputs_keep_raw_coordinates(self):
         poly = convex_hull(random_ball_points(50, 2, seed=68) + 100.0)
         assert not poly.origin.any()
