@@ -136,6 +136,8 @@ class Ellipsoid(ConvexBody):
     is_smooth: bool = field(default=True, init=False)
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         a = np.asarray(self.semi_axes, dtype=float)
         if a.shape != (self.dim,) or np.any(a <= 0):
             raise ValueError("semi_axes must be dim positive reals")
@@ -197,11 +199,11 @@ def body_from_spec(spec: dict) -> ConvexBody:
         raise ConfigError("body", f"unknown body kind {kind!r}")
     args = check_record(spec, RECORDS["body"][kind], "body", at="body")
     del args["kind"]
-    for key in ("semi_axes", "center"):
-        if args.get(key) is not None and len(args[key]) != args["dim"]:
-            raise ConfigError(f"body.{key}", f"must have dim = {args['dim']} "
-                                             "entries")
-    return {"ball": Ball, "ellipsoid": Ellipsoid, "cube": Cube}[kind](**args)
+    cls = {"ball": Ball, "ellipsoid": Ellipsoid, "cube": Cube}[kind]
+    try:
+        return cls(**args)
+    except ValueError as exc:  # the body's own ranges
+        raise ConfigError("body", str(exc)) from exc
 
 
 def sample_poisson_process(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -80,6 +79,8 @@ class ExperimentConfig:
         t_grid = cfg["t_grid"]
         if not t_grid:
             raise ConfigError("t_grid", "must be non-empty")
+        if any(t <= 0 for t in t_grid):
+            raise ConfigError("t_grid", "intensities must be positive")
         if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
             raise ConfigError("t_grid", "must be strictly increasing")
         n_reps = cfg["n_reps"]
@@ -88,23 +89,26 @@ class ExperimentConfig:
         elif len(n_reps) != len(t_grid):
             raise ConfigError("n_reps",
                               "list must have one entry per t_grid value")
+        for i, n in enumerate(n_reps):
+            if n < 2:
+                raise ConfigError(f"n_reps[{i}]", "must be >= 2")
 
         functionals = cfg["functionals"]
         if not functionals:
             raise ConfigError("functionals", "must be non-empty")
-        with warnings.catch_warnings():
-            if not cfg["allow_non_clt"]:  # the gate below rejects what warns
-                warnings.simplefilter("ignore")
-            build_evaluators(functionals, body.dim)
         for i, f in enumerate(functionals):
-            if (f["type"] == "valuation" and not cfg["allow_non_clt"]
-                    and not ValuationSpec(f["coeffs"]).clt_compatible()):
+            if f.get("type") != "valuation" or cfg["allow_non_clt"]:
+                continue
+            record = check_record(f, RECORDS["functionals"]["valuation"],
+                                  f"functionals[{i}]", at="functionals")
+            if not ValuationSpec(record["coeffs"]).clt_compatible():
                 raise ConfigError(
                     f"functionals[{i}]",
                     "valuation fails the coefficient gate (mixed signs "
                     "or no nonzero c_k for k >= 1); set allow_non_clt "
                     "to evaluate it anyway",
                 )
+        build_evaluators(functionals, body.dim)
 
         if cfg["mode"] == "exact" and body.dim > 3:
             raise ConfigError("mode", "exact intrinsic volumes need dim <= 3; "

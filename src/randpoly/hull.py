@@ -225,8 +225,15 @@ def convex_hull(cloud: PointCloud | np.ndarray, dim: int | None = None) -> Polyt
         # vertices, so dropping interior points changes neither
         mid = 0.5 * (lo + hi)
         if float(np.linalg.norm(mid)) > FAR_FROM_ORIGIN * diam:
+            # the points keep their far-off rounding, up to d - 1 half
+            # ulps off a facet plane, and qhull merges a box's facets only
+            # given that round-off; not for thin inputs, whose merges broke
+            # 4-d slabs up to 130 sqrt(n) round-offs thick
+            round_off = (d - 1) * float(np.spacing(np.abs(pts).max())) / 2
+            if svals[-1] <= 1e4 * math.sqrt(n) * round_off:
+                round_off = 0.0
             _build_full(poly, pts - mid, np.arange(n), ambient_pts=pts,
-                        origin=mid, basis=np.eye(d))
+                        origin=mid, basis=np.eye(d), round_off=round_off)
         else:
             _build_full(poly, pts, np.arange(n))
         poly.affine_dim = d
@@ -325,12 +332,13 @@ def _as_point(poly: Polytope, p: np.ndarray, src: int) -> None:
 
 
 def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
-                basis=None) -> None:
+                basis=None, round_off=0.0) -> None:
     """Run qhull on full-rank points and keep its facet arrays.
 
     ``work_pts`` are the coordinates handed to qhull (chart coordinates for
     lower-dimensional inputs).  k = 1 inputs (a segment in any ambient
-    dimension) are ordered directly, without qhull.
+    dimension) are ordered directly, without qhull.  A nonzero
+    ``round_off`` is qhull's round-off bound (with Qx above 4-d, like scipy).
     """
     k = work_pts.shape[1]
     if k == 1:
@@ -354,20 +362,9 @@ def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
         return
 
     options, tol = None, REL_TOL * poly.diameter
-    if ambient_pts is not None and ambient_pts.shape[1] == k:
-        # a far-off input shifted to its box midpoint keeps the rounding of
-        # its coordinates, half an ulp each: a point on a box facet misses
-        # its plane by about k - 1 of them, and qhull merges the facet only
-        # when given that round-off (with Qx above 4-d, as scipy does).
-        # Not for thin inputs: the merges broke 4-d slabs up to 130 sqrt(n)
-        # round-offs thick.  Merged facets' vertices were seen up to 0.8 k
-        # round-offs off their planes.
-        round_off = (k - 1) * float(np.spacing(np.abs(ambient_pts).max())) / 2
-        thickness = np.linalg.svd(work_pts - work_pts.mean(axis=0),
-                                  compute_uv=False)[-1]
-        if thickness > 1e4 * math.sqrt(len(work_pts)) * round_off:
-            options = f"E{round_off}" + " Qx" * (k > 4)
-            tol = max(tol, 2 * k * round_off)
+    if round_off:  # box vertices were seen 0.8 k round-offs off merged facets
+        options = f"E{round_off}" + " Qx" * (k > 4)
+        tol = max(tol, 2 * k * round_off)
     hull = _QhullHull(work_pts, qhull_options=options)
     vert_idx = hull.vertices  # indices into work_pts
     remap = -np.ones(work_pts.shape[0], dtype=int)

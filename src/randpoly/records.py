@@ -4,7 +4,9 @@
 ``malliavin`` block, each body kind, each functional type): a JSON type, a
 default (``REQUIRED`` if none) and a range.  Config parsing,
 ``body_from_spec`` and ``build_evaluators`` all call :func:`check_record`;
-rules that tie fields together stay with the code that reads the record.
+rules that tie fields together, positive intensities and ``n_reps`` >= 2
+(whose errors keep their paths) and a body's own ranges (checked by its
+constructor) stay with the code that reads the record.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ class Field(NamedTuple):
     range: str = ""
 
 
-_BODY = {"kind": Field("string"), "dim": Field("int", REQUIRED, ">= 1")}
+_BODY = {"kind": Field("string"), "dim": Field("int")}
 _CENTER = Field("list of float or null", None)
 _TYPE = {"type": Field("string")}
 _INDEX = {**_TYPE, "j": Field("int")}  # its range, 0..d or 0..d-1, needs d
@@ -44,8 +46,8 @@ RECORDS = {
     "config": {
         "name": Field("string", "experiment"),
         "body": Field("object"),
-        "t_grid": Field("list of float", REQUIRED, "positive"),
-        "n_reps": Field("int or list of int", REQUIRED, ">= 2"),
+        "t_grid": Field("list of float"),
+        "n_reps": Field("int or list of int"),
         "functionals": Field("list of object"),
         "mode": Field("string", "exact", "'exact' or 'mc'"),
         "n_dirs": Field("int", 4096),
@@ -67,12 +69,10 @@ RECORDS = {
         "multivariate": Field("bool", False),
     },
     "body": {
-        "ball": {**_BODY, "radius": Field("float", 1.0, "positive"),
-                 "center": _CENTER},
-        "ellipsoid": {**_BODY,
-                      "semi_axes": Field("list of float", REQUIRED, "positive"),
+        "ball": {**_BODY, "radius": Field("float", 1.0), "center": _CENTER},
+        "ellipsoid": {**_BODY, "semi_axes": Field("list of float"),
                       "center": _CENTER},
-        "cube": {**_BODY, "side": Field("float", 1.0, "positive")},
+        "cube": {**_BODY, "side": Field("float", 1.0)},
     },
     "functionals": {
         "intrinsic": _INDEX, "f": _INDEX, "wills": _TYPE, "oracle": _TYPE,
@@ -120,6 +120,8 @@ def _check_value(field: Field, value, path: str):
         if field.range and not _in_range(got, field.range):
             raise ConfigError(path, f"must be {field.range}")
         return got
+    if field.type.startswith("object"):
+        raise ConfigError(path, f"must be a JSON object, not {value!r}")
     expected = "true or false" if field.type == "bool" else field.type
     raise ConfigError(path, f"expected {expected}, not {value!r}")
 
@@ -131,7 +133,7 @@ def check_record(record, fields: dict[str, Field], where: str,
     is an error at ``where.key``; so is a bad key set, except that a body or
     functional reports it at ``at``, naming its kind (its first field)."""
     if not isinstance(record, dict):
-        raise ConfigError(where or "config", f"expected object, "
+        raise ConfigError(where or "config", f"must be a JSON object, "
                                              f"not {record!r}")
 
     def path(key):

@@ -172,10 +172,15 @@ class TestConfigValidation:
          "malliavin.c"),
         ({"seed": -1}, "seed"),  # a valid int, but no seed of the rng
         ({"outputs": 5}, "outputs"),
+        # out of range, reported where they always were
+        ({"t_grid": [40.0, -1.0, 160.0]}, "t_grid"),
+        ({"n_reps": 1}, "n_reps[0]"),
+        ({"body": {"kind": "ball", "dim": 2, "radius": -1.0}}, "body"),
     ], ids=["workers", "j", "malliavin", "t_grid_string", "t_grid_nan",
             "t_grid_inf", "t_grid_huge", "coeffs_string", "coeffs_bool", "label",
             "radius_bool", "radius_string", "radius_nan", "c_nan",
-            "seed_negative", "outputs"])
+            "seed_negative", "outputs", "t_grid_negative", "n_reps_one",
+            "radius_negative"])
     def test_wrong_json_type(self, override, path):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(tiny_raw(**override))

@@ -447,6 +447,22 @@ class TestFarFromOrigin:
             assert f_vector(poly).counts == tuple(
                 math.comb(d, i) * 2 ** (d - i) for i in range(d))
 
+    @pytest.mark.parametrize("thickness", [40, 130])
+    def test_thin_slab_at_1e8(self, thickness):
+        # a 4-d slab this many sqrt(n) round-offs thick: given the
+        # round-off as its bound, qhull merged facets that left vertices
+        # off their planes or a face lattice that did not grade
+        d, n = 4, 100
+        round_off = (d - 1) * np.spacing(1e8) / 2
+        for seed in range(10):
+            rng = stream(71, seed)
+            rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            slab = rng.uniform(-0.2, 0.2, (n, d))
+            slab[:, -1] = thickness * round_off * rng.standard_normal(n)
+            poly = convex_hull(slab @ rotation.T + 1e8)
+            f0, f1, f2, f3 = f_vector(poly).counts
+            assert poly.affine_dim == d and f0 - f1 + f2 - f3 == 0  # Euler
+
     def test_near_inputs_keep_raw_coordinates(self):
         poly = convex_hull(random_ball_points(50, 2, seed=68) + 100.0)
         assert not poly.origin.any()

@@ -4,10 +4,10 @@ Random point sets in d = 2, 3, 4, their permutations and their translates
 by up to 1e3 are checked against the face lattice built on demand, the
 brute-force facet oracle, and per-simplex reference loops kept here.
 Rotated, scaled and translated boxes check the non-simplicial path
-against the combinatorics of a box, at translates up to 1e8, and its
-intrinsic volumes, at translates up to 10.  Rotated and scaled copies of
-samples, with duplicated rows, check that f-vectors are invariant and V_j
-is homogeneous of degree j.
+against the combinatorics of a box, at translates up to 10 and up to
+1e8, and its intrinsic volumes, at the translates up to 10.  Rotated and
+scaled copies of samples, with duplicated rows, check that f-vectors are
+invariant and V_j is homogeneous of degree j.
 """
 import itertools
 import math
@@ -136,8 +136,8 @@ def test_metrics_match_reference_loops(d):
 @st.composite
 def boxes(draw, d):
     """The corners of a box, then points on its facets and lower faces,
-    under one rotation and translation; returns the points, the box's
-    side lengths and the translation."""
+    under one rotation, translated by up to 10 and by 1e2 to 1e8; returns
+    the two translates and the box's side lengths."""
     sides = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=d,
                                    max_size=d)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -147,11 +147,11 @@ def boxes(draw, d):
         pinned = rng.choice(d, rng.integers(1, d), replace=False)
         row[pinned] = rng.integers(0, 2, len(pinned))
     rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    shift = np.array(draw(st.lists(st.floats(-10.0, 10.0)
-                                   | st.floats(-1e8, 1e8),
-                                   min_size=d, max_size=d)))
-    pts = np.vstack([corners, extra]) * sides @ rotation.T + shift
-    return pts, sides, shift
+    shift = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+    exponents = draw(st.lists(st.floats(2.0, 8.0), min_size=d, max_size=d))
+    far = rng.choice([-1.0, 1.0], d) * 10.0 ** np.array(exponents)
+    box = np.vstack([corners, extra]) * sides @ rotation.T
+    return box + np.array(shift), box + far, sides
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -159,21 +159,23 @@ def test_boxes(d):
     @PROPERTY
     @given(boxes(d))
     def check(drawn):
-        pts, sides, shift = drawn
-        poly = convex_hull(pts)
-        assert poly._faces is None  # the lattice waits for a caller
-        assert poly.is_simplicial == (d == 2)
-        assert sorted(poly.source_indices.tolist()) == list(range(2**d))
-        fv = f_vector(poly).counts
-        assert fv == tuple(math.comb(d, i) * 2 ** (d - i) for i in range(d))
-        assert fv == tuple(len(poly.faces[i]) for i in range(d))
-        if d <= 3 and np.abs(shift).max() <= 10.0:
+        pts, far_pts, sides = drawn
+        near, far = convex_hull(pts), convex_hull(far_pts)
+        for poly in (near, far):
+            assert poly._faces is None  # the lattice waits for a caller
+            assert poly.is_simplicial == (d == 2)
+            assert sorted(poly.source_indices.tolist()) == list(range(2**d))
+            fv = f_vector(poly).counts
+            assert fv == tuple(math.comb(d, i) * 2 ** (d - i)
+                               for i in range(d))
+            assert fv == tuple(len(poly.faces[i]) for i in range(d))
+        if d <= 3:
             # V_j of a box is the j-th elementary symmetric polynomial of
-            # its sides; the translation costs digits
+            # its sides; the translation by up to 10 costs digits
             elementary = [sum(math.prod(c) for c in
                               itertools.combinations(sides, j))
                           for j in range(d + 1)]
-            assert exact_intrinsic_volumes(poly) == pytest.approx(
+            assert exact_intrinsic_volumes(near) == pytest.approx(
                 elementary, rel=1e-9)
 
     check()
