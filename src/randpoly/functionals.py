@@ -131,18 +131,19 @@ def _combination(coeffs, vols) -> float:
     return float(sum(c * v for c, v in zip(coeffs, vols)))
 
 
-def oracle_estimate(poly: Polytope, t: float) -> float:
+def oracle_estimate(poly: Polytope, t: float,
+                    vd: float | None = None) -> float:
     """Volume estimator for a known-intensity sample: V_d + f_0 / t.
 
     Unbiased for the volume of the generating body when ``poly`` is the
     hull of a Poisson sample with intensity ``t``; the empty hull maps
-    to 0.
+    to 0.  ``vd`` is V_d when the caller already has it.
     """
     if t <= 0:
         raise ValueError("intensity t must be positive")
     if poly.is_empty():
         return 0.0
-    return volume(poly) + poly.n_vertices / t
+    return (volume(poly) if vd is None else vd) + poly.n_vertices / t
 
 
 def multivariate_labels(d: int) -> list[str]:
@@ -190,7 +191,11 @@ def _combination_column(coeffs, poly, ctx) -> float:
 
 
 def _oracle_column(poly, ctx) -> float:
-    return oracle_estimate(poly, ctx["t"])
+    # V_d is the last cached intrinsic volume (the same volume call) when
+    # a column has asked for them; alone, it draws no mc projection
+    ivols = ctx["cache"].get("ivols")
+    return oracle_estimate(poly, ctx["t"],
+                           None if ivols is None else ivols[-1])
 
 
 def column_values(columns, t: float, poly: Polytope) -> list[float]:

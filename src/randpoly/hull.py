@@ -20,6 +20,9 @@ Most points of a Poisson sample in a smooth body lie inside its floating
 body, which the hull contains with high probability, so they never become
 vertices.  :func:`prefiltered_hull` hands qhull only the points outside a
 core ball and proves afterwards that the dropped points changed nothing.
+Sampled balls in d = 2 and d = 3 use it.  In d = 3 it returns hulls in a
+canonical order, so their metrics depend on the vertex set alone and do
+not move with the points qhull was spared.
 """
 from __future__ import annotations
 
@@ -294,30 +297,37 @@ def prefiltered_hull(cloud: PointCloud | np.ndarray,
     cloud.  Otherwise the whole cloud is hulled.  Callers pass their own
     module's ``convex_hull`` as ``build``, so a profiler that wraps it
     there sees every hull at its call site.
+
+    A full-dimensional 3-D hull is returned in canonical order on either
+    branch (:func:`_canonical_order`), so the accepted outer hull and the
+    hull of all the points give bit-equal metrics.
     """
-    if core is not None:
-        pts = cloud.points if isinstance(cloud, PointCloud) else cloud
-        got = outer_hull(np.asarray(pts, dtype=float), *core, build=build)
-        if got is not None and got[1] > core[1] * (1.0 + REL_TOL):
-            return got[0]
-    return build(cloud)
+    pts = cloud.points if isinstance(cloud, PointCloud) else cloud
+    got = (None if core is None else
+           outer_hull(np.asarray(pts, dtype=float), *core, build=build))
+    accept = got is not None and got[1] > core[1] * (1.0 + REL_TOL)
+    poly = got[0] if accept else build(cloud)
+    if poly.dim_ambient == 3 and poly.is_full_dimensional():
+        _canonical_order(poly)
+    return poly
 
 
 def floating_core(body, t: float) -> tuple[np.ndarray, float] | None:
     """Core ball for :func:`prefiltered_hull` of a Poisson sample of ``body``
-    at intensity t: the floating body at cap volume 2 log t / t of a
-    2-dimensional ball.  None for every other body, and where that
+    at intensity t: the floating body at cap volume 2 log t / t of a ball
+    in d = 2 or d = 3.  None for every other body, and where that
     floating body is undefined.
 
     In d = 2 the hull of the outer points comes out of qhull with the same
     vertex and facet arrays as the hull of all the points, so every
-    metric is bit-identical.  In d >= 3 qhull orders the facets
-    differently, which moves volumes at round-off, so the prefilter is
-    not used there.
+    metric is bit-identical.  In d = 3 :func:`prefiltered_hull` puts both
+    hulls into one canonical order, which makes their metrics bit-equal.
+    In d >= 4 the outer hull misses the core too often to pay (57 of 100
+    draws accepted at t = 200).
     """
-    if not (isinstance(body, Ball) and body.dim == 2 and t > 1.0):
+    if not (isinstance(body, Ball) and body.dim in (2, 3) and t > 1.0):
         return None
-    rho = ball_core_radius(2, body.radius, 2.0 * math.log(t) / t)
+    rho = ball_core_radius(body.dim, body.radius, 2.0 * math.log(t) / t)
     return None if rho is None else (body.center, rho)
 
 
@@ -341,46 +351,38 @@ def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
     ``round_off`` is qhull's round-off bound (with Qx above 4-d, like scipy).
     """
     k = work_pts.shape[1]
+    if ambient_pts is None:  # raw coordinates of a full-dimensional input
+        ambient_pts, origin, basis = work_pts, np.zeros(k), np.eye(k)
+    poly.origin, poly.basis = origin.copy(), basis.copy()
     if k == 1:
         c = work_pts[:, 0]
-        i_lo, i_hi = int(np.argmin(c)), int(np.argmax(c))
-        order = [i_lo, i_hi]
-        poly.vertices = (work_pts if ambient_pts is None else ambient_pts)[order].copy()
-        poly.source_indices = src_idx[order]
-        poly.local_vertices = work_pts[order].copy()
+        vert_idx = np.array([np.argmin(c), np.argmax(c)])
+    else:
+        options, tol = None, REL_TOL * poly.diameter
+        if round_off:  # box vertices sat 0.8 k round-offs off merged facets
+            options = f"E{round_off}" + " Qx" * (k > 4)
+            tol = max(tol, 2 * k * round_off)
+        hull = _QhullHull(work_pts, qhull_options=options)
+        if k == 2:
+            # counter-clockwise, and d = 2 areas round in this order
+            vert_idx = hull.vertices
+        else:  # the ids in the simplices, ascending, as np.unique has them
+            used = np.zeros(work_pts.shape[0], dtype=bool)
+            used[hull.simplices] = True
+            vert_idx = np.flatnonzero(used)
+    poly.local_vertices = work_pts[vert_idx].copy()
+    poly.source_indices = src_idx[vert_idx]
+    poly.vertices = (poly.local_vertices if ambient_pts is work_pts
+                     else ambient_pts[vert_idx].copy())
+    if k == 1:
         poly._faces = {0: frozenset({(0,), (1,)})}
         poly.facet_vertex_sets = [(0,), (1,)]
         poly.facet_normals = np.array([[-1.0], [1.0]])
-        poly.facet_offsets = np.array([-c[i_lo], c[i_hi]])
-        if ambient_pts is not None:
-            poly.origin = origin.copy()
-            poly.basis = basis.copy()
-        else:
-            poly.origin = np.zeros(1)
-            poly.basis = np.eye(1)
-        poly.is_simplicial = True
+        poly.facet_offsets = np.array([-1.0, 1.0]) * poly.local_vertices[:, 0]
         return
 
-    options, tol = None, REL_TOL * poly.diameter
-    if round_off:  # box vertices were seen 0.8 k round-offs off merged facets
-        options = f"E{round_off}" + " Qx" * (k > 4)
-        tol = max(tol, 2 * k * round_off)
-    hull = _QhullHull(work_pts, qhull_options=options)
-    vert_idx = hull.vertices  # indices into work_pts
     remap = -np.ones(work_pts.shape[0], dtype=int)
     remap[vert_idx] = np.arange(len(vert_idx))
-
-    poly.local_vertices = work_pts[vert_idx].copy()
-    poly.source_indices = src_idx[vert_idx]
-    if ambient_pts is None:
-        poly.vertices = poly.local_vertices
-        poly.origin = np.zeros(k)
-        poly.basis = np.eye(k)
-    else:
-        poly.vertices = ambient_pts[vert_idx].copy()
-        poly.origin = origin.copy()
-        poly.basis = basis.copy()
-
     simplices = remap[hull.simplices]  # (S, k), new indexing
     eq = hull.equations
     neighbors = hull.neighbors
@@ -393,8 +395,10 @@ def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
     # facets (cubes get squares back).  Nearly coplanar but distinct
     # facets, e.g. sliver pairs on large random hulls, carry distinct
     # equations and stay separate, so sampled hulls are simplicial.
-    coplanar = (eq[neighbors] == eq[:, None]).all(axis=-1)
-    if not coplanar.any():
+    # (offsets are rarely equal, so whole equations are compared only then)
+    coplanar = ((eq[neighbors, -1] == eq[:, -1:]).any()
+                and (eq[neighbors] == eq[:, None]).all(axis=-1).any())
+    if not coplanar:
         firsts = slice(None)
         poly.simplex_facet = np.arange(len(simplices))
         poly.facet_vertex_sets = np.sort(simplices, axis=1)
@@ -415,6 +419,50 @@ def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
     poly._faces = None
 
     _check_facet_inequalities(poly, tol)
+
+
+def _canonical_order(poly: Polytope) -> None:
+    """Renumber a qhull hull in an order fixed by its vertex set alone.
+
+    Vertices are ordered by their coordinates, each simplex row and then
+    the simplices are sorted, and the neighbor, facet and plane arrays
+    are permuted to match (facets in order of their first simplex; the
+    plane values stay qhull's).  Metrics sum over simplices in this
+    order and take normals from the rows, so a hull's values do not
+    depend on the other points qhull saw or on their order.
+    """
+    lv = poly.local_vertices
+    vorder = np.lexsort(lv.T[::-1])
+    vrank = np.argsort(vorder)
+    tri = vrank[poly.facet_simplices]
+    n_s, k = tri.shape
+    # the flat index of each entry in its sorted row moves the neighbors
+    # with it; sorted rows read as digits in base len(lv) order simplices
+    at = ((tri[:, :, None] > tri[:, None, :]).sum(axis=2)
+          + k * np.arange(n_s)[:, None]).ravel()
+    rows = np.empty((2, n_s * k), dtype=tri.dtype)
+    rows[:, at] = tri.ravel(), poly.facet_neighbors.ravel()
+    tri, nb = rows.reshape(2, n_s, k)
+    sorder = (np.argsort(tri @ len(lv) ** np.arange(k - 1, -1, -1))
+              if len(lv) ** k < 2 ** 63 else np.lexsort(tri.T[::-1]))
+    poly.facet_simplices = tri[sorder]
+    poly.facet_neighbors = np.argsort(sorder)[nb[sorder]]
+    if poly.is_simplicial:  # simplex s is facet s
+        forder = sorder
+        poly.facet_vertex_sets = poly.facet_simplices
+    else:
+        fid = poly.simplex_facet[sorder]
+        forder = fid[np.sort(np.unique(fid, return_index=True)[1])]
+        poly.simplex_facet = np.argsort(forder)[fid]
+        poly.facet_vertex_sets = [
+            tuple(sorted(vrank[list(poly.facet_vertex_sets[f])].tolist()))
+            for f in forder]
+    poly.facet_normals = poly.facet_normals[forder]
+    poly.facet_offsets = poly.facet_offsets[forder]
+    poly.local_vertices = lv[vorder]
+    poly.vertices = poly.vertices[vorder]
+    poly.source_indices = poly.source_indices[vorder]
+    poly._faces = None
 
 
 def _subfaces(facets: np.ndarray, m: int) -> np.ndarray:
@@ -606,39 +654,34 @@ def exact_intrinsic_volumes(poly: Polytope) -> list[float]:
 
 
 def _mean_width_term_3d(poly: Polytope) -> float:
-    """V_1 of a 3-polytope: sum of edge length times exterior angle, / 2 pi."""
-    edges, pairs = _edge_facet_pairs(poly)
-    n = poly.facet_normals
-    cos = np.clip(_row_dots(n[pairs[:, 0]], n[pairs[:, 1]]), -1.0, 1.0)
-    e = poly.local_vertices[edges[:, 0]] - poly.local_vertices[edges[:, 1]]
-    length = np.sqrt(_row_dots(e, e))
-    return float((length * np.arccos(cos)).sum() / (2.0 * math.pi))
+    """V_1 of a 3-polytope: sum of edge length times exterior angle, / 2 pi.
 
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, rounded as ``a[i] @ b[i]`` rounds them.
-
-    An elementwise product summed along rows rounds differently, and acos
-    amplifies that near cos = 1: on sampled 3-D hulls the two roundings
-    gave values of V_1 up to 1.6e-11 apart (relative).
+    The edges are the ridges between simplices s < r of different facets,
+    r = facet_neighbors[s, i] across the ridge opposite slot i.  Normals
+    are cross products of the simplex rows, turned outward by qhull's
+    planes, and angles atan2(|n_s x n_r|, n_s . n_r), well conditioned
+    where acos of a dot product near 1 is not.  Vectors are columns.
     """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _edge_facet_pairs(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Edges of a 3-polytope as (E, 2) vertex ids, and the two facets on each.
-
-    The edges are the ridges of qhull's triangulation between simplices of
-    different facets: the ridge opposite slot i of simplex s joins s and
-    n = facet_neighbors[s, i], and each is taken once, from s < n.
-    """
-    nb = poly.facet_neighbors
-    fid = poly.simplex_facet
+    nb, fid = poly.facet_neighbors, poly.simplex_facet
+    tri = poly.facet_simplices
     s, slot = np.nonzero((nb > np.arange(len(nb))[:, None])
                          & (fid[nb] != fid[:, None]))
-    tri = poly.facet_simplices
-    edges = np.column_stack([tri[s, (slot + 1) % 3], tri[s, (slot + 2) % 3]])
-    return edges, np.column_stack([fid[s], fid[nb[s, slot]]])
+    lv = np.ascontiguousarray(poly.local_vertices.T)
+    a = lv[:, tri[:, 0]]
+    u, v = lv[:, tri[:, 1]] - a, lv[:, tri[:, 2]] - a
+    n = _cross(u, v)
+    n *= np.sign((n * poly.facet_normals[fid].T).sum(axis=0))
+    n_s, n_r = n[:, s], n[:, nb[s, slot]]
+    sin = np.sqrt((_cross(n_s, n_r) ** 2).sum(axis=0))
+    w = v - u  # the edges opposite slots 0, 1, 2 are w, v and u
+    length = np.sqrt(np.array([w * w, v * v, u * u]).sum(axis=1))[slot, s]
+    return float((length * np.arctan2(sin, (n_s * n_r).sum(axis=0))).sum()
+                 / (2.0 * math.pi))
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross products of the columns of two (3, m) arrays, fast."""
+    return u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from randpoly import hull
 from randpoly.bodies import Ball, sample_poisson_process
 from randpoly.functionals import (
     ValuationSpec,
@@ -272,6 +273,29 @@ class TestEvaluators:
             a, b = (f(poly, {"t": 200.0, "rng": stream(1), "cache": {},
                              "mode": mode, "n_dirs": 16}) for f in (fn, copy))
             assert a == b, name
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_oracle_column_reads_the_cached_volume(self, mode, monkeypatch):
+        poly = convex_hull(sample_poisson_process(Ball(3), 200.0, stream(9)))
+        expected = oracle_estimate(poly, 200.0)
+        calls, chart_volume = [], hull._chart_volume
+        monkeypatch.setattr(hull, "_chart_volume",
+                            lambda p: calls.append(p) or chart_volume(p))
+        evals = build_evaluators([{"type": "multivariate"},
+                                  {"type": "oracle"}], d=3)
+        ctx = {"t": 200.0, "rng": stream(1), "cache": {}, "mode": mode,
+               "n_dirs": 16}
+        vals = [fn(poly, ctx) for _, fn in evals]
+        # one volume of the hull itself (mc mode also hulls projections)
+        assert vals[-1] == expected
+        assert sum(p is poly for p in calls) == 1
+        # alone, the column takes the volume and draws no projection
+        [(_, oracle)] = build_evaluators([{"type": "oracle"}], d=3)
+        rng, untouched = stream(1), stream(1)
+        ctx = {"t": 200.0, "rng": rng, "cache": {}, "mode": mode,
+               "n_dirs": 16}
+        assert oracle(poly, ctx) == expected
+        assert rng.random() == untouched.random()
 
     def test_column_values(self):
         evals = build_evaluators([{"type": "multivariate"},

@@ -4,9 +4,12 @@ Balls with random centres (translates up to 1e3), random radii and a range
 of intensities down to a few points, where the core is often not inside
 the hull of the outer points.  Whenever the prefilter accepts the outer
 hull, it has the facets of the hull of all the points; in d = 2 it is the
-same polytope down to the last bit.  ``sandwich_probability`` is checked
-against a reference loop over full hulls kept here.
+same polytope down to the last bit, and in d = 3 its canonical order gives
+bit-equal metrics, also under any permutation of the input rows.
+``sandwich_probability`` is checked against a reference loop over full
+hulls kept here.
 """
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +27,8 @@ from randpoly.bodies import (
 from randpoly.hull import (
     REL_TOL,
     convex_hull,
+    exact_intrinsic_volumes,
+    f_vector,
     floating_core,
     hull_facets_as_source_sets,
     outer_hull,
@@ -51,9 +56,15 @@ def sampled_balls(draw, d):
 
 
 def core_of(ball, t):
-    """The c = 2 floating body, as floating_core takes it in d = 2."""
+    """The c = 2 floating body, as floating_core takes it in d = 2 and 3."""
     rho = ball_core_radius(ball.dim, ball.radius, 2.0 * math.log(t) / t)
     return None if rho is None else (ball.center, rho)
+
+
+def assert_same_metrics(a, b):
+    assert exact_intrinsic_volumes(a) == exact_intrinsic_volumes(b)
+    assert surface_measure(a) == surface_measure(b)
+    assert f_vector(a) == f_vector(b)
 
 
 def assert_same_polytope(a, b):
@@ -86,9 +97,12 @@ def test_accepted_outer_hull_has_the_facets_of_the_full_hull(d):
         seen["accepted"] += 1
         assert hull_facets_as_source_sets(got[0]) == \
             hull_facets_as_source_sets(full)
+        assert floating_core(ball, t)[1] == core[1]
         if d == 2:
-            assert floating_core(ball, t)[1] == core[1]
             assert_same_polytope(prefiltered_hull(cloud, core), full)
+        else:  # the accepted hull against the hull of every point
+            assert_same_metrics(prefiltered_hull(cloud, core),
+                                prefiltered_hull(cloud, None))
 
     check()
     # the strategy reaches both branches
@@ -116,8 +130,36 @@ def test_too_few_outer_points_hull_the_whole_cloud():
     assert_same_polytope(prefiltered_hull(pts, core), convex_hull(pts))
 
 
-def test_floating_core_only_for_sampled_planar_balls():
-    assert floating_core(Ball(3), 1000.0) is None
+@PROPERTY
+@given(sampled_balls(3), st.integers(0, 2**32 - 1))
+def test_canonical_hull_metrics_do_not_depend_on_the_row_order(drawn, seed):
+    ball, t, cloud = drawn
+    pts = cloud.points
+    if len(pts) <= 3:
+        return
+    perm = np.random.default_rng(seed).permutation(len(pts))
+    a, b = prefiltered_hull(pts, None), prefiltered_hull(pts[perm], None)
+    assert np.array_equal(a.vertices, b.vertices)
+    assert np.array_equal(perm[b.source_indices], a.source_indices)
+    assert_same_metrics(a, b)
+
+
+def test_canonical_order_keeps_the_facets_of_a_cube():
+    cube = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
+    pts = np.vstack([cube, stream(5).uniform(0.1, 0.9, (20, 3))])
+    for seed in range(5):
+        perm = stream(6, seed).permutation(len(pts))
+        poly = prefiltered_hull(pts[perm], None)
+        assert not poly.is_simplicial
+        assert hull_facets_as_source_sets(poly) == \
+            hull_facets_as_source_sets(convex_hull(pts[perm]))
+        assert f_vector(poly).counts == (8, 12, 6)
+        assert exact_intrinsic_volumes(poly) == pytest.approx(
+            [1.0, 3.0, 3.0, 1.0], rel=1e-12)
+
+
+def test_floating_core_only_for_sampled_balls_in_the_plane_and_space():
+    assert floating_core(Ball(4), 1000.0) is None
     assert floating_core(Cube(2), 1000.0) is None
     assert floating_core(Ball(2), 1.0) is None  # log t / t is not positive
     # a cap of area 2 log 3 / 3 = 0.73 is more than half of this disc
@@ -125,6 +167,10 @@ def test_floating_core_only_for_sampled_planar_balls():
     center, rho = floating_core(Ball(2, radius=2.0, center=[1.0, 2.0]), 500.0)
     assert np.array_equal(center, [1.0, 2.0])
     exact = ball_floating_body_radius(2, 2.0, 2.0 * math.log(500.0) / 500.0)
+    assert rho == pytest.approx(exact, rel=1e-11)
+    center, rho = floating_core(Ball(3, center=[0.0, 1.0, 2.0]), 1000.0)
+    assert np.array_equal(center, [0.0, 1.0, 2.0])
+    exact = ball_floating_body_radius(3, 1.0, 2.0 * math.log(1000.0) / 1000.0)
     assert rho == pytest.approx(exact, rel=1e-11)
 
 
