@@ -52,6 +52,6 @@ for pts, label in [
     (np.array([[0.2, 0.1, 0.4]]), "one point"),
     (np.array([[0.0, 0, 0], [1.0, 1, 1], [0.5, 0.5, 0.5]]), "collinear"),
 ]:
-    poly = convex_hull(pts, dim=3)
+    poly = convex_hull(pts)
     print(f"  {label:10s} -> {poly.degeneracy} "
           f"(affine dimension {poly.affine_dim}), f = {f_vector(poly).counts}")

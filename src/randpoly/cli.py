@@ -10,8 +10,9 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
-from .experiment import PRESETS, preset_config, run, verify
+from .config import ConfigError
+from .experiment import PRESETS, _load_config, _malliavin_report, run, verify
+from .stats import run_replications
 
 
 def _cmd_run(args) -> int:
@@ -27,14 +28,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_taus(args) -> int:
-    from .experiment import _malliavin_report
-    from .stats import run_replications
-
-    path = Path(args.config)
-    if str(path) in PRESETS:
-        config = preset_config(str(path))
-    else:
-        config = ExperimentConfig.from_file(path)
+    config, _ = _load_config(args.config)
     if config.malliavin is None:
         raise ConfigError("malliavin", "config has no malliavin block")
     t_index = list(config.t_grid).index(config.malliavin.t)
@@ -48,11 +42,9 @@ def _cmd_taus(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    if args.action == "list":
-        for name in sorted(PRESETS):
-            print(f"{name:14s} {PRESETS[name]['description']}")
-        return 0
-    raise ConfigError("presets", f"unknown action {args.action!r}")
+    for name in sorted(PRESETS):  # argparse allows the one action, "list"
+        print(f"{name:14s} {PRESETS[name]['description']}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -167,8 +167,7 @@ class ExperimentConfig:
         try:
             return ExperimentConfig.from_dict(raw)
         except ConfigError as exc:
-            raise ConfigError(f"{path}:{exc.path}",
-                              str(exc).split(": ", 1)[1]) from exc
+            raise ConfigError(f"{path}:{exc.path}", exc.message) from exc
 
     def to_dict(self) -> dict:
         """The config as a JSON record; unset optional blocks are left out."""

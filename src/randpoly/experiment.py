@@ -24,12 +24,7 @@ from . import __version__
 from .bodies import body_from_spec
 from .config import ConfigError, ExperimentConfig
 from .functionals import column_values
-from .malliavin import (
-    VectorFunctional,
-    estimate_gammas,
-    estimate_taus,
-    ms_bound_multivariate,
-)
+from .malliavin import VectorFunctional, estimate_gammas, estimate_taus
 from .rng import stream
 from .stats import (
     ReplicationTable,
@@ -228,26 +223,26 @@ def _write_plot_data(outdir: Path, summaries: list[dict]) -> list[str]:
     emit("variance_vs_t.csv", var_header, var_rows)
     emit("w1_vs_t.csv", w1_header, w1_rows)
 
-    # correlation trajectories and eigenvalue spectra over the grid
+    # correlation trajectories and eigenvalue spectra over the grid; the
+    # varying columns may differ between intensities, so each pair gets
+    # its columns, in order of first appearance, and NaN where it is absent
     with_corr = [s for s in summaries if "correlation" in s]
     if with_corr:
-        names = with_corr[0]["correlation_columns"]
-        pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
-        header = ["t"]
-        for i, j in pairs:
-            key = f"{names[i]}.{names[j]}"
-            header += [f"corr.{key}", f"corr.{key}.lo", f"corr.{key}.hi"]
-        rows = []
+        values = []
         for s in with_corr:
-            if s["correlation_columns"] != names:
-                continue
-            corr = s["correlation"]
-            row = [s["t"]]
-            for i, j in pairs:
-                key = f"{names[i]}.{names[j]}"
-                ci = s.get("correlation_ci", {}).get(key, [math.nan, math.nan])
-                row += [corr[i][j], ci[0], ci[1]]
-            rows.append(row)
+            names, corr = s["correlation_columns"], s["correlation"]
+            ci = s.get("correlation_ci", {})
+            values.append({
+                f"{a}.{b}": [corr[i][j],
+                             *ci.get(f"{a}.{b}", [math.nan, math.nan])]
+                for i, a in enumerate(names)
+                for j, b in enumerate(names) if i < j})
+        keys = list(dict.fromkeys(key for v in values for key in v))
+        header = ["t"] + [f"corr.{key}{end}" for key in keys
+                          for end in ("", ".lo", ".hi")]
+        rows = [[s["t"]] + [x for key in keys
+                            for x in v.get(key, [math.nan] * 3)]
+                for s, v in zip(with_corr, values)]
         emit("correlation_vs_t.csv", header, rows)
         k = max(len(s["eigenvalues"]) for s in with_corr)
         header = ["t"] + [f"eig_{i + 1}" for i in range(k)]
@@ -283,7 +278,7 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable,
             "labels": list(g.labels),
             "gamma1": g.gamma1, "gamma2": g.gamma2, "gamma3": g.gamma3,
             "se": {"gamma1": g.se1, "gamma2": g.se2, "gamma3": g.se3},
-            "bound": ms_bound_multivariate(g),
+            "bound": g.bound(),
             "n_outer": g.n_outer, "n_inner": g.n_inner,
             "t": g.t, "sampling": g.sampling,
         }
@@ -335,21 +330,27 @@ def _derive_report(config: ExperimentConfig,
     return report
 
 
+def _load_config(config) -> tuple[ExperimentConfig, str | None]:
+    """The config that ``config`` names, and its preset name (None if it is
+    no preset): ``config`` may be an ExperimentConfig, a dict, a path to a
+    JSON file, or a preset name."""
+    if isinstance(config, (str, Path)) and str(config) in PRESETS:
+        return preset_config(str(config)), str(config)
+    if isinstance(config, (str, Path)):
+        return ExperimentConfig.from_file(config), None
+    if isinstance(config, dict):
+        return ExperimentConfig.from_dict(config), None
+    return config, None
+
+
 def run(config, outdir=None, workers: int | None = None,
         preset: str | None = None) -> RunManifest:
     """Execute a config end to end; returns the manifest (also persisted).
 
-    ``config`` may be an ExperimentConfig, a dict, a path to a JSON file,
-    or a preset name.
+    ``config`` is anything :func:`_load_config` takes.
     """
-    if isinstance(config, (str, Path)) and str(config) in PRESETS:
-        preset = str(config)
-        config = preset_config(preset)
-    elif isinstance(config, (str, Path)):
-        config = ExperimentConfig.from_file(config)
-    elif isinstance(config, dict):
-        config = ExperimentConfig.from_dict(config)
-
+    config, named = _load_config(config)
+    preset = named or preset
     out = _resolve_outdir(config, outdir)
     started = time.perf_counter()
     seeds = {
@@ -481,7 +482,7 @@ def verify(manifest_path, quiet: bool = False) -> dict:
     if manifest.preset and manifest.preset in PRESETS:
         assertions = PRESETS[manifest.preset].get("assertions", [])
         for a in assertions:
-            name, passed, detail = _evaluate_assertion(a, tables, stored)
+            name, passed, detail = _evaluate_assertion(a, stored)
             check(name, passed, detail)
 
     ok = all(c["passed"] for c in checks)
@@ -491,8 +492,9 @@ def verify(manifest_path, quiet: bool = False) -> dict:
     return result
 
 
-def _evaluate_assertion(a: dict, tables: list[ReplicationTable],
-                        report: dict):
+def _evaluate_assertion(a: dict, report: dict):
+    """(name, passed, detail) of one preset assertion on a stored report;
+    data the assertion needs and the report lacks fails it."""
     kind = a["kind"]
     summaries = report.get("summaries", [])
 
@@ -554,7 +556,8 @@ def _evaluate_assertion(a: dict, tables: list[ReplicationTable],
             ok = ms["bound"] - w1 >= -4.0 * se
             return ("difference-operator bound dominates empirical w1",
                     ok, f"bound={ms['bound']:.3g}, w1={w1:.4f}")
-    except (KeyError, IndexError) as exc:
+    # (ValueError: a corr_min column that is not a correlation column)
+    except (KeyError, IndexError, ValueError) as exc:
         return (f"assertion {kind}", False, f"missing data: {exc}")
     return (f"assertion {kind}", False, "unknown assertion kind")
 

@@ -217,7 +217,8 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
     column names collapse to the first occurrence; a valuation label may
     not be ``n_points`` or a built-in column name, which it would silently
     replace, nor repeat with other coefficients, which would drop the
-    later valuation.
+    later valuation, nor hold a comma, a line break or trailing
+    whitespace, which a table's CSV header cannot give back.
     """
     cols: list[tuple] = []
     seen: set[str] = set()
@@ -257,6 +258,10 @@ def build_evaluators(functional_specs: list[dict], d: int) -> list[tuple]:
             vspec = ValuationSpec(tuple(rec["coeffs"]), rec["label"])
             if vspec.label in builtin:
                 fail(f"label {vspec.label!r} is a built-in column name")
+            if (any(c in vspec.label for c in ",\n\r")
+                    or vspec.label != vspec.label.rstrip()):
+                fail(f"label {vspec.label!r} cannot head a table column "
+                     "(no commas, line breaks or trailing whitespace)")
             if vspec.dim != d:
                 fail(f"coeffs must have length {d + 1}")
             first = valuation_coeffs.setdefault(vspec.label, vspec.coeffs)

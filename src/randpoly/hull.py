@@ -20,9 +20,10 @@ Most points of a Poisson sample in a smooth body lie inside its floating
 body, which the hull contains with high probability, so they never become
 vertices.  :func:`prefiltered_hull` hands qhull only the points outside a
 core ball and proves afterwards that the dropped points changed nothing.
-Sampled balls in d = 2 and d = 3 use it.  In d = 3 it returns hulls in a
-canonical order, so their metrics depend on the vertex set alone and do
-not move with the points qhull was spared.
+Sampled balls in d = 2 and d = 3 use it.  In d = 3 it returns simplicial
+hulls, every sampled hull among them, in a canonical order, so their
+metrics depend on the vertex set alone and do not move with the points
+qhull was spared.
 """
 from __future__ import annotations
 
@@ -84,11 +85,12 @@ class Polytope:
     ``vertices`` holds the extreme points in ambient coordinates.  ``faces``
     maps each face dimension i to the set of faces, a face being the sorted
     tuple of its vertex indices.  For inputs of affine dimension k < d the
-    lattice is that of the k-dimensional polytope inside its affine hull
-    (``origin`` + ``basis`` give the chart), and ``degeneracy`` records the
-    situation.  Facet hyperplane data lives in chart coordinates
-    (``local_vertices``); for a full-dimensional polytope the chart is the
-    identity, or the shift by ``origin`` for inputs far from the origin.
+    lattice is that of the k-dimensional polytope inside its affine hull,
+    and ``degeneracy`` records the situation.  Facet hyperplane data lives
+    in the coordinates qhull saw (``local_vertices``): k-dimensional chart
+    coordinates for such inputs, and for a full-dimensional polytope the
+    ambient ones minus ``origin``, which is nonzero only for inputs far
+    from the origin.
 
     A hull built by qhull keeps qhull's triangulation of its boundary:
     ``facet_simplices[s]`` holds the vertex ids of simplex s,
@@ -99,7 +101,8 @@ class Polytope:
     On a non-simplicial hull (exact test bodies such as cubes) it is a
     list of sorted tuples, one per facet.  Metrics and face counts are
     array expressions over these arrays, and ``faces`` is built on first
-    access.
+    access.  Simplicial 3-D hulls from :func:`prefiltered_hull`, which
+    include every sampled hull, come in a canonical order.
     """
 
     __slots__ = (
@@ -109,7 +112,6 @@ class Polytope:
         "vertices",
         "source_indices",
         "origin",
-        "basis",
         "local_vertices",
         "_faces",
         "facet_vertex_sets",
@@ -129,7 +131,6 @@ class Polytope:
         self.vertices = np.empty((0, dim_ambient))
         self.source_indices = np.empty(0, dtype=int)
         self.origin = np.zeros(dim_ambient)
-        self.basis = np.empty((dim_ambient, 0))
         self.local_vertices = np.empty((0, 0))
         self._faces: dict[int, frozenset] | None = {}
         self.facet_vertex_sets = []
@@ -189,7 +190,7 @@ class Polytope:
 # construction
 
 
-def convex_hull(cloud: PointCloud | np.ndarray, dim: int | None = None) -> Polytope:
+def convex_hull(cloud: PointCloud | np.ndarray) -> Polytope:
     """Convex hull with its facets; degeneracies are encoded, never errors."""
     if isinstance(cloud, PointCloud):
         pts = cloud.points
@@ -198,7 +199,7 @@ def convex_hull(cloud: PointCloud | np.ndarray, dim: int | None = None) -> Polyt
         pts = np.asarray(cloud, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be an (n, d) array")
-        d = pts.shape[1] if dim is None else dim
+        d = pts.shape[1]
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
 
@@ -213,7 +214,7 @@ def convex_hull(cloud: PointCloud | np.ndarray, dim: int | None = None) -> Polyt
     lo, hi = rows.min(axis=1), rows.max(axis=1)
     diam = float(np.linalg.norm(hi - lo))
     if diam == 0.0:  # all points coincide
-        _as_point(poly, pts[0], 0)
+        _as_point(poly, pts[0])
         return poly
     poly.diameter = diam
 
@@ -235,17 +236,14 @@ def convex_hull(cloud: PointCloud | np.ndarray, dim: int | None = None) -> Polyt
             round_off = (d - 1) * float(np.spacing(np.abs(pts).max())) / 2
             if svals[-1] <= 1e4 * math.sqrt(n) * round_off:
                 round_off = 0.0
-            _build_full(poly, pts - mid, np.arange(n), ambient_pts=pts,
-                        origin=mid, basis=np.eye(d), round_off=round_off)
+            poly.origin = mid
+            _build_full(poly, pts - mid, pts, round_off)
         else:
-            _build_full(poly, pts, np.arange(n))
+            _build_full(poly, pts)
         poly.affine_dim = d
         poly.degeneracy = "full_dimensional"
     else:
-        basis = vt[:k].T  # (d, k)
-        local = centered @ basis
-        _build_full(poly, local, np.arange(n), ambient_pts=pts,
-                    origin=center, basis=basis)
+        _build_full(poly, centered @ vt[:k].T, pts)
         poly.affine_dim = k
         poly.degeneracy = "lower_dimensional"
     return poly
@@ -298,16 +296,20 @@ def prefiltered_hull(cloud: PointCloud | np.ndarray,
     module's ``convex_hull`` as ``build``, so a profiler that wraps it
     there sees every hull at its call site.
 
-    A full-dimensional 3-D hull is returned in canonical order on either
-    branch (:func:`_canonical_order`), so the accepted outer hull and the
-    hull of all the points give bit-equal metrics.
+    A simplicial full-dimensional 3-D hull, which every sampled hull is,
+    is returned in canonical order on either branch
+    (:func:`_canonical_order`), so the accepted outer hull and the hull of
+    all the points give bit-equal metrics.  Non-simplicial hulls (exact
+    test bodies) keep qhull's order, whose triangulation of a merged
+    facet depends on the input rows.
     """
     pts = cloud.points if isinstance(cloud, PointCloud) else cloud
     got = (None if core is None else
            outer_hull(np.asarray(pts, dtype=float), *core, build=build))
     accept = got is not None and got[1] > core[1] * (1.0 + REL_TOL)
     poly = got[0] if accept else build(cloud)
-    if poly.dim_ambient == 3 and poly.is_full_dimensional():
+    if (poly.dim_ambient == 3 and poly.is_full_dimensional()
+            and poly.is_simplicial):
         _canonical_order(poly)
     return poly
 
@@ -331,29 +333,26 @@ def floating_core(body, t: float) -> tuple[np.ndarray, float] | None:
     return None if rho is None else (body.center, rho)
 
 
-def _as_point(poly: Polytope, p: np.ndarray, src: int) -> None:
+def _as_point(poly: Polytope, p: np.ndarray) -> None:
     poly.affine_dim = 0
     poly.degeneracy = "point"
     poly.vertices = p[None, :].copy()
-    poly.source_indices = np.array([src])
-    poly.origin = p.copy()
+    poly.source_indices = np.array([0])
     poly.local_vertices = np.zeros((1, 0))
     poly._faces = {0: frozenset({(0,)})}
 
 
-def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
-                basis=None, round_off=0.0) -> None:
+def _build_full(poly, work_pts, ambient_pts=None, round_off=0.0) -> None:
     """Run qhull on full-rank points and keep its facet arrays.
 
     ``work_pts`` are the coordinates handed to qhull (chart coordinates for
-    lower-dimensional inputs).  k = 1 inputs (a segment in any ambient
-    dimension) are ordered directly, without qhull.  A nonzero
-    ``round_off`` is qhull's round-off bound (with Qx above 4-d, like scipy).
+    lower-dimensional inputs, shifted ones for far-off inputs), row for row
+    the ``ambient_pts`` (default: ``work_pts`` themselves).  k = 1 inputs (a
+    segment in any ambient dimension) are ordered directly, without qhull.
+    A nonzero ``round_off`` is qhull's round-off bound (with Qx above 4-d,
+    like scipy).
     """
     k = work_pts.shape[1]
-    if ambient_pts is None:  # raw coordinates of a full-dimensional input
-        ambient_pts, origin, basis = work_pts, np.zeros(k), np.eye(k)
-    poly.origin, poly.basis = origin.copy(), basis.copy()
     if k == 1:
         c = work_pts[:, 0]
         vert_idx = np.array([np.argmin(c), np.argmax(c)])
@@ -371,8 +370,8 @@ def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
             used[hull.simplices] = True
             vert_idx = np.flatnonzero(used)
     poly.local_vertices = work_pts[vert_idx].copy()
-    poly.source_indices = src_idx[vert_idx]
-    poly.vertices = (poly.local_vertices if ambient_pts is work_pts
+    poly.source_indices = vert_idx
+    poly.vertices = (poly.local_vertices if ambient_pts is None
                      else ambient_pts[vert_idx].copy())
     if k == 1:
         poly._faces = {0: frozenset({(0,), (1,)})}
@@ -422,14 +421,15 @@ def _build_full(poly, work_pts, src_idx, ambient_pts=None, origin=None,
 
 
 def _canonical_order(poly: Polytope) -> None:
-    """Renumber a qhull hull in an order fixed by its vertex set alone.
+    """Renumber a simplicial qhull hull in an order fixed by its vertex set
+    alone.
 
     Vertices are ordered by their coordinates, each simplex row and then
     the simplices are sorted, and the neighbor, facet and plane arrays
-    are permuted to match (facets in order of their first simplex; the
-    plane values stay qhull's).  Metrics sum over simplices in this
-    order and take normals from the rows, so a hull's values do not
-    depend on the other points qhull saw or on their order.
+    are permuted to match (each simplex is a facet; the plane values stay
+    qhull's).  Metrics sum over simplices in this order and take normals
+    from the rows, so a hull's values do not depend on the other points
+    qhull saw or on their order.
     """
     lv = poly.local_vertices
     vorder = np.lexsort(lv.T[::-1])
@@ -445,20 +445,10 @@ def _canonical_order(poly: Polytope) -> None:
     tri, nb = rows.reshape(2, n_s, k)
     sorder = (np.argsort(tri @ len(lv) ** np.arange(k - 1, -1, -1))
               if len(lv) ** k < 2 ** 63 else np.lexsort(tri.T[::-1]))
-    poly.facet_simplices = tri[sorder]
+    poly.facet_simplices = poly.facet_vertex_sets = tri[sorder]
     poly.facet_neighbors = np.argsort(sorder)[nb[sorder]]
-    if poly.is_simplicial:  # simplex s is facet s
-        forder = sorder
-        poly.facet_vertex_sets = poly.facet_simplices
-    else:
-        fid = poly.simplex_facet[sorder]
-        forder = fid[np.sort(np.unique(fid, return_index=True)[1])]
-        poly.simplex_facet = np.argsort(forder)[fid]
-        poly.facet_vertex_sets = [
-            tuple(sorted(vrank[list(poly.facet_vertex_sets[f])].tolist()))
-            for f in forder]
-    poly.facet_normals = poly.facet_normals[forder]
-    poly.facet_offsets = poly.facet_offsets[forder]
+    poly.facet_normals = poly.facet_normals[sorder]
+    poly.facet_offsets = poly.facet_offsets[sorder]
     poly.local_vertices = lv[vorder]
     poly.vertices = poly.vertices[vorder]
     poly.source_indices = poly.source_indices[vorder]
@@ -637,19 +627,14 @@ def exact_intrinsic_volumes(poly: Polytope) -> list[float]:
         return out
     out[0] = 1.0
     k = poly.affine_dim
-    if k == 0:
-        return out
-    if k == 1:
-        out[1] = _chart_volume(poly)
-        return out
-    if k == 2:
-        out[1] = _chart_surface(poly) / 2.0
-        out[2] = _chart_volume(poly)
-        return out
-    # k == 3: mean width term from exterior angles along edges
-    out[1] = _mean_width_term_3d(poly)
-    out[2] = _chart_surface(poly) / 2.0
-    out[3] = _chart_volume(poly)
+    # V_k is the volume and V_{k-1} half the boundary measure inside the
+    # affine hull; in 3-D, V_1 comes from exterior angles along edges
+    if k >= 1:
+        out[k] = _chart_volume(poly)
+    if k >= 2:
+        out[k - 1] = _chart_surface(poly) / 2.0
+    if k == 3:
+        out[1] = _mean_width_term_3d(poly)
     return out
 
 

@@ -70,8 +70,7 @@ class _Rehuller:
                 and self.base.max_facet_excess(x) < -self._tol)
 
     def with_points(self, *xs: np.ndarray) -> Polytope:
-        return convex_hull(np.vstack([self.base.vertices, *xs]),
-                           dim=self.base.dim_ambient)
+        return convex_hull(np.vstack([self.base.vertices, *xs]))
 
 
 def _differences(re: _Rehuller, fn, x, y, first: bool):
@@ -434,25 +433,19 @@ def estimate_gammas(
 # constructions with provably disjoint visibility
 
 
-def make_disjoint_visibility_config(
-    d: int,
-    rng: np.random.Generator,
-    n_points: int | None = None,
-    delta: float = 1e-4,
-    max_tries: int = 50,
-):
+def make_disjoint_visibility_config(d: int, rng: np.random.Generator):
     """Cloud plus two exterior points whose visibility regions are disjoint.
 
-    Points are placed just beyond two nearly antipodal facets of a fat hull
-    inscribed in the unit ball.  Disjointness is certified geometrically:
-    the hull contains the ball of radius r_in = min facet offset, so any
-    point z seeing x must satisfy angle(z, x) <= arccos(r_in/|z|) +
-    arccos(r_in/|x|); the certificate demands the two such visibility
-    cones cannot meet.  Draws are retried until the certificate holds.
+    Points are placed 1e-4 beyond two nearly antipodal facets of a fat hull
+    of 48 (d = 2) or 220 points inscribed in the unit ball.  Disjointness
+    is certified geometrically: the hull contains the ball of radius
+    r_in = min facet offset, so any point z seeing x must satisfy
+    angle(z, x) <= arccos(r_in/|z|) + arccos(r_in/|x|); the certificate
+    demands the two such visibility cones cannot meet.  Draws are
+    retried, up to 50 times, until the certificate holds.
     """
-    if n_points is None:
-        n_points = 48 if d == 2 else 220
-    for _ in range(max_tries):
+    n_points = 48 if d == 2 else 220
+    for _ in range(50):
         g = rng.standard_normal((n_points, d))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radii = rng.uniform(0.92, 0.99, size=n_points)
@@ -466,8 +459,8 @@ def make_disjoint_visibility_config(
             continue
         fi = int(np.argmax(normals[:, 0]))
         fj = int(np.argmin(normals @ normals[fi]))
-        x = _point_beyond_facet(poly, fi, delta)
-        y = _point_beyond_facet(poly, fj, delta)
+        x = _point_beyond_facet(poly, fi)
+        y = _point_beyond_facet(poly, fj)
         if max(np.linalg.norm(x), np.linalg.norm(y)) >= 1.0:
             continue
         alpha_max = math.acos(min(r_in, 1.0))
@@ -481,7 +474,7 @@ def make_disjoint_visibility_config(
     raise RuntimeError("could not certify a disjoint-visibility construction")
 
 
-def _point_beyond_facet(poly: Polytope, facet_index: int, delta: float):
+def _point_beyond_facet(poly: Polytope, facet_index: int):
     idx = list(poly.facet_vertex_sets[facet_index])
     centroid = poly.vertices[idx].mean(axis=0)
-    return centroid + delta * poly.facet_normals[facet_index]
+    return centroid + 1e-4 * poly.facet_normals[facet_index]

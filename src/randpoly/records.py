@@ -19,7 +19,7 @@ __all__ = ["ConfigError", "REQUIRED", "Field", "RECORDS", "check_record"]
 
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
 
 

@@ -254,8 +254,6 @@ def w1_bootstrap_se(standardized_column: np.ndarray, n_boot: int = 200,
 @dataclass
 class SummaryStats:
     columns: tuple[str, ...]
-    means: dict[str, float]
-    variances: dict[str, float]
     covariance: np.ndarray  # correlation matrix of the standardized columns
     standardized: dict[str, np.ndarray]
     w1_to_normal: dict[str, float]
@@ -266,16 +264,15 @@ class SummaryStats:
 def covariance_matrix(table: ReplicationTable, columns: list[str] | None = None,
                       rank_tol: float = 1e-8) -> SummaryStats:
     """Sample correlation matrix of the selected columns (unit diagonal),
-    with per-column moments, W1 distances, and the numeric rank."""
+    with the standardized columns, their W1 distances, and the numeric
+    rank."""
     if columns is None:
         columns = [n for n in table.names if n != "n_points"]
     if table.n_reps < 2:
         raise ValueError("need at least 2 replications")
     mat = table.matrix(columns)
-    means = {c: float(mat[:, i].mean()) for i, c in enumerate(columns)}
-    variances = {c: float(mat[:, i].var(ddof=1)) for i, c in enumerate(columns)}
-    for c in columns:
-        if variances[c] == 0.0:
+    for i, c in enumerate(columns):
+        if mat[:, i].var(ddof=1) == 0.0:
             raise ValueError(f"column {c!r} has zero variance")
     std = {c: standardize(mat[:, i]) for i, c in enumerate(columns)}
     corr = np.corrcoef(mat, rowvar=False)
@@ -283,9 +280,8 @@ def covariance_matrix(table: ReplicationTable, columns: list[str] | None = None,
     w1 = {c: w1_to_normal(std[c]) for c in columns}
     rank, eig = numeric_rank(corr, rank_tol)
     return SummaryStats(
-        columns=tuple(columns), means=means, variances=variances,
-        covariance=corr, standardized=std, w1_to_normal=w1,
-        rank_estimate=rank, eigenvalues=eig,
+        columns=tuple(columns), covariance=corr, standardized=std,
+        w1_to_normal=w1, rank_estimate=rank, eigenvalues=eig,
     )
 
 

@@ -121,6 +121,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="built-in column"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("label", [
+        "half,perimeter", "half\nperimeter", "half_perimeter "])
+    def test_valuation_label_must_fit_a_table_header(self, label):
+        raw = tiny_raw(functionals=[
+            {"type": "multivariate"},
+            {"type": "valuation", "label": label, "coeffs": [0, 0.5, 0]},
+        ])
+        with pytest.raises(ConfigError, match="cannot head a table") as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == "functionals"
+        assert "functionals[1]" in exc.value.message
+
     def test_repeated_valuation_label(self):
         raw = tiny_raw(functionals=[
             {"type": "valuation", "label": "a", "coeffs": [0, 1, 0]},
@@ -574,6 +586,117 @@ def test_report_matches_golden_files(tmp_path, name):
         assert got == (GOLDEN / name / rel).read_bytes(), rel
 
 
+def synthetic_summary(t, names, w1, rank=1):
+    """A per-intensity summary with the keys the plot files and the preset
+    assertions read; correlations are 0.9 off the diagonal."""
+    m = len(names)
+    corr = [[1.0 if i == j else 0.9 for j in range(m)] for i in range(m)]
+    return {
+        "t": t, "n_reps": 100,
+        "means": {n: 1.0 for n in names},
+        "variances": {n: 0.04 for n in names},
+        "variance_se": {n: 0.005 for n in names},
+        "w1_to_normal": dict(zip(names, w1)),
+        "w1_se": {n: 0.01 for n in names},
+        "correlation_columns": list(names),
+        "correlation": corr,
+        "correlation_ci": {f"{a}.{b}": [0.8, 0.95] for i, a in enumerate(names)
+                           for b in names[i + 1:]},
+        "rank_estimate": rank,
+        "eigenvalues": [0.1 * m] * m,
+    }
+
+
+class TestPlotData:
+    def test_correlation_rows_for_every_intensity(self, tmp_path):
+        # the columns that vary differ between intensities (at t = 1.5 the
+        # face counts vary too); each intensity keeps its row
+        (tmp_path / "plots").mkdir()
+        summaries = [
+            synthetic_summary(1.5, ["V_1", "V_2", "f_0", "f_1"], [0.1] * 4),
+            synthetic_summary(200.0, ["V_1", "V_2"], [0.1] * 2),
+        ]
+        experiment._write_plot_data(tmp_path, summaries)
+        lines = (tmp_path / "plots" / "correlation_vs_t.csv").read_text() \
+            .splitlines()
+        header = lines[0].split(",")
+        assert header[:4] == ["t", "corr.V_1.V_2", "corr.V_1.V_2.lo",
+                              "corr.V_1.V_2.hi"]
+        assert len(header) == 1 + 3 * 6
+        rows = [dict(zip(header, map(float, line.split(","))))
+                for line in lines[1:]]
+        assert [r["t"] for r in rows] == [1.5, 200.0]
+        assert rows[1]["corr.V_1.V_2"] == 0.9
+        assert rows[1]["corr.V_1.V_2.hi"] == 0.95
+        assert math.isnan(rows[1]["corr.f_0.f_1"])
+        assert rows[0]["corr.f_0.f_1"] == 0.9
+
+
+class TestPresetAssertions:
+    """Every assertion kind of the presets, on a synthetic report: a column
+    ``a`` whose W1 falls over two intensities, and ``b`` whose W1 rises."""
+
+    REPORT = {
+        "summaries": [
+            synthetic_summary(100.0, ["a", "b", "c"], [0.2, 0.1, 0.1], rank=2),
+            synthetic_summary(400.0, ["a", "b", "c"], [0.1, 0.9, 0.1]),
+        ],
+        "rate_fits": {"a": {"slope": -1.6}},
+        "oracle_variance_ratio": {"400.0": 1.02},
+        "malliavin_stein": {"t": 400.0, "bound": 0.5, "bound_se": 0.01},
+    }
+
+    @pytest.mark.parametrize("assertion, passed", [
+        ({"kind": "slope_range", "column": "a", "lo": -1.8, "hi": -1.5}, True),
+        ({"kind": "slope_range", "column": "a", "lo": -1.5, "hi": -1.0}, False),
+        ({"kind": "mean_close", "column": "a", "t": 100.0, "target": 1.05},
+         True),  # within 4 standard errors of 0.02
+        ({"kind": "mean_close", "column": "a", "t": 100.0, "target": 1.1,
+          "se_mult": 4}, False),
+        ({"kind": "w1_max", "column": "a", "t": 400.0, "max": 0.15}, True),
+        ({"kind": "w1_max", "column": "a", "t": 400.0, "max": 0.05}, False),
+        ({"kind": "w1_decreasing", "column": "a"}, True),
+        ({"kind": "w1_decreasing", "column": "b"}, False),
+        ({"kind": "ratio_range", "t": 400.0, "lo": 0.9, "hi": 1.1}, True),
+        ({"kind": "ratio_range", "t": 400.0, "lo": 1.05, "hi": 1.1}, False),
+        ({"kind": "rank_max", "t": 100.0, "max": 2}, True),
+        ({"kind": "rank_max", "t": 100.0, "max": 1}, False),
+        ({"kind": "corr_min", "t": 100.0, "columns": ["a", "c"], "min": 0.9},
+         True),
+        ({"kind": "corr_min", "t": 100.0, "columns": ["a", "b", "c"],
+          "min": 0.95}, False),
+        ({"kind": "bound_dominates_w1", "column": "a"}, True),
+        ({"kind": "bound_dominates_w1", "column": "b"}, False),
+    ], ids=lambda v: v if isinstance(v, bool) else v["kind"])
+    def test_pass_and_fail(self, assertion, passed):
+        name, ok, detail = experiment._evaluate_assertion(assertion,
+                                                          self.REPORT)
+        assert bool(ok) is passed, (name, detail)
+        assert "missing data" not in detail
+
+    @pytest.mark.parametrize("assertion", [
+        {"kind": "slope_range", "column": "b", "lo": -2, "hi": 0},
+        {"kind": "mean_close", "column": "a", "t": 50.0, "target": 1.0},
+        {"kind": "w1_max", "column": "d", "t": 400.0, "max": 1.0},
+        {"kind": "w1_decreasing", "column": "d"},
+        {"kind": "ratio_range", "t": 100.0, "lo": 0.9, "hi": 1.1},
+        {"kind": "rank_max", "t": 50.0, "max": 3},
+        {"kind": "corr_min", "t": 100.0, "columns": ["a", "d"], "min": 0.0},
+        {"kind": "bound_dominates_w1", "column": "d"},
+    ], ids=lambda a: a["kind"])
+    def test_missing_data_fails(self, assertion):
+        name, ok, detail = experiment._evaluate_assertion(assertion,
+                                                          self.REPORT)
+        assert not ok and detail.startswith("missing data"), detail
+        assert name == f"assertion {assertion['kind']}"
+        _, ok, detail = experiment._evaluate_assertion(assertion, {})
+        assert not ok and detail.startswith("missing data"), detail
+
+    def test_unknown_kind_fails(self):
+        assert experiment._evaluate_assertion({"kind": "nope"}, self.REPORT) \
+            == ("assertion nope", False, "unknown assertion kind")
+
+
 class TestPresets:
     def test_catalogue_nonempty(self):
         assert "smoke" in PRESETS and "theorem1" in PRESETS
@@ -697,6 +820,23 @@ class TestCLI:
         assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"configuration error: {cfg_path}:{path}: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", [
+        "half,perimeter", "half\nperimeter", "half_perimeter "])
+    def test_unreadable_label_writes_nothing(self, tmp_path, capsys, label):
+        # each used to complete a run whose tables verify could not read
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(
+            t_grid=[50.0], n_reps=4, seed=1, functionals=[
+                {"type": "multivariate"},
+                {"type": "valuation", "label": label, "coeffs": [0, 0.5, 0]},
+            ])))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {cfg_path}:functionals: " in err
+        assert "cannot head a table column" in err
         assert not out.exists()
 
     def test_taus_command(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from randpoly.functionals import (
     wills,
 )
 from randpoly.hull import convex_hull, intrinsic_volume_mc, volume
+from randpoly.records import ConfigError
 from randpoly.rng import stream
 
 
@@ -367,6 +368,18 @@ class TestEvaluators:
         spec = {"type": "valuation", "label": label, "coeffs": [0, 1, 0]}
         with pytest.raises(ValueError, match="built-in column"):
             build_evaluators([spec, {"type": "multivariate"}], d=2)
+
+    @pytest.mark.parametrize("label", [
+        "half,perimeter", "half\nperimeter", "half\rperimeter",
+        "half_perimeter ", "half_perimeter\t"])
+    def test_valuation_label_must_fit_a_table_header(self, label):
+        # each passed before and broke the table it headed: read_csv
+        # split or cut the header line, and verify failed on the run
+        spec = {"type": "valuation", "label": label, "coeffs": [0, 0.5, 0]}
+        with pytest.raises(ConfigError, match="cannot head a table column"):
+            build_evaluators([spec], d=2)
+        ok = dict(spec, label=" half perimeter")  # inner spaces are fine
+        assert [n for n, _ in build_evaluators([ok], d=2)] == [ok["label"]]
 
     def test_repeated_valuation_label(self):
         first = {"type": "valuation", "label": "a", "coeffs": [0, 1, 0]}

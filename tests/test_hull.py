@@ -1,13 +1,17 @@
 """Tests for hull construction, face lattices, and intrinsic volumes."""
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as spstats
 
+import randpoly
 from randpoly.bodies import Ball, sample_poisson_process
 from randpoly.hull import (
+    Polytope,
     _haar_bases,
     _lattice_general,
     brute_force_facets,
@@ -467,3 +471,14 @@ class TestFarFromOrigin:
         poly = convex_hull(random_ball_points(50, 2, seed=68) + 100.0)
         assert not poly.origin.any()
         assert poly.local_vertices is poly.vertices
+
+
+def test_every_polytope_slot_is_read():
+    """No write-only hull state: each slot of ``Polytope`` is loaded as an
+    attribute somewhere in the package, not only stored."""
+    loaded = {node.attr
+              for path in Path(randpoly.__file__).parent.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    assert [s for s in Polytope.__slots__ if s not in loaded] == []
