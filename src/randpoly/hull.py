@@ -14,7 +14,9 @@ for: from the facets of a simplicial hull, by downward closure otherwise.
 
 Intrinsic volumes are available exactly in ambient dimension <= 3 and by
 Monte Carlo averaging of projection volumes over Haar-random subspaces in
-any dimension.
+any dimension.  A projection onto a line is measured by its width, one
+onto a hyperplane from the polytope's facets (Cauchy's formula), and any
+other projection by its own hull.
 
 Most points of a Poisson sample in a smooth body lie inside its floating
 body, which the hull contains with high probability, so they never become
@@ -601,14 +603,19 @@ def surface_measure(poly: Polytope) -> float:
 
 
 def _chart_surface(poly: Polytope) -> float:
-    k = poly.affine_dim
-    if k == 1:
+    if poly.affine_dim == 1:
         return 2.0  # two boundary points, counting measure
+    return _running_sum(_simplex_areas(poly))
+
+
+def _simplex_areas(poly: Polytope) -> np.ndarray:
+    """(k-1)-volumes of the boundary simplices of a k-polytope, k >= 2,
+    from their Gram determinants in chart coordinates."""
     vs = poly.local_vertices[poly.facet_simplices]  # (F, k, k)
     e = vs[:, 1:] - vs[:, :1]
-    det = np.linalg.det(e @ e.transpose(0, 2, 1))  # Gram determinants
-    return _running_sum(np.sqrt(np.where(det > 0, det, 0.0))
-                        / math.factorial(k - 1))
+    det = np.linalg.det(e @ e.transpose(0, 2, 1))
+    return np.sqrt(np.where(det > 0, det, 0.0)) / math.factorial(
+        poly.affine_dim - 1)
 
 
 def exact_intrinsic_volumes(poly: Polytope) -> list[float]:
@@ -705,7 +712,14 @@ def intrinsic_volume_mc(
     poly: Polytope, j: int, n_dirs: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Monte Carlo j-th intrinsic volume: scaled mean of projection volumes
-    over Haar subspaces.  Returns (estimate, standard error)."""
+    over Haar subspaces.  Returns (estimate, standard error).
+
+    A projection's volume is its width for j = 1, and for j = d - 1 >= 2
+    on a full-dimensional polytope it comes from the facets by Cauchy's
+    formula (:func:`_hyperplane_shadows`); any other projection is
+    hulled.  The three give the projection hull's value on the same
+    draws, up to round-off.
+    """
     d = poly.dim_ambient
     if not 1 <= j <= d:
         raise ValueError("need 1 <= j <= d")
@@ -714,16 +728,60 @@ def intrinsic_volume_mc(
     if poly.affine_dim < j:
         return 0.0, 0.0
     c = projection_mean_coefficient(d, j)
-    vals = np.empty(n_dirs)
-    for i, basis in enumerate(_haar_bases(d, j, n_dirs, rng)):
-        image = poly.vertices @ basis
-        if j == 1:  # a projection onto a line is an interval: the width
-            vals[i] = image.max() - image.min()
-        else:
-            vals[i] = volume(convex_hull(image))
+    bases = _haar_bases(d, j, n_dirs, rng)
+    if 2 <= j == d - 1 and poly.is_full_dimensional():
+        vals = _hyperplane_shadows(poly, _unit_normals(bases))
+    else:
+        vals = np.empty(n_dirs)
+        for i, basis in enumerate(bases):
+            image = poly.vertices @ basis
+            if j == 1:  # a projection onto a line is an interval: the width
+                vals[i] = image.max() - image.min()
+            else:
+                vals[i] = volume(convex_hull(image))
     est = c * float(vals.mean())
     se = c * float(vals.std(ddof=1)) / math.sqrt(n_dirs)
     return est, se
+
+
+# the facet path gathers at most this many (simplex, direction) terms at
+# a time
+_SHADOW_BLOCK = 1 << 20
+
+
+def _hyperplane_shadows(poly: Polytope, normals: np.ndarray) -> np.ndarray:
+    """vol_{d-1}(P | u^perp) for each unit normal u (the rows of
+    ``normals``) of a full-dimensional d-polytope P.
+
+    Cauchy's projection formula: the shadow is half the sum, over the
+    boundary simplices s, of A_s |n_F(s) . u|, with A_s the (d-1)-volume
+    of s and n_F(s) the unit normal of its facet (Schneider, *Convex
+    Bodies: The Brunn-Minkowski Theory*, 2nd ed. 2014).  Directions
+    go in blocks of at most _SHADOW_BLOCK terms.  Each dot product is a
+    sum of column products in a fixed order and each direction's terms
+    a contiguous row, so a value does not depend on its block.
+    """
+    half = _simplex_areas(poly) / 2.0
+    n = np.ascontiguousarray(poly.facet_normals[poly.simplex_facet].T)
+    vals = np.empty(len(normals))
+    step = max(1, _SHADOW_BLOCK // len(half))
+    for b in range(0, len(normals), step):
+        u = normals[b:b + step, :, None]
+        dot = u[:, 0] * n[0]  # (block, simplices)
+        for i in range(1, len(n)):
+            dot += u[:, i] * n[i]
+        vals[b:b + step] = (np.abs(dot, out=dot) * half).sum(axis=1)
+    return vals
+
+
+def _unit_normals(bases: np.ndarray) -> np.ndarray:
+    """Unit normals (n, d) of the hyperplanes spanned by orthonormal bases
+    (n, d, d - 1): the columns' generalized cross products, whose entries
+    are the signed maximal minors."""
+    d = bases.shape[1]
+    rows = np.arange(d)
+    minors = np.stack([bases[:, rows != i] for i in rows], axis=1)
+    return np.linalg.det(minors) * (-1.0) ** rows
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ import pytest
 from scipy import stats as spstats
 
 import randpoly
+from randpoly import hull
 from randpoly.bodies import Ball, sample_poisson_process
 from randpoly.hull import (
     Polytope,
     _haar_bases,
+    _hyperplane_shadows,
     _lattice_general,
+    _unit_normals,
     brute_force_facets,
     convex_hull,
     exact_intrinsic_volumes,
@@ -402,6 +405,81 @@ class TestWidthAverage:
         intrinsic_volume_mc(poly, 1, 20, a)
         self.hull_path(poly, 20, b)
         assert a.random() == b.random()
+
+
+class TestHyperplaneShadows:
+    """V_{d-1} by Monte Carlo takes each hyperplane projection's volume
+    from the facets (Cauchy's formula); on the same draws it must equal
+    the projection-hull value up to round-off."""
+
+    @staticmethod
+    def hull_path(poly, j, n_dirs, rng):
+        """Projection volumes hulled one by one, and the estimate and
+        standard error intrinsic_volume_mc makes of them."""
+        d = poly.dim_ambient
+        vals = np.array([volume(convex_hull(poly.vertices @ basis))
+                         for basis in _haar_bases(d, j, n_dirs, rng)])
+        c = projection_mean_coefficient(d, j)
+        return vals, (c * float(vals.mean()),
+                      c * float(vals.std(ddof=1)) / math.sqrt(n_dirs))
+
+    POLYS = {
+        "d3": convex_hull(random_ball_points(60, 3, seed=80)),
+        "d4": convex_hull(random_ball_points(80, 4, seed=81)),
+        "d5": convex_hull(random_ball_points(100, 5, seed=82)),
+        "cube3": convex_hull(unit_cube_vertices(3)),
+        "cube4": convex_hull(unit_cube_vertices(4)),
+    }
+
+    @pytest.mark.parametrize("name", POLYS)
+    def test_each_direction_equals_its_projection_hull(self, name):
+        poly = self.POLYS[name]
+        d = poly.dim_ambient
+        assert poly.is_simplicial == name.startswith("d")
+        bases = _haar_bases(d, d - 1, 200, stream(83))
+        got = _hyperplane_shadows(poly, _unit_normals(bases))
+        want, (est, se) = self.hull_path(poly, d - 1, 200, stream(83))
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        got_est, got_se = intrinsic_volume_mc(poly, d - 1, 200, stream(83))
+        assert got_est == pytest.approx(est, rel=1e-12)
+        assert got_se == pytest.approx(se, rel=1e-9)
+
+    def test_far_off_hull(self):
+        pts = random_ball_points(80, 4, seed=84)
+        near = convex_hull(pts)
+        far = convex_hull(pts + 1e6)
+        assert np.any(far.origin != 0)  # the shifted branch
+        for a, b in zip(intrinsic_volume_mc(far, 3, 100, stream(85)),
+                        intrinsic_volume_mc(near, 3, 100, stream(85))):
+            assert a == pytest.approx(b, rel=1e-9)
+
+    def test_lower_dimensional_input_keeps_projection_hulls(self):
+        # a 3-simplex in R^4 has affine dimension d - 1 and no facets in R^4
+        poly = convex_hull(np.hstack([simplex_vertices(3), np.ones((4, 1))]))
+        assert poly.affine_dim == 3
+        got = intrinsic_volume_mc(poly, 3, 50, stream(86))
+        assert got == self.hull_path(poly, 3, 50, stream(86))[1]
+
+    @pytest.mark.parametrize("name", ["d4", "cube3"])
+    def test_rng_left_where_the_draws_leave_it(self, name):
+        poly = self.POLYS[name]
+        d = poly.dim_ambient
+        a, b = stream(87), stream(87)
+        intrinsic_volume_mc(poly, d - 1, 30, a)
+        _haar_bases(d, d - 1, 30, b)
+        assert np.array_equal(a.random(4), b.random(4))
+
+    @pytest.mark.parametrize("dirs_per_block", [1, 3])
+    def test_small_blocks(self, monkeypatch, dirs_per_block):
+        poly = self.POLYS["d4"]
+        want = intrinsic_volume_mc(poly, 3, 10, stream(88))
+        bases = _haar_bases(4, 3, 10, stream(88))
+        shadows = _hyperplane_shadows(poly, _unit_normals(bases))
+        monkeypatch.setattr(hull, "_SHADOW_BLOCK",
+                            dirs_per_block * len(poly.facet_simplices))
+        assert np.array_equal(
+            _hyperplane_shadows(poly, _unit_normals(bases)), shadows)
+        assert intrinsic_volume_mc(poly, 3, 10, stream(88)) == want
 
 
 class TestFarFromOrigin:
