@@ -88,6 +88,25 @@ class ConvexBody:
                 for key, v in spec.items()}
 
 
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """Divide each row of the (m, d) array ``g`` by its Euclidean norm, in
+    place, and return it.
+
+    Below 8 columns numpy sums a row's squares left to right, so summing
+    the squared columns in order gives ``np.linalg.norm(g, axis=1)`` bit
+    for bit, without its (m, d) temporaries; wider rows take that norm.
+    """
+    if g.shape[1] >= 8:
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        return g
+    cols = g.T
+    sq = cols[0] * cols[0]
+    for c in cols[1:]:
+        sq += c * c
+    g /= np.sqrt(sq)[:, None]
+    return g
+
+
 def _as_center(dim: int, center) -> np.ndarray:
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
     if c.shape != (dim,):
@@ -120,10 +139,9 @@ class Ball(ConvexBody):
 
     def sample_uniform(self, rng, n=None):
         m = 1 if n is None else int(n)
-        g = rng.standard_normal((m, self.dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = self.radius * rng.random(m) ** (1.0 / self.dim)
-        out = self.center + g * r[:, None]
+        out = _unit_rows(rng.standard_normal((m, self.dim)))
+        out *= (self.radius * rng.random(m) ** (1.0 / self.dim))[:, None]
+        out += self.center
         return out[0] if n is None else out
 
 
@@ -155,10 +173,10 @@ class Ellipsoid(ConvexBody):
     def sample_uniform(self, rng, n=None):
         # affine image of the unit ball
         m = 1 if n is None else int(n)
-        g = rng.standard_normal((m, self.dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = rng.random(m) ** (1.0 / self.dim)
-        out = self.center + g * r[:, None] * self.semi_axes
+        out = _unit_rows(rng.standard_normal((m, self.dim)))
+        out *= (rng.random(m) ** (1.0 / self.dim))[:, None]
+        out *= self.semi_axes
+        out += self.center
         return out[0] if n is None else out
 
 

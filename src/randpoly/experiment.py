@@ -24,8 +24,13 @@ from . import __version__
 from .bodies import body_from_spec
 from .config import ConfigError, ExperimentConfig
 from .functionals import column_values
-from .malliavin import VectorFunctional, estimate_gammas, estimate_taus
-from .rng import stream
+from .malliavin import (
+    VectorFunctional,
+    _preload_sampler,
+    estimate_gammas,
+    estimate_taus,
+)
+from .rng import shared_pool, stream
 from .stats import (
     ReplicationTable,
     covariance_matrix,
@@ -347,7 +352,10 @@ def run(config, outdir=None, workers: int | None = None,
         preset: str | None = None) -> RunManifest:
     """Execute a config end to end; returns the manifest (also persisted).
 
-    ``config`` is anything :func:`_load_config` takes.
+    ``config`` is anything :func:`_load_config` takes.  With ``workers``
+    (default: the config's) above 1, one process pool serves the whole
+    run, every intensity's replications and the error-term estimate, and
+    it is shut down before ``run`` returns or raises.
     """
     config, named = _load_config(config)
     preset = named or preset
@@ -364,26 +372,30 @@ def run(config, outdir=None, workers: int | None = None,
         seeds=seeds, tables=[], reports={}, preset=preset,
     )
     manifest_path = out / "manifest.json"
+    workers = config.workers if workers is None else workers
+    if workers > 1 and config.malliavin is not None:
+        _preload_sampler(config.malliavin.sampling)
     try:
-        tables = []
-        for ti in range(len(config.t_grid)):
-            table = run_replications(config, ti, workers=workers)
-            csv_path = out / f"table_t{ti}.csv"
-            table.write_csv(csv_path)
-            manifest.tables.append({
-                "t_index": ti,
-                "t": table.t,
-                "csv": str(csv_path),
-                "meta": str(csv_path.with_suffix(".meta.json")),
-                "sha256": _sha256(csv_path),
-            })
-            tables.append(table)
+        with shared_pool(workers):
+            tables = []
+            for ti in range(len(config.t_grid)):
+                table = run_replications(config, ti, workers=workers)
+                csv_path = out / f"table_t{ti}.csv"
+                table.write_csv(csv_path)
+                manifest.tables.append({
+                    "t_index": ti,
+                    "t": table.t,
+                    "csv": str(csv_path),
+                    "meta": str(csv_path.with_suffix(".meta.json")),
+                    "sha256": _sha256(csv_path),
+                })
+                tables.append(table)
 
-        report = _derive_report(config, tables)
-        if config.malliavin is not None:
-            ti = list(config.t_grid).index(config.malliavin.t)
-            report["malliavin_stein"] = _malliavin_report(config, tables[ti],
-                                                          workers)
+            report = _derive_report(config, tables)
+            if config.malliavin is not None:
+                ti = list(config.t_grid).index(config.malliavin.t)
+                report["malliavin_stein"] = _malliavin_report(
+                    config, tables[ti], workers)
 
         report_path = out / "report.json"
         report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -29,6 +29,7 @@ qhull was spared.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,17 +131,12 @@ class Polytope:
         self.dim_ambient = dim_ambient
         self.affine_dim = -1
         self.degeneracy = "empty"
-        self.vertices = np.empty((0, dim_ambient))
-        self.source_indices = np.empty(0, dtype=int)
-        self.origin = np.zeros(dim_ambient)
-        self.local_vertices = np.empty((0, 0))
+        # shared read-only defaults: construction replaces, never writes
+        (self.vertices, self.origin, self.source_indices, self.local_vertices,
+         self.facet_normals, self.facet_offsets, self.facet_simplices,
+         self.facet_neighbors, self.simplex_facet) = _empty_arrays(dim_ambient)
         self._faces: dict[int, frozenset] | None = {}
         self.facet_vertex_sets = []
-        self.facet_normals = np.empty((0, 0))
-        self.facet_offsets = np.empty(0)
-        self.facet_simplices = np.empty((0, 0), dtype=int)
-        self.facet_neighbors = np.empty((0, 0), dtype=int)
-        self.simplex_facet = np.empty(0, dtype=int)
         self.is_simplicial = True
         self.diameter = 0.0
 
@@ -188,6 +184,19 @@ class Polytope:
                       - self.facet_offsets).max())
 
 
+@functools.lru_cache(maxsize=None)
+def _empty_arrays(d: int) -> tuple[np.ndarray, ...]:
+    """The read-only defaults of a d-dimensional ``Polytope``: no vertices,
+    the zero origin, and empty index, chart and facet arrays."""
+    arrays = (np.empty((0, d)), np.zeros(d), np.empty(0, dtype=int),
+              np.empty((0, 0)), np.empty((0, 0)), np.empty(0),
+              np.empty((0, 0), dtype=int), np.empty((0, 0), dtype=int),
+              np.empty(0, dtype=int))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -214,23 +223,31 @@ def convex_hull(cloud: PointCloud | np.ndarray) -> Polytope:
     # axis-0 reduction of an (n, d) array
     rows = np.ascontiguousarray(pts.T)
     lo, hi = rows.min(axis=1), rows.max(axis=1)
-    diam = float(np.linalg.norm(hi - lo))
+    # math.sqrt of the dot product has np.linalg.norm's bits, at less cost
+    span = hi - lo
+    diam = math.sqrt(span.dot(span))
     if diam == 0.0:  # all points coincide
         _as_point(poly, pts[0])
         return poly
     poly.diameter = diam
 
-    center = pts.mean(axis=0)
-    centered = pts - center
-    # affine dimension via singular values, relative threshold
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    k = int((svals > REL_TOL * svals[0]).sum())
+    # the box's midpoint, like its diagonal, depends only on the hull's
+    # vertices, so dropping interior points changes neither
+    mid = 0.5 * (lo + hi)
+    far = math.sqrt(mid.dot(mid)) > FAR_FROM_ORIGIN * diam
+    # affine dimension via singular values, relative threshold; skipped
+    # where det(C^T C) > GRAM_DELTA tr(C^T C)^d for the centred points C
+    # proves that the SVD would find full rank (_certified_full_rank), but
+    # not far off, where the least singular value itself is needed
+    if far or not _certified_full_rank(rows):
+        centered = pts - pts.mean(axis=0)
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        k = int((svals > REL_TOL * svals[0]).sum())
+    else:
+        k = d
 
     if k == d:
-        # the box's midpoint, like its diagonal, depends only on the hull's
-        # vertices, so dropping interior points changes neither
-        mid = 0.5 * (lo + hi)
-        if float(np.linalg.norm(mid)) > FAR_FROM_ORIGIN * diam:
+        if far:
             # the points keep their far-off rounding, up to d - 1 half
             # ulps off a facet plane, and qhull merges a box's facets only
             # given that round-off; not for thin inputs, whose merges broke
@@ -335,6 +352,34 @@ def floating_core(body, t: float) -> tuple[np.ndarray, float] | None:
     return None if rho is None else (body.center, rho)
 
 
+# det G > GRAM_DELTA tr(G)^d certifies full rank (see _certified_full_rank)
+GRAM_DELTA = 1e-6
+
+
+def _certified_full_rank(rows: np.ndarray) -> bool:
+    """Whether the Gram certificate proves that the points (the columns of
+    the (d, n) array ``rows``) have full affine rank, as the SVD rule would
+    decide.
+
+    G = C^T C for the centred points C.  Its eigenvalues are the squared
+    singular values s_i^2 of C, so det G <= s_min^2 s_max^(2(d-1)) and
+    tr G >= s_max^2: det G > delta tr(G)^d gives (s_min / s_max)^2 >
+    delta = GRAM_DELTA.  Rounding moves the entries of G, and with them
+    its eigenvalues, by about n eps tr G, far below delta tr G for any n
+    under 1e8, so the computed certificate still gives s_min / s_max >
+    7e-4.  The SVD's singular values are off by a few eps s_max, so it
+    sees a ratio far above REL_TOL = 1e-9 and decides full rank too.
+    Thin, flat, overflowing and underflowing inputs fail the certificate
+    and take the SVD.
+    """
+    c = rows - rows.sum(axis=1, keepdims=True) / rows.shape[1]
+    g = c @ c.T
+    if len(g) == 2:
+        (a, b), (_, e) = g.tolist()
+        return a * e - b * b > GRAM_DELTA * (a + e) ** 2
+    return float(np.linalg.det(g)) > GRAM_DELTA * float(g.trace()) ** len(g)
+
+
 def _as_point(poly: Polytope, p: np.ndarray) -> None:
     poly.affine_dim = 0
     poly.degeneracy = "point"
@@ -371,10 +416,10 @@ def _build_full(poly, work_pts, ambient_pts=None, round_off=0.0) -> None:
             used = np.zeros(work_pts.shape[0], dtype=bool)
             used[hull.simplices] = True
             vert_idx = np.flatnonzero(used)
-    poly.local_vertices = work_pts[vert_idx].copy()
+    poly.local_vertices = work_pts[vert_idx]
     poly.source_indices = vert_idx
     poly.vertices = (poly.local_vertices if ambient_pts is None
-                     else ambient_pts[vert_idx].copy())
+                     else ambient_pts[vert_idx])
     if k == 1:
         poly._faces = {0: frozenset({(0,), (1,)})}
         poly.facet_vertex_sets = [(0,), (1,)]
@@ -382,7 +427,8 @@ def _build_full(poly, work_pts, ambient_pts=None, round_off=0.0) -> None:
         poly.facet_offsets = np.array([-1.0, 1.0]) * poly.local_vertices[:, 0]
         return
 
-    remap = -np.ones(work_pts.shape[0], dtype=int)
+    # only the ids of vertices are ever looked up
+    remap = np.empty(work_pts.shape[0], dtype=int)
     remap[vert_idx] = np.arange(len(vert_idx))
     simplices = remap[hull.simplices]  # (S, k), new indexing
     eq = hull.equations
@@ -532,8 +578,11 @@ def _lattice_general(facet_sets, k, n_vertices):
 
 
 def _check_facet_inequalities(poly, tol):
-    heights = (poly.facet_normals @ poly.local_vertices.T).max(axis=1)
-    worst = float((heights - poly.facet_offsets).max(initial=0.0))
+    # rounding is monotone, so the largest n_F . v - b_F is the largest
+    # height minus b_F, and one reduction of the whole array finds it
+    excess = poly.facet_normals @ poly.local_vertices.T
+    excess -= poly.facet_offsets[:, None]
+    worst = float(excess.max())
     if worst > tol:
         raise RuntimeError(
             f"hull inconsistency: vertex violates facet plane by {worst:.3e}"

@@ -26,6 +26,7 @@ from .bodies import (
     Ball,
     ConvexBody,
     PointCloud,
+    _unit_rows,
     ball_floating_body_radius,
     sample_poisson_process,
 )
@@ -250,14 +251,21 @@ def _region_sampler(body: ConvexBody, t: float, sampling: str, shell_c: float):
         shell_volume = body.volume * (1.0 - frac)
 
         def draw(rng, n):
-            g = rng.standard_normal((n, d))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            g = _unit_rows(rng.standard_normal((n, d)))
             u = rng.random(n)
             r = body.radius * (frac + u * (1.0 - frac)) ** (1.0 / d)
             return body.center + g * r[:, None]
 
         return draw, shell_volume
     raise ValueError(f"unknown sampling {sampling!r}")
+
+
+def _preload_sampler(sampling: str) -> None:
+    """Import what :func:`_region_sampler` imports on first use for
+    ``sampling``, so that a process pool forked after this call has it in
+    every worker: the root finder behind the ``boundary_shell`` radius."""
+    if sampling == "boundary_shell":
+        import scipy.optimize  # noqa: F401
 
 
 def _vector_diffs(body, t, vf, x, y, rng, first, core):
@@ -327,8 +335,9 @@ def _estimate_core(body, t, vf, n_outer, n_inner, rng, sampling, shell_c,
                          "four expectations, each needing disjoint draws")
     if n_outer < 2:
         raise ValueError("n_outer must be >= 2 to report standard errors")
-    # Called before the pool forks, so workers inherit the scipy.optimize
-    # that the shell sampler's radius imports on first use.
+    # Called before map_blocks forks a pool of its own, so its workers
+    # inherit what _preload_sampler names; a pool forked earlier needs
+    # _preload_sampler called before it forks.
     _, region_volume = _region_sampler(body, t, sampling, shell_c)
     if workers > 1:
         try:
@@ -446,8 +455,7 @@ def make_disjoint_visibility_config(d: int, rng: np.random.Generator):
     """
     n_points = 48 if d == 2 else 220
     for _ in range(50):
-        g = rng.standard_normal((n_points, d))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g = _unit_rows(rng.standard_normal((n_points, d)))
         radii = rng.uniform(0.92, 0.99, size=n_points)
         pts = g * radii[:, None]
         poly = convex_hull(pts)

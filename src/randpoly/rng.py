@@ -6,17 +6,24 @@ integer key path (e.g. ``(t_index, rep_index)``) through a counter-based
 Philox generator, so results are bit-identical no matter how replications
 are scheduled across workers.  :func:`map_blocks` is that scheduler: it
 splits a range of work items into contiguous blocks and returns their
-results in item order, in one process or in a process pool.
+results in item order, in one process or in a process pool.  Inside a
+:func:`shared_pool` block, which ``experiment.run`` opens around a whole
+run, every such pool is one pool: the replications of every intensity and
+the outer loop of the error-term estimate start no processes of their own.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-__all__ = ["stream", "substream", "map_blocks"]
+__all__ = ["stream", "substream", "map_blocks", "shared_pool"]
+
+# the pool of the enclosing shared_pool block, if any
+_shared: ProcessPoolExecutor | None = None
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -49,14 +56,37 @@ def map_blocks(fn, n: int, workers: int, args: tuple = ()) -> list:
 
     With ``workers <= 1`` this is the single call ``fn(*args, 0, n)`` in
     this process.  Otherwise about four blocks per worker run in a
-    process pool, so ``fn`` and ``args`` must be picklable.  Each work
-    item must draw only from its own keyed stream; then the concatenated
-    results do not depend on ``workers``.
+    process pool, so ``fn`` and ``args`` must be picklable: the pool of
+    the enclosing :func:`shared_pool` block, or else a block of this
+    call's own.  Each work item must draw only from its own keyed stream;
+    then the concatenated results do not depend on ``workers``.
     """
     if workers <= 1:
         return [fn(*args, 0, n)]
     chunk = max(1, math.ceil(n / (workers * 4)))
     starts = range(0, n, chunk)
     stops = [min(s + chunk, n) for s in starts]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(functools.partial(fn, *args), starts, stops))
+    with shared_pool(workers):
+        return list(_shared.map(functools.partial(fn, *args), starts, stops))
+
+
+@contextlib.contextmanager
+def shared_pool(workers: int):
+    """Serve every :func:`map_blocks` call in the block from one process
+    pool of ``workers`` processes, shut down when the block exits, also
+    by an exception.
+
+    The workers fork at the first such call and inherit the modules this
+    process has imported by then.  With ``workers <= 1``, or inside
+    another such block, this does nothing.
+    """
+    global _shared
+    if workers <= 1 or _shared is not None:
+        yield
+        return
+    _shared = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield
+    finally:
+        pool, _shared = _shared, None
+        pool.shutdown()

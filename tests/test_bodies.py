@@ -1,4 +1,5 @@
 """Tests for convex bodies, samplers, and the Poisson point process."""
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from randpoly.bodies import (
     sample_poisson_process,
     unit_ball_volume,
 )
+from randpoly.malliavin import _region_sampler
 from randpoly.rng import stream
 
 
@@ -89,6 +91,66 @@ class TestUniformSampling:
     def test_single_draw_shape(self):
         x = Ball(3).sample_uniform(stream(4))
         assert x.shape == (3,)
+
+
+class TestSamplerBits:
+    """The samplers' unit rows are bit-equal to dividing by
+    ``np.linalg.norm(g, axis=1)``, and they draw the same numbers."""
+
+    DIMS = [1, 2, 3, 4, 5, 8]
+
+    @staticmethod
+    def unit(g):
+        return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+    @staticmethod
+    def state(rng):
+        return json.dumps(rng.bit_generator.state, sort_keys=True,
+                          default=np.ndarray.tolist)
+
+    def check(self, draw, reference, seed):
+        got_rng, ref_rng = stream(seed), stream(seed)
+        for m in (1, 7, 1000):
+            assert np.array_equal(draw(got_rng, m), reference(ref_rng, m))
+            assert self.state(got_rng) == self.state(ref_rng)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_ball(self, d):
+        body = Ball(d, radius=1.7, center=np.linspace(-1.0, 2.0, d))
+
+        def reference(rng, m):
+            g = self.unit(rng.standard_normal((m, d)))
+            r = body.radius * rng.random(m) ** (1.0 / d)
+            return body.center + g * r[:, None]
+
+        self.check(body.sample_uniform, reference, 40 + d)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_ellipsoid(self, d):
+        body = Ellipsoid(d, semi_axes=np.linspace(0.3, 2.0, d),
+                         center=np.linspace(1.0, -1.0, d))
+
+        def reference(rng, m):
+            g = self.unit(rng.standard_normal((m, d)))
+            r = rng.random(m) ** (1.0 / d)
+            return body.center + g * r[:, None] * body.semi_axes
+
+        self.check(body.sample_uniform, reference, 50 + d)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_boundary_shell(self, d):
+        body, t = Ball(d, radius=1.3, center=np.full(d, 0.5)), 400.0
+        draw, _ = _region_sampler(body, t, "boundary_shell", 2.0)
+        rho = ball_floating_body_radius(d, body.radius, 2.0 * math.log(t) / t)
+        frac = (rho / body.radius) ** d
+
+        def reference(rng, m):
+            g = self.unit(rng.standard_normal((m, d)))
+            u = rng.random(m)
+            r = body.radius * (frac + u * (1.0 - frac)) ** (1.0 / d)
+            return body.center + g * r[:, None]
+
+        self.check(draw, reference, 60 + d)
 
 
 class TestPoissonProcess:

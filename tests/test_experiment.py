@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+import multiprocessing
 import re
 from pathlib import Path
 
@@ -451,6 +452,72 @@ class TestRunAndManifest:
                     for w in (1, 2))
         assert "malliavin_stein" in json.loads(one.read_text())
         assert one.read_bytes() == two.read_bytes()
+
+
+class TestSharedPool:
+    """One process pool per run, gone when ``run`` returns or raises."""
+
+    RAW = tiny_raw(t_grid=[60.0, 120.0], n_reps=24, malliavin={
+        "t": 60.0, "functional": "V_2", "n_outer": 8, "n_inner": 4,
+        "sampling": "boundary_shell"})
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The process pools started while the test runs."""
+        import randpoly.rng as rng_module
+        started = []
+
+        class Counted(rng_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(rng_module, "ProcessPoolExecutor", Counted)
+        return started
+
+    def test_one_pool_serves_the_run(self, tmp_path, pools):
+        run(self.RAW, outdir=tmp_path, workers=2)
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_failed_run(self, tmp_path, monkeypatch,
+                                             pools):
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(experiment, "_derive_report", boom)
+        with pytest.raises(RuntimeError, match="injected"):
+            run(self.RAW, outdir=tmp_path, workers=2)
+        manifest = json.loads(
+            (tmp_path / "tiny" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_outputs_independent_of_workers(self, tmp_path):
+        for w in (1, 2):
+            run(self.RAW, outdir=tmp_path / f"w{w}", workers=w)
+        one, two = (tmp_path / f"w{w}" / "tiny" for w in (1, 2))
+        names = sorted(str(p.relative_to(one)) for p in one.rglob("*")
+                       if p.is_file() and p.name != "manifest.json")
+        assert {"table_t0.csv", "table_t1.csv", "report.json"} <= set(names)
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+
+    def test_one_pool_serves_the_taus_command(self, tmp_path, capsys, pools):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.RAW))
+        assert cli_main(["taus", str(cfg_path), "--workers", "2"]) == 0
+        assert "tau3" in capsys.readouterr().out
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_map_blocks_outside_a_run_has_its_own_pool(self, pools):
+        from randpoly.rng import map_blocks
+        assert map_blocks(range, 10, 2) == [range(s, min(s + 2, 10))
+                                            for s in range(0, 10, 2)]
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestCorrelationBootstrap:

@@ -7,7 +7,9 @@ Rotated, scaled and translated boxes check the non-simplicial path
 against the combinatorics of a box, at translates up to 10 and up to
 1e8, and its intrinsic volumes, at the translates up to 10.  Rotated and
 scaled copies of samples, with duplicated rows, check that f-vectors are
-invariant and V_j is homogeneous of degree j.
+invariant and V_j is homogeneous of degree j.  Nearly flat clouds check
+that the Gram certificate, which lets full-rank inputs skip the SVD, never
+decides otherwise than the SVD.
 """
 import itertools
 import math
@@ -19,6 +21,9 @@ from hypothesis import strategies as st
 
 from randpoly.bodies import Ball
 from randpoly.hull import (
+    REL_TOL,
+    Polytope,
+    _certified_full_rank,
     _subfaces,
     brute_force_facets,
     convex_hull,
@@ -230,3 +235,64 @@ def test_subfaces_without_integer_keys():
         assert np.array_equal(_subfaces(facets, m), expected)
         big = _subfaces(facets * 2**40, m)
         assert np.array_equal(big // 2**40, expected)
+
+
+@st.composite
+def near_flat_clouds(draw, d):
+    """Points on a random k-flat, 1 <= k < d, plus noise of 1e-12 to 1e-1
+    times their spread, with n = d + 1 to 40 distinct rows, some rows
+    repeated and a shift of 0 to 1e8."""
+    k = draw(st.integers(1, d - 1))
+    n = draw(st.sampled_from([d + 1, d + 2, 12, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((d, k)))
+    pts = rng.uniform(-1.0, 1.0, (n, k)) @ basis.T
+    pts += 10.0 ** draw(st.floats(-12.0, -1.0)) * rng.standard_normal((n, d))
+    repeats = rng.integers(0, n, draw(st.integers(0, n)))
+    shift = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e8]))
+    direction = rng.standard_normal(d)
+    return np.vstack([pts, pts[repeats]]) + shift * direction / np.linalg.norm(
+        direction)
+
+
+def svd_affine_dim(pts):
+    """The affine dimension by the SVD rule, as convex_hull takes it."""
+    svals = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)[1]
+    return int((svals > REL_TOL * svals[0]).sum())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rank_certificate_agrees_with_svd(d):
+    fired = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(near_flat_clouds(d))
+    def check(pts):
+        k = svd_affine_dim(pts)
+        certified = _certified_full_rank(np.ascontiguousarray(pts.T))
+        fired.append(certified)
+        if certified:
+            assert k == d
+        poly = convex_hull(pts)
+        assert poly.affine_dim == k
+        assert poly.degeneracy == ("full_dimensional" if k == d
+                                   else "lower_dimensional")
+
+    check()
+    assert any(fired) and not all(fired)  # both branches were taken
+
+
+def test_default_polytope_arrays_are_read_only():
+    """Every polytope shares its empty defaults, so none may be written."""
+    fresh, empty = Polytope(3), convex_hull(np.empty((0, 3)))
+    point = convex_hull(np.ones((2, 3)))
+    for name in ("vertices", "origin", "source_indices", "local_vertices",
+                 "facet_normals", "facet_offsets", "facet_simplices",
+                 "facet_neighbors", "simplex_facet"):
+        default = getattr(fresh, name)
+        assert getattr(empty, name) is default
+        with pytest.raises(ValueError, match="read-only"):
+            default[...] = 0
+    assert point.origin is fresh.origin
+    with pytest.raises(ValueError, match="read-only"):
+        point.origin += 1.0

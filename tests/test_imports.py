@@ -89,3 +89,47 @@ def test_parsing_a_shell_block_skips_scipy_optimize():
     """The parse-time boundary_shell checks need no floating-body radius,
     so parsing stays out of a run's set-up time."""
     assert child_output(PARSE_CHILD) == ["boundary_shell", "False"]
+
+
+POOL_CHILD = """
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+from randpoly import cli, experiment, malliavin
+original = malliavin._outer_block
+
+def outer_block(*args):
+    # in a pool worker, before the block's own first use of the radius
+    assert "scipy.optimize" in sys.modules, "worker forked without it"
+    return original(*args)
+
+malliavin._outer_block = outer_block
+cfg = {
+    "name": "shell", "body": {"kind": "ball", "dim": 2, "radius": 1.0},
+    "t_grid": [100.0], "n_reps": 8, "functionals": [{"type": "multivariate"}],
+    "malliavin": {"t": 100.0, "functional": "V_2", "n_outer": 4,
+                  "n_inner": 4, "sampling": "boundary_shell"},
+    "workers": 2,
+}
+with tempfile.TemporaryDirectory() as out:
+    {entry}
+"""
+RUN_ENTRY = "print(experiment.run(cfg, outdir=out).status)"
+TAUS_ENTRY = """path = Path(out) / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["taus", str(path)])
+    print(code)"""
+
+
+@pytest.mark.parametrize("entry, words", [(RUN_ENTRY, ["completed"]),
+                                          (TAUS_ENTRY, ["0"])],
+                         ids=["run", "taus"])
+def test_pool_workers_inherit_the_shell_root_finder(entry, words):
+    """A run's one pool, and the taus command's, forks before the
+    error-term estimate, so with a boundary_shell block scipy.optimize is
+    imported before the pool opens, and no worker imports it again."""
+    assert child_output(POOL_CHILD.replace("{entry}", entry)) == words
