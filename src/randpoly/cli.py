@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .config import ConfigError
 from .experiment import PRESETS, _load_config, _malliavin_report, run, verify
-from .malliavin import _preload_sampler
 from .rng import shared_pool
 from .stats import run_replications
 
@@ -34,9 +33,7 @@ def _cmd_taus(args) -> int:
     if config.malliavin is None:
         raise ConfigError("malliavin", "config has no malliavin block")
     t_index = list(config.t_grid).index(config.malliavin.t)
-    workers = config.workers if args.workers is None else args.workers
-    if workers > 1:
-        _preload_sampler(config.malliavin.sampling)
+    workers = config.worker_count(args.workers)
     with shared_pool(workers):
         table = run_replications(config, t_index, workers=workers)
         report = _malliavin_report(config, table, workers)

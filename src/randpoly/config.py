@@ -157,6 +157,14 @@ class ExperimentConfig:
                 raise ConfigError("malliavin.functional", msg) from exc
         return labels, evaluators
 
+    def worker_count(self, override: int | None) -> int:
+        """``override``, checked as the ``workers`` key is, or the config's
+        own ``workers`` when it is None."""
+        if override is None:
+            return self.workers
+        field = {"workers": RECORDS["config"]["workers"]}
+        return check_record({"workers": override}, field, "")["workers"]
+
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
         path = Path(path)

@@ -24,12 +24,7 @@ from . import __version__
 from .bodies import body_from_spec
 from .config import ConfigError, ExperimentConfig
 from .functionals import column_values
-from .malliavin import (
-    VectorFunctional,
-    _preload_sampler,
-    estimate_gammas,
-    estimate_taus,
-)
+from .malliavin import VectorFunctional, estimate_gammas, estimate_taus
 from .rng import shared_pool, stream
 from .stats import (
     ReplicationTable,
@@ -270,7 +265,7 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable,
     rng = stream(config.seed, MALLIAVIN_STAGE, table.t_index)
     labels, columns = config.malliavin_functional()
     values = functools.partial(column_values, columns, ms.t)
-    workers = config.workers if workers is None else workers
+    workers = config.worker_count(workers)
 
     if ms.multivariate:
         scales = np.array([table.column(l).std(ddof=1) for l in labels])
@@ -358,6 +353,7 @@ def run(config, outdir=None, workers: int | None = None,
     it is shut down before ``run`` returns or raises.
     """
     config, named = _load_config(config)
+    workers = config.worker_count(workers)
     preset = named or preset
     out = _resolve_outdir(config, outdir)
     started = time.perf_counter()
@@ -372,9 +368,6 @@ def run(config, outdir=None, workers: int | None = None,
         seeds=seeds, tables=[], reports={}, preset=preset,
     )
     manifest_path = out / "manifest.json"
-    workers = config.workers if workers is None else workers
-    if workers > 1 and config.malliavin is not None:
-        _preload_sampler(config.malliavin.sampling)
     try:
         with shared_pool(workers):
             tables = []

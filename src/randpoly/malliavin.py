@@ -16,6 +16,7 @@ remains the ground truth at small t.
 """
 from __future__ import annotations
 
+import functools
 import math
 import pickle
 from dataclasses import dataclass, field
@@ -227,17 +228,28 @@ class VectorFunctional:
         return len(self.labels)
 
 
+def _shell_points(body: Ball, frac: float, rng, n: int) -> np.ndarray:
+    """n uniform points of ``body`` outside its concentric ball of volume
+    fraction ``frac``."""
+    d = body.dim
+    g = _unit_rows(rng.standard_normal((n, d)))
+    u = rng.random(n)
+    r = body.radius * (frac + u * (1.0 - frac)) ** (1.0 / d)
+    return body.center + g * r[:, None]
+
+
 def _region_sampler(body: ConvexBody, t: float, sampling: str, shell_c: float):
-    """Integration-point sampler and its region volume.
+    """Integration-point sampler ``draw(rng, n)`` and its region volume.
 
     ``plain``: uniform on the body.  ``boundary_shell``: uniform on the
     annulus between the floating body (cap-volume parameter c log t / t)
     and the boundary; balls only.  Differences vanish off the shell except
     on the rare event that the floating body is not contained in the hull,
-    so the shell estimate is the restricted integral.
+    so the shell estimate is the restricted integral.  The sampler
+    pickles, and a pool block that receives it finds no radius itself.
     """
     if sampling == "plain":
-        return (lambda rng, n: body.sample_uniform(rng, n)), body.volume
+        return body.sample_uniform, body.volume
     if sampling == "boundary_shell":
         if not isinstance(body, Ball):
             raise ValueError("boundary_shell sampling is implemented for "
@@ -246,26 +258,10 @@ def _region_sampler(body: ConvexBody, t: float, sampling: str, shell_c: float):
             raise ValueError("boundary_shell needs t > 1 (eps = c log t / t)")
         eps = shell_c * math.log(t) / t
         rho = ball_floating_body_radius(body.dim, body.radius, eps)
-        d = body.dim
-        frac = (rho / body.radius) ** d
-        shell_volume = body.volume * (1.0 - frac)
-
-        def draw(rng, n):
-            g = _unit_rows(rng.standard_normal((n, d)))
-            u = rng.random(n)
-            r = body.radius * (frac + u * (1.0 - frac)) ** (1.0 / d)
-            return body.center + g * r[:, None]
-
-        return draw, shell_volume
+        frac = (rho / body.radius) ** body.dim
+        return (functools.partial(_shell_points, body, frac),
+                body.volume * (1.0 - frac))
     raise ValueError(f"unknown sampling {sampling!r}")
-
-
-def _preload_sampler(sampling: str) -> None:
-    """Import what :func:`_region_sampler` imports on first use for
-    ``sampling``, so that a process pool forked after this call has it in
-    every worker: the root finder behind the ``boundary_shell`` radius."""
-    if sampling == "boundary_shell":
-        import scipy.optimize  # noqa: F401
 
 
 def _vector_diffs(body, t, vf, x, y, rng, first, core):
@@ -278,9 +274,11 @@ def _vector_diffs(body, t, vf, x, y, rng, first, core):
     return d2 / vf.scales, (d1 / vf.scales if first else None)
 
 
-def _outer_block(body, t, vf, n_inner, rng, sampling, shell_c, k0, k1):
+def _outer_block(body, t, vf, n_inner, rng, draw_points, core, k0, k1):
     """Rows (term1, term2, term3) of the outer steps k0..k1-1, shape
-    (3, k1 - k0).
+    (3, k1 - k0).  ``draw_points`` draws the integration points
+    (:func:`_region_sampler`), and ``core`` is the base hulls' prefilter
+    ball (:func:`floating_core`).
 
     Step k draws only from ``substream(rng, k)``, so a block's rows do
     not depend on which process runs it or on the other blocks.  Per
@@ -289,8 +287,6 @@ def _outer_block(body, t, vf, n_inner, rng, sampling, shell_c, k0, k1):
     product is estimated from its own draws (a product of independent
     unbiased estimates is unbiased for the product of moments).
     """
-    draw_points, _ = _region_sampler(body, t, sampling, shell_c)
-    core = floating_core(body, t)
     terms = np.empty((3, k1 - k0))
     groups = [range(g, n_inner, 4) for g in range(4)]
     sizes = np.array([len(g) for g in groups])
@@ -326,19 +322,17 @@ def _estimate_core(body, t, vf, n_outer, n_inner, rng, sampling, shell_c,
     """Shared Monte Carlo engine for the tau and gamma terms.
 
     The outer steps run in contiguous blocks (:func:`_outer_block`), in a
-    process pool when ``workers > 1``.  Their rows are stacked in step
-    order and reduced the same way for any worker count, so the estimates
-    are bit-identical across worker counts.
+    process pool when ``workers > 1``; each block receives the sampler and
+    the prefilter core built here.  Their rows are stacked in step order
+    and reduced the same way for any worker count, so the estimates are
+    bit-identical across worker counts.
     """
     if n_inner < 4:
         raise ValueError("n_inner must be >= 4: the moment products combine "
                          "four expectations, each needing disjoint draws")
     if n_outer < 2:
         raise ValueError("n_outer must be >= 2 to report standard errors")
-    # Called before map_blocks forks a pool of its own, so its workers
-    # inherit what _preload_sampler names; a pool forked earlier needs
-    # _preload_sampler called before it forks.
-    _, region_volume = _region_sampler(body, t, sampling, shell_c)
+    draw_points, region_volume = _region_sampler(body, t, sampling, shell_c)
     if workers > 1:
         try:
             pickle.dumps(vf)
@@ -350,7 +344,7 @@ def _estimate_core(body, t, vf, n_outer, n_inner, rng, sampling, shell_c,
 
     term1, term2, term3 = np.hstack(map_blocks(
         _outer_block, n_outer, workers,
-        (body, t, vf, n_inner, rng, sampling, shell_c),
+        (body, t, vf, n_inner, rng, draw_points, floating_core(body, t)),
     ))
 
     w3 = t * region_volume

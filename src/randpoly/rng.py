@@ -6,7 +6,9 @@ integer key path (e.g. ``(t_index, rep_index)``) through a counter-based
 Philox generator, so results are bit-identical no matter how replications
 are scheduled across workers.  :func:`map_blocks` is that scheduler: it
 splits a range of work items into contiguous blocks and returns their
-results in item order, in one process or in a process pool.  Inside a
+results in item order, in one process or in a process pool.  Its callers
+build what a block needs once and pass it in as arguments, so a worker
+rebuilds nothing and imports nothing of its own.  Inside a
 :func:`shared_pool` block, which ``experiment.run`` opens around a whole
 run, every such pool is one pool: the replications of every intensity and
 the outer loop of the error-term estimate start no processes of their own.
@@ -76,9 +78,10 @@ def shared_pool(workers: int):
     pool of ``workers`` processes, shut down when the block exits, also
     by an exception.
 
-    The workers fork at the first such call and inherit the modules this
-    process has imported by then.  With ``workers <= 1``, or inside
-    another such block, this does nothing.
+    The workers start at the first such call, and each block gets its
+    inputs from the caller as :func:`map_blocks` arguments, so nothing
+    depends on what this process has imported by then.  With
+    ``workers <= 1``, or inside another such block, this does nothing.
     """
     global _shared
     if workers <= 1 or _shared is not None:

@@ -149,11 +149,8 @@ def _check_hull_identities(poly, n_points: int, d: int):
     return fv
 
 
-def _block_rows(body_spec, t, t_index, seed, functional_specs, mode, n_dirs,
+def _block_rows(body, evaluators, core, t, t_index, seed, mode, n_dirs,
                 rep_start, rep_stop) -> np.ndarray:
-    body = body_from_spec(body_spec)
-    evaluators = build_evaluators(list(functional_specs), body.dim)
-    core = floating_core(body, t)
     out = np.empty((rep_stop - rep_start, 1 + len(evaluators)))
     for r in range(rep_start, rep_stop):
         rng = stream(seed, t_index, r)
@@ -172,21 +169,22 @@ def _block_rows(body_spec, t, t_index, seed, functional_specs, mode, n_dirs,
 def run_replications(config: ExperimentConfig, t_index: int = 0,
                      workers: int | None = None) -> ReplicationTable:
     """All functional values over n_reps independent processes at one
-    intensity of the config's grid; deterministic per (seed, rep index)."""
+    intensity of the config's grid; deterministic per (seed, rep index).
+    The body, the evaluators and the prefilter core are built here once,
+    and every replication block receives them."""
     if not 0 <= t_index < len(config.t_grid):
         raise ValueError(f"t_index {t_index} outside the grid")
     t = config.t_grid[t_index]
     n_reps = config.n_reps[t_index]
-    workers = config.workers if workers is None else workers
+    workers = config.worker_count(workers)
 
     body = body_from_spec(config.body)
-    names = ["n_points"] + [
-        name for name, _ in build_evaluators(list(config.functionals), body.dim)
-    ]
+    evaluators = build_evaluators(list(config.functionals), body.dim)
+    names = ["n_points"] + [name for name, _ in evaluators]
 
     mat = np.vstack(map_blocks(
         _block_rows, n_reps, workers,
-        (config.body, t, t_index, config.seed, config.functionals,
+        (body, evaluators, floating_core(body, t), t, t_index, config.seed,
          config.mode, config.n_dirs),
     ))
 

@@ -122,6 +122,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="built-in column"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("command", ["run", "taus"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_override_checked(self, tmp_path, capsys, command,
+                                      workers):
+        # both used to run quietly in one process
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(
+            t_grid=[60.0], n_reps=20,
+            malliavin={"t": 60.0, "functional": "V_2", "n_outer": 4,
+                       "n_inner": 4, "sampling": "plain"})))
+        out = tmp_path / "out"
+        argv = [command, str(cfg_path), "--out", str(out),
+                "--workers", workers]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: workers: must be >= 1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("label", [
         "half,perimeter", "half\nperimeter", "half_perimeter "])
     def test_valuation_label_must_fit_a_table_header(self, label):
@@ -397,6 +416,16 @@ class TestRunAndManifest:
         assert set(stored) == {"config", "config_hash", "version", "status",
                                "wall_seconds", "seeds", "tables", "reports",
                                "preset", "error"}
+
+    @pytest.mark.parametrize("workers, message", [
+        (0, "must be >= 1"), (-2, "must be >= 1"),
+        (1.5, "expected int, not 1.5"), (True, "expected int, not True")])
+    def test_workers_argument_checked(self, tmp_path, workers, message):
+        # 0 and negative counts used to run quietly in one process
+        expected = re.escape(f"workers: {message}")
+        with pytest.raises(ConfigError, match=expected):
+            run(tiny_raw(), outdir=tmp_path, workers=workers)
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_preserves_manifest(self, tmp_path, monkeypatch):
         import randpoly.experiment as exp
