@@ -44,6 +44,7 @@ __all__ = [
     "FVector",
     "convex_hull",
     "outer_hull",
+    "outside_core",
     "prefiltered_hull",
     "floating_core",
     "f_vector",
@@ -268,6 +269,19 @@ def convex_hull(cloud: PointCloud | np.ndarray) -> Polytope:
     return poly
 
 
+def outside_core(columns: np.ndarray, center: np.ndarray,
+                 rho: float) -> np.ndarray:
+    """Mask of the points at distance >= rho from ``center``, the points
+    that :func:`outer_hull` keeps; ``columns`` holds their coordinates,
+    one row per axis (the transpose of an (n, d) array)."""
+    # column by column: numpy reduces the short rows of an (n, d) array
+    # several times slower
+    r2 = (columns[0] - center[0]) ** 2
+    for x, c in zip(columns[1:], center[1:]):
+        r2 += (x - c) ** 2
+    return r2 >= rho * rho
+
+
 def outer_hull(points: np.ndarray, center: np.ndarray, rho: float,
                build=convex_hull) -> tuple[Polytope, float] | None:
     """Hull of the points at distance >= rho from ``center``, and the least
@@ -286,12 +300,7 @@ def outer_hull(points: np.ndarray, center: np.ndarray, rho: float,
     for sampled points, this decides whether the full hull contains B_rho.
     """
     d = points.shape[1]
-    # column by column: numpy reduces the short rows of an (n, d) array
-    # several times slower
-    r2 = np.zeros(len(points))
-    for x, c in zip(points.T, center):
-        r2 += (x - c) ** 2
-    keep = np.nonzero(r2 >= rho * rho)[0]
+    keep = np.nonzero(outside_core(points.T, center, rho))[0]
     if len(keep) <= d:
         return None
     poly = build(points[keep])

@@ -31,7 +31,14 @@ from .bodies import (
     ball_floating_body_radius,
     sample_poisson_process,
 )
-from .hull import Polytope, convex_hull, floating_core, prefiltered_hull
+from .hull import (
+    REL_TOL,
+    Polytope,
+    convex_hull,
+    floating_core,
+    outside_core,
+    prefiltered_hull,
+)
 from .rng import map_blocks, substream
 
 __all__ = [
@@ -48,6 +55,15 @@ __all__ = [
 ]
 
 _INSIDE_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+
+# The planar inside certificate (_Rehuller._certified_inside): points
+# nearer to x than _NEAR times the cloud's extent are left out, the
+# directions to the others may leave no gap of pi - _ETA or more, and the
+# facet test's round-off is allowed _ROUNDING eps times the coordinates.
+_NEAR = 1e-3
+_ETA = 1e-2
+_ROUNDING = 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -60,19 +76,101 @@ class _Rehuller:
     The hull of (cloud + extras) equals the hull of (hull vertices +
     extras), so after one full hull the add-one re-hulls touch only a
     handful of points.  Given a ``core`` ball (:func:`floating_core`), the
-    base hull skips the points inside it.
+    base hull skips the points inside it.  The base hull is built on first
+    use; in the plane, :meth:`strictly_inside` often answers without it.
     """
 
     def __init__(self, cloud: PointCloud | np.ndarray, core=None):
-        self.base = prefiltered_hull(cloud, core, convex_hull)
-        self._tol = _INSIDE_TOL * max(1.0, self.base.diameter)
+        self._cloud = cloud
+        self._core = core
+
+    @functools.cached_property
+    def base(self) -> Polytope:
+        return prefiltered_hull(self._cloud, self._core, convex_hull)
+
+    @functools.cached_property
+    def _tol(self) -> float:
+        return _INSIDE_TOL * max(1.0, self.base.diameter)
 
     def strictly_inside(self, x: np.ndarray) -> bool:
-        return (self.base.is_full_dimensional()
-                and self.base.max_facet_excess(x) < -self._tol)
+        return self._certified_inside(x) or (
+            self.base.is_full_dimensional()
+            and self.base.max_facet_excess(x) < -self._tol)
 
     def with_points(self, *xs: np.ndarray) -> Polytope:
         return convex_hull(np.vstack([self.base.vertices, *xs]))
+
+    @functools.cached_property
+    def _ring(self) -> tuple[np.ndarray, float] | None:
+        """Coordinate rows of the planar points outside the core, and the
+        certificate's m0; None where the certificate can prove nothing."""
+        cloud = self._cloud
+        pts = (cloud.points if isinstance(cloud, PointCloud)
+               else np.asarray(cloud, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+            return None
+        rows = np.ascontiguousarray(pts.T)
+        (lo0, lo1), (hi0, hi1) = rows.min(axis=1), rows.max(axis=1)
+        diam = math.hypot(hi0 - lo0, hi1 - lo1)
+        near = _NEAR * diam
+        need = (2.0 * _INSIDE_TOL * max(1.0, diam)
+                + math.sqrt(len(pts)) * (
+                    2.0 * REL_TOL * diam
+                    + _ROUNDING * _EPS * max(-lo0, -lo1, hi0, hi1)))
+        # not (a > b): a NaN from non-finite points declines too
+        if not 0.5 * near * math.sin(0.5 * _ETA) > need:
+            return None
+        if self._core is not None:
+            rows = rows.compress(outside_core(rows, *self._core), axis=1)
+        return rows, near
+
+    def _certified_inside(self, x: np.ndarray) -> bool:
+        """Whether the directions from x to the planar points prove x
+        strictly inside the hull, without building it.  False means
+        "not proven", and the facet test decides.
+
+        Let P be the points outside the core (all points without one) at
+        distance >= m0 = _NEAR D from x, D the diagonal of the cloud's
+        bounding box.  If the directions of p - x, p in P, leave no
+        circular gap of pi - eta (eta = _ETA) or more, every closed arc of
+        directions of width pi - eta holds one of them.  So for each unit
+        u some p in P has u . (p - x) >= m0 cos((pi - eta) / 2) =
+        m0 sin(eta / 2): the disc of that radius about x lies in the hull
+        of P.  The differences p - x are correctly rounded and arctan2 is
+        good to a few ulps, so the computed gaps are off by far less than
+        what the proven depth r = m0 sin(eta / 2) / 2 gives up.
+
+        Then the facet test says "inside" too, for :attr:`_ring` declines
+        unless r > 2 tol + sqrt(n) (2 REL_TOL D + _ROUNDING eps |z|max),
+        with tol = _INSIDE_TOL max(1, D), at least the test's own, n the
+        number of points and |z|max their largest coordinate.  The base
+        hull's input Q (the points outside the core, or all of them)
+        contains P, so it is at least 2r wide in every direction: the least
+        singular value of the centred Q is at least r and the largest at
+        most sqrt(n) D.  Centring rounds each coordinate by a few
+        eps |z|max, which moves them by at most sqrt(n) times that, so the
+        SVD rule of :func:`convex_hull` keeps full rank.  Each facet plane
+        n . z <= b of the base hull leaves every point of Q, and so the
+        disc, below it up to qhull's round-off, a few eps |z|max;
+        evaluating the excess adds a few more.  So n . x - b <= -r + that
+        round-off < -tol.  Far-off, huge, tiny and non-finite clouds fail
+        the bound, and the facet test decides.
+        """
+        ring = self._ring
+        if ring is None or x.shape != (2,):
+            return False
+        rows, near = ring
+        dx = rows[0] - x[0]
+        dy = rows[1] - x[1]
+        far = dx * dx + dy * dy >= near * near
+        angles = np.arctan2(dy[far], dx[far])
+        if len(angles) < 3:
+            return False
+        angles.sort()
+        # np.diff costs twice the slices
+        gap = max(float((angles[1:] - angles[:-1]).max()),
+                  2.0 * math.pi + angles[0] - angles[-1])
+        return gap < math.pi - _ETA
 
 
 def _differences(re: _Rehuller, fn, x, y, first: bool):
@@ -81,14 +179,15 @@ def _differences(re: _Rehuller, fn, x, y, first: bool):
     D2 = F(+x+y) - F(+x) - F(+y) + F() is None when ``y`` is None, and
     D1 = F(+x) - F() is None unless ``first`` is set.  A point strictly
     inside the base hull changes no hull, so every difference it enters
-    is exactly 0.0 and takes no re-hull.  ``fn`` is evaluated once per
-    hull it needs, as a float array.
+    is exactly 0.0 and takes no re-hull; ``y`` is not tested when ``x``
+    is inside.  ``fn`` is evaluated once per hull it needs, as a float
+    array.
     """
     def F(hull):
         return np.asarray(fn(hull), dtype=float)
 
     x_moves = not re.strictly_inside(x)
-    y_moves = y is not None and not re.strictly_inside(y)
+    y_moves = x_moves and y is not None and not re.strictly_inside(y)
     d2 = None if y is None else 0.0
     d1 = 0.0 if first else None
     if x_moves and (first or y_moves):

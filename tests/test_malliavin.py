@@ -346,3 +346,39 @@ class TestSecondDifferencePins:
         assert (g.gamma1, g.gamma2, g.gamma3) == pytest.approx(
             (53.01966139274035, 42.05433181463077, 16.635731090474543),
             rel=1e-9)
+
+
+class TestPlanarCertificatePins:
+    """Exact pins, from the code before the planar inside certificate, of
+    every term and standard error in d = 2: most inner draws there are
+    settled by the certificate without a base hull, which must leave
+    every value as it was."""
+
+    @pytest.mark.parametrize("sampling, t, expected", [
+        ("plain", 3.0,
+         (0.35469017752219567, 0.02155453566806958, 7.6867251657778155,
+          0.20553974291582622, 0.0163508605858483, 2.8761031140064595)),
+        ("boundary_shell", 12.0,
+         (0.008858549434645995, 0.0011011206965125476, 0.6114773965660733,
+          0.008858549434645991, 0.0011011206965125476, 0.18065107463158586)),
+    ])
+    def test_tau_pins(self, sampling, t, expected):
+        tau = estimate_taus(Ball(2), t, area, 0.05, 40, 8, stream(171),
+                            sampling=sampling, label="V_2")
+        assert (tau.tau1, tau.tau2, tau.tau3,
+                tau.se1, tau.se2, tau.se3) == expected
+
+    @pytest.mark.parametrize("sampling, t, expected", [
+        ("plain", 6.0,
+         (6.643844704612535, 0.02244280159930923, 4.634767038983094,
+          6.643844704612451, 0.022442801599309226, 1.1342343161606363)),
+        ("boundary_shell", 12.0,
+         (0.18858349052245058, 0.027248859748799443, 2.968841098949034,
+          0.18858349052245058, 0.027248859748799443, 0.6024819839912333)),
+    ])
+    def test_gamma_pins(self, sampling, t, expected):
+        vf = VectorFunctional(fn=area_and_f0, labels=("V_2", "f_0"),
+                              scales=np.array([0.2, 2.0]))
+        g = estimate_gammas(Ball(2), t, vf, 40, 8, stream(172),
+                            sampling=sampling)
+        assert (g.gamma1, g.gamma2, g.gamma3, g.se1, g.se2, g.se3) == expected
