@@ -667,10 +667,13 @@ class TestCorrelationBootstrapBitIdentity:
 GOLDEN = Path(__file__).parent / "data" / "reports"
 
 
-@pytest.mark.parametrize("name", ["exact_d2", "mc_d4"])
+@pytest.mark.parametrize("name", ["exact_d2", "mc_d4", "bound_f0",
+                                  "gamma_d2"])
 def test_report_matches_golden_files(tmp_path, name):
-    """``report.json`` and the plot CSVs of two small runs are byte-equal
-    to stored copies, so any change in a summation order shows here."""
+    """``report.json`` and the plot CSVs of four small runs are byte-equal
+    to stored copies, so any change in a summation order shows here; the
+    last two carry a univariate and a multivariate ``malliavin_stein``
+    block."""
     raw = json.loads((GOLDEN / name / "config.json").read_text())
     run(raw, outdir=tmp_path)
     want = sorted(p.relative_to(GOLDEN / name)
