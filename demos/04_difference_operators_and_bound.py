@@ -17,7 +17,6 @@ from randpoly import (
     f_vector,
     first_difference,
     make_disjoint_visibility_config,
-    ms_bound_univariate,
     sample_poisson_process,
     second_difference,
     standardize,
@@ -63,7 +62,7 @@ tau = estimate_taus(ball, t, area, variance, n_outer=1200, n_inner=8,
 print(f"tau_1 = {tau.tau1:.3e} +- {tau.se1:.1e}")
 print(f"tau_2 = {tau.tau2:.3e} +- {tau.se2:.1e}")
 print(f"tau_3 = {tau.tau3:.3e} +- {tau.se3:.1e}")
-bound = ms_bound_univariate(tau)
+bound = tau.bound()
 print(f"bound 2 sqrt(tau_1) + sqrt(tau_2) + tau_3 = {bound:.4f}")
 print(f"empirical w1 distance at the same intensity = {w1:.4f}")
 print(f"bound dominates: {bound >= w1}  (the bound is loose at desk scale; "

@@ -51,8 +51,6 @@ from .malliavin import (
     estimate_taus,
     first_difference,
     make_disjoint_visibility_config,
-    ms_bound_multivariate,
-    ms_bound_univariate,
     second_difference,
 )
 from .experiment import PRESETS, RunManifest, preset_config, run, verify

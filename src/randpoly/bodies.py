@@ -69,16 +69,11 @@ class ConvexBody:
             )
         return bool(self._contains_many(x[None, :])[0])
 
-    def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (n, d) array."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, self.dim)
-        return self._contains_many(pts)
-
     def _contains_many(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_uniform(self, rng: np.random.Generator, n: int | None = None):
-        """Uniform point(s) on the body; (n, d) array if ``n`` is given."""
+    def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` uniform points on the body, as an (n, d) array."""
         raise NotImplementedError
 
     def spec(self) -> dict:
@@ -137,12 +132,11 @@ class Ball(ConvexBody):
         d2 = ((pts - self.center) ** 2).sum(axis=1)
         return d2 <= self.radius**2 * (1.0 + 1e-15)
 
-    def sample_uniform(self, rng, n=None):
-        m = 1 if n is None else int(n)
-        out = _unit_rows(rng.standard_normal((m, self.dim)))
-        out *= (self.radius * rng.random(m) ** (1.0 / self.dim))[:, None]
+    def sample_uniform(self, rng, n):
+        out = _unit_rows(rng.standard_normal((n, self.dim)))
+        out *= (self.radius * rng.random(n) ** (1.0 / self.dim))[:, None]
         out += self.center
-        return out[0] if n is None else out
+        return out
 
 
 @dataclass(frozen=True)
@@ -170,14 +164,13 @@ class Ellipsoid(ConvexBody):
         u = (pts - self.center) / self.semi_axes
         return (u**2).sum(axis=1) <= 1.0 + 1e-15
 
-    def sample_uniform(self, rng, n=None):
+    def sample_uniform(self, rng, n):
         # affine image of the unit ball
-        m = 1 if n is None else int(n)
-        out = _unit_rows(rng.standard_normal((m, self.dim)))
-        out *= (rng.random(m) ** (1.0 / self.dim))[:, None]
+        out = _unit_rows(rng.standard_normal((n, self.dim)))
+        out *= (rng.random(n) ** (1.0 / self.dim))[:, None]
         out *= self.semi_axes
         out += self.center
-        return out[0] if n is None else out
+        return out
 
 
 @dataclass(frozen=True)
@@ -203,11 +196,9 @@ class Cube(ConvexBody):
         h = self.side / 2.0 * (1.0 + 1e-15)
         return (np.abs(pts) <= h).all(axis=1)
 
-    def sample_uniform(self, rng, n=None):
-        m = 1 if n is None else int(n)
+    def sample_uniform(self, rng, n):
         h = self.side / 2.0
-        out = rng.uniform(-h, h, size=(m, self.dim))
-        return out[0] if n is None else out
+        return rng.uniform(-h, h, size=(n, self.dim))
 
 
 def body_from_spec(spec: dict) -> ConvexBody:

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from .functionals import column_values
 from .malliavin import VectorFunctional, estimate_gammas, estimate_taus
 from .rng import shared_pool, stream
 from .stats import (
+    CSV_FLOAT_FORMAT,
     ReplicationTable,
     covariance_matrix,
     rate_fit,
@@ -75,7 +76,13 @@ class RunManifest:
 
     @staticmethod
     def from_file(path: str | Path) -> "RunManifest":
+        """The manifest stored at ``path``; ValueError naming the file
+        unless it holds a JSON object with exactly the manifest's fields."""
         d = json.loads(Path(path).read_text())
+        want = {f.name for f in fields(RunManifest)}
+        if not isinstance(d, dict) or set(d) != want:
+            raise ValueError(f"{path}: not a run manifest (a JSON object "
+                             f"with the keys {', '.join(sorted(want))})")
         return RunManifest(**d)
 
     def write(self, path: str | Path) -> None:
@@ -125,7 +132,7 @@ def _summarize_table(table: ReplicationTable, seed: int) -> dict:
         rng = stream(seed, BOOTSTRAP_STAGE, table.t_index)
         out["w1_to_normal"] = {n: ss.w1_to_normal[n] for n in varying}
         out["w1_se"] = {
-            n: w1_bootstrap_se(ss.standardized[n], rng=rng) for n in varying
+            n: w1_bootstrap_se(ss.standardized[n], rng) for n in varying
         }
         out["correlation_columns"] = list(ss.columns)
         out["correlation"] = [[float(v) for v in row] for row in ss.covariance]
@@ -198,10 +205,8 @@ def _write_plot_data(outdir: Path, summaries: list[dict]) -> list[str]:
 
     def emit(name: str, header: list[str], rows: list[list]) -> None:
         p = outdir / "plots" / name
-        with open(p, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+        np.savetxt(p, rows, fmt=CSV_FLOAT_FORMAT, delimiter=",",
+                   header=",".join(header), comments="")
         written.append(str(p))
 
     cols = sorted({c for s in summaries for c in s["variances"]})
@@ -267,20 +272,20 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable,
     values = functools.partial(column_values, columns, ms.t)
     workers = config.worker_count(workers)
 
+    report = {"n_outer": ms.n_outer, "n_inner": ms.n_inner, "t": ms.t,
+              "sampling": ms.sampling}
     if ms.multivariate:
         scales = np.array([table.column(l).std(ddof=1) for l in labels])
         vf = VectorFunctional(fn=values, labels=labels, scales=scales)
         g = estimate_gammas(body, ms.t, vf, ms.n_outer, ms.n_inner, rng,
                             sampling=ms.sampling, shell_c=ms.c,
                             workers=workers)
-        return {
+        return report | {
             "kind": "multivariate",
             "labels": list(g.labels),
             "gamma1": g.gamma1, "gamma2": g.gamma2, "gamma3": g.gamma3,
             "se": {"gamma1": g.se1, "gamma2": g.se2, "gamma3": g.se3},
             "bound": g.bound(),
-            "n_outer": g.n_outer, "n_inner": g.n_inner,
-            "t": g.t, "sampling": g.sampling,
         }
 
     label, = labels
@@ -288,7 +293,7 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable,
     tau = estimate_taus(body, ms.t, values, variance,
                         ms.n_outer, ms.n_inner, rng, sampling=ms.sampling,
                         shell_c=ms.c, label=label, workers=workers)
-    return {
+    return report | {
         "kind": "univariate",
         "functional": label,
         "tau1": tau.tau1, "tau2": tau.tau2, "tau3": tau.tau3,
@@ -296,8 +301,6 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable,
         "bound": tau.bound(),
         "bound_se": tau.bound_standard_error(),
         "variance_estimate": variance,
-        "n_outer": tau.n_outer, "n_inner": tau.n_inner,
-        "t": tau.t, "sampling": tau.sampling,
     }
 
 
@@ -325,7 +328,7 @@ def _derive_report(config: ExperimentConfig,
     d = body_from_spec(config.body).dim
     if "oracle" in tables[0].names and f"V_{d}" in tables[0].names:
         report["oracle_variance_ratio"] = {
-            str(tb.t): variance_identity_check(tb, tb) for tb in tables
+            str(tb.t): variance_identity_check(tb) for tb in tables
         }
     return report
 
@@ -343,8 +346,7 @@ def _load_config(config) -> tuple[ExperimentConfig, str | None]:
     return config, None
 
 
-def run(config, outdir=None, workers: int | None = None,
-        preset: str | None = None) -> RunManifest:
+def run(config, outdir=None, workers: int | None = None) -> RunManifest:
     """Execute a config end to end; returns the manifest (also persisted).
 
     ``config`` is anything :func:`_load_config` takes.  With ``workers``
@@ -352,9 +354,8 @@ def run(config, outdir=None, workers: int | None = None,
     run, every intensity's replications and the error-term estimate, and
     it is shut down before ``run`` returns or raises.
     """
-    config, named = _load_config(config)
+    config, preset = _load_config(config)
     workers = config.worker_count(workers)
-    preset = named or preset
     out = _resolve_outdir(config, outdir)
     started = time.perf_counter()
     seeds = {
@@ -410,10 +411,10 @@ def run(config, outdir=None, workers: int | None = None,
 # verification
 
 
-def _isclose(a: float, b: float, rel=1e-12) -> bool:
+def _isclose(a: float, b: float) -> bool:
     if math.isnan(a) and math.isnan(b):
         return True
-    return math.isclose(a, b, rel_tol=rel, abs_tol=1e-300)
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300)
 
 
 def _deep_compare(a, b, path="") -> list[str]:

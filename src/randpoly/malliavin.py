@@ -49,8 +49,6 @@ __all__ = [
     "second_difference",
     "estimate_taus",
     "estimate_gammas",
-    "ms_bound_univariate",
-    "ms_bound_multivariate",
     "make_disjoint_visibility_config",
 ]
 
@@ -253,7 +251,8 @@ class TauEstimate:
                 raise ValueError("tau estimates must be finite and nonnegative")
 
     def bound(self) -> float:
-        return ms_bound_univariate(self)
+        """2 sqrt(tau1) + sqrt(tau2) + tau3."""
+        return 2.0 * math.sqrt(self.tau1) + math.sqrt(self.tau2) + self.tau3
 
     def bound_standard_error(self) -> float:
         # delta method on 2 sqrt(t1) + sqrt(t2) + t3
@@ -273,7 +272,6 @@ class GammaEstimate:
     se1: float
     se2: float
     se3: float
-    m: int
     labels: tuple[str, ...]
     n_outer: int
     n_inner: int
@@ -286,19 +284,11 @@ class GammaEstimate:
                 raise ValueError("gamma estimates must be finite and nonnegative")
 
     def bound(self) -> float:
-        return ms_bound_multivariate(self)
-
-
-def ms_bound_univariate(tau: TauEstimate) -> float:
-    """2 sqrt(tau1) + sqrt(tau2) + tau3."""
-    return 2.0 * math.sqrt(tau.tau1) + math.sqrt(tau.tau2) + tau.tau3
-
-
-def ms_bound_multivariate(g: GammaEstimate) -> float:
-    """m sqrt(gamma1) + (m/2) sqrt(gamma2) + (m^2/4) gamma3."""
-    m = g.m
-    return (m * math.sqrt(g.gamma1) + 0.5 * m * math.sqrt(g.gamma2)
-            + 0.25 * m * m * g.gamma3)
+        """m sqrt(gamma1) + (m/2) sqrt(gamma2) + (m^2/4) gamma3, with m
+        the number of components."""
+        m = len(self.labels)
+        return (m * math.sqrt(self.gamma1) + 0.5 * m * math.sqrt(self.gamma2)
+                + 0.25 * m * m * self.gamma3)
 
 
 @dataclass(frozen=True)
@@ -363,16 +353,6 @@ def _region_sampler(body: ConvexBody, t: float, sampling: str, shell_c: float):
     raise ValueError(f"unknown sampling {sampling!r}")
 
 
-def _vector_diffs(body, t, vf, x, y, rng, first, core):
-    """One process draw: the standardized (D2_{x,y}, D1_x) of ``vf``, as
-    length-m arrays; D1 is None unless ``first`` is set.  ``core`` is the
-    base hull's prefilter ball, or None.
-    """
-    re = _Rehuller(sample_poisson_process(body, t, rng), core)
-    d2, d1 = _differences(re, vf.fn, x, y, first)
-    return d2 / vf.scales, (d1 / vf.scales if first else None)
-
-
 def _outer_block(body, t, vf, n_inner, rng, draw_points, core, k0, k1):
     """Rows (term1, term2, term3) of the outer steps k0..k1-1, shape
     (3, k1 - k0).  ``draw_points`` draws the integration points
@@ -400,10 +380,13 @@ def _outer_block(body, t, vf, n_inner, rng, draw_points, core, k0, k1):
         d1 = np.zeros((2, 2, vf.m))
         for g, idxs in enumerate(groups):
             for _ in idxs:
-                second, first = _vector_diffs(body, t, vf, xs[g % 2], xs[2],
-                                              rk, g >= 2, core)
-                d2[g] += second ** 4
+                # one process draw: the standardized (D2_{x,y}, D1_x)
+                re = _Rehuller(sample_poisson_process(body, t, rk), core)
+                second, first = _differences(re, vf.fn, xs[g % 2], xs[2],
+                                             g >= 2)
+                d2[g] += (second / vf.scales) ** 4
                 if g >= 2:
+                    first = first / vf.scales
                     d1[g - 2] += first ** 4, np.abs(first) ** 3
         d2 /= sizes[:, None]
         d1 /= sizes[2:, None, None]
@@ -526,7 +509,7 @@ def estimate_gammas(
     )
     return GammaEstimate(
         gamma1=g1, gamma2=g2, gamma3=g3, se1=se1, se2=se2, se3=se3,
-        m=vector_functional.m, labels=vector_functional.labels,
+        labels=vector_functional.labels,
         n_outer=n_outer, n_inner=n_inner, t=t, sampling=sampling,
     )
 

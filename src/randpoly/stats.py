@@ -96,11 +96,8 @@ class ReplicationTable:
         so values round-trip exactly and reruns are byte-identical."""
         path = Path(path)
         names = self.names
-        mat = self.matrix(names)
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in mat:
-                fh.write(",".join(CSV_FLOAT_FORMAT % v for v in row) + "\n")
+        np.savetxt(path, self.matrix(names), fmt=CSV_FLOAT_FORMAT,
+                   delimiter=",", header=",".join(names), comments="")
         meta = {
             "t": self.t,
             "t_index": self.t_index,
@@ -226,8 +223,8 @@ def w1_to_normal(standardized_column: np.ndarray) -> float:
     return float(np.abs(x - _normal_grid_quantiles(n)).mean())
 
 
-def w1_bootstrap_se(standardized_column: np.ndarray, n_boot: int = 200,
-                    rng: np.random.Generator | None = None) -> float:
+def w1_bootstrap_se(standardized_column: np.ndarray,
+                    rng: np.random.Generator, n_boot: int = 200) -> float:
     """Bootstrap standard error of the empirical W1 distance.
 
     All resamples come from one ``rng.integers`` call of shape
@@ -235,7 +232,6 @@ def w1_bootstrap_se(standardized_column: np.ndarray, n_boot: int = 200,
     the same state as ``n_boot`` calls of size n.
     """
     x = np.asarray(standardized_column, dtype=float)
-    rng = np.random.default_rng(0) if rng is None else rng
     n = len(x)
     if n < 2:
         raise ValueError("need at least 2 observations")
@@ -259,11 +255,11 @@ class SummaryStats:
     eigenvalues: np.ndarray
 
 
-def covariance_matrix(table: ReplicationTable, columns: list[str] | None = None,
-                      rank_tol: float = 1e-8) -> SummaryStats:
+def covariance_matrix(table: ReplicationTable,
+                      columns: list[str] | None = None) -> SummaryStats:
     """Sample correlation matrix of the selected columns (unit diagonal),
     with the standardized columns, their W1 distances, and the numeric
-    rank."""
+    rank (:func:`numeric_rank` at its default tolerance)."""
     if columns is None:
         columns = [n for n in table.names if n != "n_points"]
     if table.n_reps < 2:
@@ -276,7 +272,7 @@ def covariance_matrix(table: ReplicationTable, columns: list[str] | None = None,
     corr = np.corrcoef(mat, rowvar=False)
     corr = np.atleast_2d(corr)
     w1 = {c: w1_to_normal(std[c]) for c in columns}
-    rank, eig = numeric_rank(corr, rank_tol)
+    rank, eig = numeric_rank(corr)
     return SummaryStats(
         columns=tuple(columns), covariance=corr, standardized=std,
         w1_to_normal=w1, rank_estimate=rank, eigenvalues=eig,
@@ -335,17 +331,14 @@ def rate_fit(pairs) -> RateFit:
 # estimator identities and containment
 
 
-def variance_identity_check(table_oracle: ReplicationTable,
-                            table_missed: ReplicationTable) -> float:
-    """Ratio Var[estimator] / ((1/t) E[missed volume]); near 1 when the
-    exact variance identity of the vertex-corrected estimator holds."""
-    if table_oracle.t != table_missed.t or table_oracle.body != table_missed.body:
-        raise ValueError("tables must share the same intensity and body")
-    t = table_oracle.t
-    est = table_oracle.column("oracle")
-    body = body_from_spec(table_missed.body)
-    missed = body.volume - table_missed.column(f"V_{body.dim}")
-    denom = float(missed.mean()) / t
+def variance_identity_check(table: ReplicationTable) -> float:
+    """Ratio Var[estimator] / ((1/t) E[missed volume]) over the table's
+    ``oracle`` and top intrinsic volume columns; near 1 when the exact
+    variance identity of the vertex-corrected estimator holds."""
+    est = table.column("oracle")
+    body = body_from_spec(table.body)
+    missed = body.volume - table.column(f"V_{body.dim}")
+    denom = float(missed.mean()) / table.t
     if denom == 0.0:
         raise ValueError("mean missed volume is zero")
     return float(est.var(ddof=1)) / denom
@@ -356,7 +349,10 @@ def sandwich_probability(body: Ball, t: float, c: float, n_reps: int,
     """Frequency with which the floating body (cap parameter c log t / t)
     lies inside the hull: every facet plane at distance >= the floating
     radius from the center.  The hull of the points outside the floating
-    body decides this alone (:func:`~randpoly.hull.outer_hull`)."""
+    body decides this alone (:func:`~randpoly.hull.outer_hull`).
+    ``n_reps`` is an integer >= 1."""
+    if not isinstance(n_reps, (int, np.integer)) or n_reps < 1:
+        raise ValueError(f"n_reps must be an integer >= 1, not {n_reps!r}")
     if not isinstance(body, Ball):
         raise ValueError("floating-body containment is implemented for "
                          "balls only")
@@ -365,7 +361,7 @@ def sandwich_probability(body: Ball, t: float, c: float, n_reps: int,
     eps = c * math.log(t) / t
     rho = ball_floating_body_radius(body.dim, body.radius, eps)
     hits = 0
-    for i in range(int(n_reps)):
+    for i in range(n_reps):
         ri = substream(rng, i)
         cloud = sample_poisson_process(body, t, ri)
         got = outer_hull(cloud.points, body.center, rho, convex_hull)
@@ -390,13 +386,13 @@ class MardiaResult:
     dropped: tuple[str, ...]
 
 
-def mardia_normality(table: ReplicationTable, columns: list[str],
-                     alpha: float = 0.01) -> MardiaResult:
+def mardia_normality(table: ReplicationTable,
+                     columns: list[str]) -> MardiaResult:
     """Mardia's multivariate skewness and kurtosis statistics.
 
     Skewness: n b1 / 6 against chi-square with p(p+1)(p+2)/6 degrees of
     freedom; kurtosis: (b2 - p(p+2)) / sqrt(8 p (p+2) / n) against N(0,1).
-    ``passed`` requires both p-values above alpha.  Columns that make the
+    ``passed`` requires both p-values above 0.01.  Columns that make the
     covariance singular (exact linear dependencies, e.g. duplicated face
     counts in the plane) are dropped from the end until full rank.
     """
@@ -433,6 +429,6 @@ def mardia_normality(table: ReplicationTable, columns: list[str],
     return MardiaResult(
         skewness_stat=skew_stat, skewness_pvalue=skew_p,
         kurtosis_stat=kurt_stat, kurtosis_pvalue=kurt_p,
-        passed=(skew_p > alpha and kurt_p > alpha),
+        passed=(skew_p > 0.01 and kurt_p > 0.01),
         n=n, p=p, dropped=tuple(dropped),
     )

@@ -184,7 +184,7 @@ def test_criterion_05_oracle_unbiased(table_d2_t1000):
 
 
 def test_criterion_06_oracle_variance_identity(table_d2_t1000):
-    ratio = variance_identity_check(table_d2_t1000, table_d2_t1000)
+    ratio = variance_identity_check(table_d2_t1000)
     report("criterion 06 variance identity", 0.9 <= ratio <= 1.1,
            f"Var/((1/t) E missed) = {ratio:.4f}")
 

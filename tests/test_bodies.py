@@ -71,7 +71,7 @@ class TestUniformSampling:
     ])
     def test_support(self, body):
         pts = body.sample_uniform(stream(1), 2000)
-        assert bool(body.contains_many(pts).all())
+        assert all(body.contains(x) for x in pts)
 
     def test_symmetry_of_mean(self):
         n = 100_000
@@ -87,10 +87,6 @@ class TestUniformSampling:
         frac = float((np.linalg.norm(pts, axis=1) <= 2 ** -0.5).mean())
         se = math.sqrt(0.25 / n)
         assert abs(frac - 0.5) <= 3 * se
-
-    def test_single_draw_shape(self):
-        x = Ball(3).sample_uniform(stream(4))
-        assert x.shape == (3,)
 
 
 class TestSamplerBits:
@@ -185,7 +181,7 @@ class TestPoissonProcess:
     def test_points_inside(self):
         body = Ball(3)
         cloud = sample_poisson_process(body, 200.0, stream(9))
-        assert bool(body.contains_many(cloud.points).all())
+        assert all(body.contains(x) for x in cloud.points)
 
     def test_nonpositive_intensity(self):
         with pytest.raises(ValueError):

@@ -860,6 +860,15 @@ class TestCLI:
         csv.write_text(body + "0,0,0,0,0,0,0\n")  # appended garbage row
         assert cli_main(["verify", str(tmp_path / "tiny" / "manifest.json")]) == 2
 
+    @pytest.mark.parametrize("content", [{"config": {}}, [1, 2]])
+    def test_malformed_manifest_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(content))
+        assert cli_main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_raw(t_grid=[5.0, 1.0])))

@@ -20,8 +20,6 @@ from randpoly.malliavin import (
     estimate_taus,
     first_difference,
     make_disjoint_visibility_config,
-    ms_bound_multivariate,
-    ms_bound_univariate,
     second_difference,
 )
 from randpoly.rng import stream
@@ -64,7 +62,7 @@ class TestFirstDifference:
         body = Ball(2)
         for _ in range(300):
             cloud = sample_poisson_process(body, 30.0, rng)
-            x = body.sample_uniform(rng)
+            x = body.sample_uniform(rng, 1)[0]
             for fn in (volume, area):
                 assert first_difference(cloud, x, fn) >= -1e-9
 
@@ -73,7 +71,7 @@ class TestFirstDifference:
         body = Ball(3)
         for _ in range(200):
             cloud = sample_poisson_process(body, 20.0, rng)
-            x = body.sample_uniform(rng)
+            x = body.sample_uniform(rng, 1)[0]
             vols_before = intrinsic_volumes(convex_hull(cloud), mode="exact")
             pts = np.vstack([cloud.points, x[None, :]])
             vols_after = intrinsic_volumes(convex_hull(pts), mode="exact")
@@ -122,7 +120,7 @@ class TestSecondDifference:
         body = Ball(2)
         for _ in range(30):
             cloud = sample_poisson_process(body, 25.0, rng)
-            x = body.sample_uniform(rng)
+            x = body.sample_uniform(rng, 1)[0]
             lhs = second_difference(cloud, x, x, volume)
             rhs = -first_difference(cloud, x, volume)
             assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -146,16 +144,16 @@ class TestBounds:
                            t=1.0, sampling="plain")
 
     def test_zero(self):
-        assert ms_bound_univariate(self._tau(0, 0, 0)) == 0.0
+        assert self._tau(0, 0, 0).bound() == 0.0
 
     def test_ones(self):
-        assert ms_bound_univariate(self._tau(1, 1, 1)) == pytest.approx(4.0)
+        assert self._tau(1, 1, 1).bound() == pytest.approx(4.0)
 
     def test_monotone_in_each_argument(self):
-        base = ms_bound_univariate(self._tau(1, 1, 1))
-        assert ms_bound_univariate(self._tau(2, 1, 1)) > base
-        assert ms_bound_univariate(self._tau(1, 2, 1)) > base
-        assert ms_bound_univariate(self._tau(1, 1, 2)) > base
+        base = self._tau(1, 1, 1).bound()
+        assert self._tau(2, 1, 1).bound() > base
+        assert self._tau(1, 2, 1).bound() > base
+        assert self._tau(1, 1, 2).bound() > base
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -295,7 +293,7 @@ class TestGammaEstimation:
     def test_finite_on_vector(self):
         g = estimate_gammas(Ball(2), 100.0, self._vf((1e-2, 2.0)),
                             50, 4, stream(70), sampling="boundary_shell")
-        assert g.gamma3 > 0 and math.isfinite(ms_bound_multivariate(g))
+        assert g.gamma3 > 0 and math.isfinite(g.bound())
 
     def test_scales_validation(self):
         with pytest.raises(ValueError):
@@ -319,7 +317,7 @@ class TestGammaEstimation:
                             stream(111), sampling="boundary_shell")
         assert g.gamma3 == pytest.approx(4.0273678781063635, rel=1e-9)
         assert abs(g.gamma3 - 4.2) <= 4 * g.se3
-        assert math.isfinite(ms_bound_multivariate(g))
+        assert math.isfinite(g.bound())
 
 
 class TestSecondDifferencePins:
