@@ -77,12 +77,21 @@ class RunManifest:
     @staticmethod
     def from_file(path: str | Path) -> "RunManifest":
         """The manifest stored at ``path``; ValueError naming the file
-        unless it holds a JSON object with exactly the manifest's fields."""
-        d = json.loads(Path(path).read_text())
+        unless it holds a JSON object with exactly the manifest's fields,
+        and each ``tables`` entry an object with the keys run writes."""
+        try:
+            d = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         want = {f.name for f in fields(RunManifest)}
-        if not isinstance(d, dict) or set(d) != want:
-            raise ValueError(f"{path}: not a run manifest (a JSON object "
-                             f"with the keys {', '.join(sorted(want))})")
+        table_keys = {"t_index", "t", "csv", "meta", "sha256"}
+        tables = d.get("tables") if isinstance(d, dict) else None
+        if not isinstance(tables, list) or set(d) != want or not all(
+                isinstance(t, dict) and set(t) == table_keys for t in tables):
+            raise ValueError(
+                f"{path}: not a run manifest (a JSON object with the keys "
+                f"{', '.join(sorted(want))}, and tables entries with the "
+                f"keys {', '.join(sorted(table_keys))})")
         return RunManifest(**d)
 
     def write(self, path: str | Path) -> None:

@@ -15,11 +15,12 @@ for: from the facets of a simplicial hull, by downward closure otherwise.
 Intrinsic volumes are available exactly in ambient dimension <= 3 and by
 Monte Carlo averaging of projection volumes over Haar-random subspaces in
 any dimension.  A projection onto a line is measured by its width, one
-onto a hyperplane from the polytope's facets (Cauchy's formula), and any
-other projection by its own hull.  V_1, V_2 and V_3 of a 3-polytope read
-one cross product per boundary triangle.  Other dimensions keep
-determinants, whose round-off stored d = 2 bound estimates and d = 4
-reports carry bit for bit.
+onto a hyperplane from the polytope's facets (Cauchy's formula), one onto
+a plane in d = 4 from the polytope's ridges, and any other projection by
+its own hull.  The measures of a 3- or 4-polytope read one normal per
+boundary triangle or tetrahedron (a cross product, or four signed 3 x 3
+minors).  Polytopes of dimension k = 2 and k >= 5 keep determinants,
+whose round-off stored d = 2 bound estimates carry bit for bit.
 
 Most points of a Poisson sample in a smooth body lie inside its floating
 body, which the hull contains with high probability, so they never become
@@ -654,10 +655,10 @@ def _chart_volume(poly: Polytope) -> float:
     if k == 1:
         c = lv[:, 0]
         return float(c.max() - c.min())
-    if k == 3:  # triple products (a - o) . n, o the vertex centroid
-        a, _, _, n = _triangles(poly)
+    if k in (3, 4):  # (a - o) . n, o the vertex centroid
+        a, *_, n = _triangles(poly)
         cones = (a - lv.mean(axis=0)[:, None]) * n
-        return _running_sum(np.abs(cones.sum(axis=0)) / 6.0)
+        return _running_sum(np.abs(cones.sum(axis=0)) / math.factorial(k))
     cones = lv[poly.facet_simplices] - lv.mean(axis=0)  # (F, k, k)
     return _running_sum(np.abs(np.linalg.det(cones)) / math.factorial(k))
 
@@ -677,16 +678,16 @@ def _chart_surface(poly: Polytope) -> float:
 
 def _simplex_areas(poly: Polytope) -> np.ndarray:
     """(k-1)-volumes of the boundary simplices of a k-polytope, k >= 2:
-    half the triangle normals' lengths for k = 3, Gram determinants in
-    chart coordinates otherwise."""
-    if poly.affine_dim == 3:
-        n = _triangles(poly)[3]
-        return np.sqrt((n * n).sum(axis=0)) / 2.0
+    the lengths of the cached normals over (k - 1)! for k = 3 and 4, Gram
+    determinants in chart coordinates otherwise."""
+    k = poly.affine_dim
+    if k in (3, 4):
+        n = _triangles(poly)[-1]
+        return np.sqrt((n * n).sum(axis=0)) / math.factorial(k - 1)
     vs = poly.local_vertices[poly.facet_simplices]  # (F, k, k)
     e = vs[:, 1:] - vs[:, :1]
     det = np.linalg.det(e @ e.transpose(0, 2, 1))
-    return np.sqrt(np.where(det > 0, det, 0.0)) / math.factorial(
-        poly.affine_dim - 1)
+    return np.sqrt(np.where(det > 0, det, 0.0)) / math.factorial(k - 1)
 
 
 def exact_intrinsic_volumes(poly: Polytope) -> list[float]:
@@ -719,17 +720,14 @@ def exact_intrinsic_volumes(poly: Polytope) -> list[float]:
 def _mean_width_term_3d(poly: Polytope) -> float:
     """V_1 of a 3-polytope: sum of edge length times exterior angle, / 2 pi.
 
-    The edges are the ridges between simplices s < r of different facets,
-    r = facet_neighbors[s, i] across the ridge opposite slot i.  Normals
-    come from :func:`_triangles`, and angles are atan2(|n_s x n_r|,
-    n_s . n_r), well conditioned where acos of a dot product near 1 is
-    not.  Vectors are columns.
+    The edges are the ridges (:func:`_ridges`).  Normals come from
+    :func:`_triangles`, and angles are atan2(|n_s x n_r|, n_s . n_r), well
+    conditioned where acos of a dot product near 1 is not.  Vectors are
+    columns.
     """
-    nb, fid = poly.facet_neighbors, poly.simplex_facet
-    s, slot = np.nonzero((nb > np.arange(len(nb))[:, None])
-                         & (fid[nb] != fid[:, None]))
+    s, slot, r = _ridges(poly)
     _, u, v, n = _triangles(poly)
-    n_s, n_r = n[:, s], n[:, nb[s, slot]]
+    n_s, n_r = n[:, s], n[:, r]
     sin = np.sqrt((_cross(n_s, n_r) ** 2).sum(axis=0))
     w = v - u  # the edges opposite slots 0, 1, 2 are w, v and u
     length = np.sqrt(np.array([w * w, v * v, u * u]).sum(axis=1))[slot, s]
@@ -737,26 +735,52 @@ def _mean_width_term_3d(poly: Polytope) -> float:
                  / (2.0 * math.pi))
 
 
+def _ridges(poly: Polytope) -> tuple[np.ndarray, ...]:
+    """(s, slot, r) of each ridge between simplices s < r of different
+    facets, r = facet_neighbors[s, slot] across the ridge opposite slot."""
+    nb, fid = poly.facet_neighbors, poly.simplex_facet
+    s, slot = np.nonzero((nb > np.arange(len(nb))[:, None])
+                         & (fid[nb] != fid[:, None]))
+    return s, slot, nb[s, slot]
+
+
 def _triangles(poly: Polytope) -> tuple[np.ndarray, ...]:
-    """(a, u, v, n) of each boundary triangle (a, b, c) of a 3-polytope:
-    u = b - a, v = c - a and n = u x v, turned outward by qhull's planes,
-    as (3, S) arrays of columns in chart coordinates.  Built on first read
-    and kept with the hull until its arrays change."""
+    """(a, u, v, n) of each boundary triangle (a, b, c) of a 3-polytope,
+    u = b - a, v = c - a and n = u x v, and (a, u, v, w, n) of each
+    boundary tetrahedron (a, b, c, e) of a 4-polytope, w = e - a and n
+    the four signed 3 x 3 minors of (u, v, w) (:func:`_cross4`).  n is
+    turned outward by qhull's planes, and |n| is (k - 1)! times the
+    simplex's area.  (k, S) arrays of columns in chart coordinates, built
+    on first read and kept with the hull until its arrays change."""
     if poly._triangles is None:
         lv = np.ascontiguousarray(poly.local_vertices.T)
         tri = poly.facet_simplices
         a = lv[:, tri[:, 0]]
-        u, v = lv[:, tri[:, 1]] - a, lv[:, tri[:, 2]] - a
-        n = _cross(u, v)
+        edges = [lv[:, tri[:, i]] - a for i in range(1, len(lv))]
+        n = (_cross if len(lv) == 3 else _cross4)(*edges)
         n *= np.sign((n * poly.facet_normals[poly.simplex_facet].T)
                      .sum(axis=0))
-        poly._triangles = (a, u, v, n)
+        poly._triangles = (a, *edges, n)
     return poly._triangles
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cross products of the columns of two (3, m) arrays, fast."""
     return u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]
+
+
+def _cross4(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Normals n of the columns of three (4, m) arrays, n_i = (-1)^i times
+    the minor of (u, v, w) without row i, so that n . x = det(x, u, v, w):
+    each minor expanded along u over the 2 x 2 minors of (v, w)."""
+    # vw[p] for the row pairs p = 01, 02, 03, 12, 13, 23
+    vw = v[[0, 0, 0, 1, 1, 2]] * w[[1, 2, 3, 2, 3, 3]] \
+        - v[[1, 2, 3, 2, 3, 3]] * w[[0, 0, 0, 1, 1, 2]]
+    n = (u[[1, 0, 0, 0]] * vw[[5, 5, 4, 3]]
+         - u[[2, 2, 1, 1]] * vw[[4, 2, 2, 1]]
+         + u[[3, 3, 3, 2]] * vw[[3, 1, 0, 0]])
+    n[1::2] *= -1.0
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -797,11 +821,12 @@ def intrinsic_volume_mc(
     """Monte Carlo j-th intrinsic volume: scaled mean of projection volumes
     over Haar subspaces.  Returns (estimate, standard error).
 
-    A projection's volume is its width for j = 1, and for j = d - 1 >= 2
-    on a full-dimensional polytope it comes from the facets by Cauchy's
-    formula (:func:`_hyperplane_shadows`); any other projection is
-    hulled.  The three give the projection hull's value on the same
-    draws, up to round-off.
+    A projection's volume is its width for j = 1.  On a full-dimensional
+    polytope it comes from the facets by Cauchy's formula for j = d - 1
+    >= 2 (:func:`_hyperplane_shadows`), and from the ridges for j = 2 in
+    d = 4 (:func:`_ridge_shadows`).  Any other projection (2 <= j <= d - 2
+    for d >= 5, or of a lower-dimensional polytope) is hulled.  All four
+    give the projection hull's value on the same draws, up to round-off.
     """
     d = poly.dim_ambient
     if not 1 <= j <= d:
@@ -814,6 +839,8 @@ def intrinsic_volume_mc(
     bases = _haar_bases(d, j, n_dirs, rng)
     if 2 <= j == d - 1 and poly.is_full_dimensional():
         vals = _hyperplane_shadows(poly, _unit_normals(bases))
+    elif j == 2 and d == 4 and poly.is_full_dimensional():
+        vals = _ridge_shadows(poly, bases)
     else:
         vals = np.empty(n_dirs)
         for i, basis in enumerate(bases):
@@ -855,6 +882,45 @@ def _hyperplane_shadows(poly: Polytope, normals: np.ndarray) -> np.ndarray:
             dot += u[:, i] * n[i]
         vals[b:b + step] = (np.abs(dot, out=dot) * half).sum(axis=1)
     return vals
+
+
+def _ridge_shadows(poly: Polytope, bases: np.ndarray) -> np.ndarray:
+    """area(P | L) for each plane L spanned by orthonormal bases (n, 4, 2)
+    of a full-dimensional 4-polytope P: half the sum of |<x ^ y, b1 ^ b2>|
+    over the ridge triangles (edges x, y from :func:`_triangles`) whose
+    two facet normals, projected to L^perp, span a cone that holds a fixed
+    c in L^perp.  The highest points in direction c of the fibers
+    P cap (y + L^perp) fill those ridges, so they tile P | L (the
+    projection tiling of fiber polytopes; Billera & Sturmfels, Ann. Math.
+    1992).  c is the middle of the widest angular gap between the
+    projected normals, so no cone test falls to round-off, as one at the
+    tesseract's normals would with c = the projection of e_1.  Measured
+    from that gap's far end, a cone holds c iff its normals lie more than
+    pi apart.
+    """
+    s, slot, r = _ridges(poly)
+    # the facet normals' angles in a frame of each L^perp, (n, F)
+    perp = np.linalg.qr(bases, mode="complete")[0][..., 2:]
+    p = perp.transpose(0, 2, 1) @ poly.facet_normals.T
+    angle = np.arctan2(p[:, 1], p[:, 0])
+    ends = np.sort(angle, axis=1)
+    gap = np.diff(ends, axis=1, append=ends[:, :1] + 2.0 * math.pi)
+    widest = np.arange(len(bases)), gap.argmax(axis=1)
+    angle -= (ends[widest] + gap[widest])[:, None]
+    angle += 2.0 * math.pi * (angle < 0.0)
+    fid = poly.simplex_facet
+    holds = np.abs(angle.take(fid.take(s), axis=1)
+                   - angle.take(fid.take(r), axis=1)) > math.pi
+    # <x ^ y, b1 ^ b2> of the edge pairs, from their coordinates in each L
+    n = len(bases)
+    rows = bases.transpose(2, 0, 1).reshape(2 * n, 4)  # b1s, then b2s
+    u, v, w = (rows @ e for e in _triangles(poly)[1:4])
+    uv, uw, vw = (x[:n] * y[n:] - x[n:] * y[:n]
+                  for x, y in ((u, v), (u, w), (v, w)))
+    # the ridge opposite each slot of (a, b, c, e): bce, ace, abe, abc
+    faces = np.concatenate([vw - uw + uv, vw, uw, uv], axis=1)
+    faces = faces.take(slot * len(fid) + s, axis=1)  # (n, ridges)
+    return np.einsum("nr,nr->n", np.abs(faces), holds) / 2.0
 
 
 def _unit_normals(bases: np.ndarray) -> np.ndarray:

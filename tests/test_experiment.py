@@ -869,6 +869,33 @@ class TestCLI:
         assert err.startswith("error: ") and str(path) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("tables", [[{}], [{"csv": "table_t0.csv"}],
+                                        ["table_t0.csv"], {}])
+    def test_manifest_table_entry_without_keys(self, tmp_path, capsys,
+                                               tables):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(t_grid=[30.0], n_reps=20)))
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "tiny" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "tables": tables}))
+        capsys.readouterr()
+        assert cli_main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "tables entries" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{oops", "invalid JSON: "), ("5", "not a run manifest")])
+    def test_manifest_not_json_or_not_an_object(self, tmp_path, capsys,
+                                                text, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        assert cli_main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_raw(t_grid=[5.0, 1.0])))

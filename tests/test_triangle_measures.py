@@ -1,12 +1,16 @@
-"""The measures of a 3-polytope from one cross product per triangle.
+"""The measures of 3- and 4-polytopes from one normal per boundary simplex.
 
 V_3, the surface measure and V_1 of a 3-polytope read the outward cross
 products of its boundary triangles (``hull._triangles``), built once per
 hull.  Random clouds, clouds far from the origin, scaled clouds, a cube
 and a regular tetrahedron are checked against qhull's own volume and
-area.  Exact pins, computed by the determinant path that 3-D volumes and
-areas took before, show that V_1, the face counts, and the 2-D and 4-D
-measures, which keep that path, did not move.
+area.  A 4-polytope's boundary tetrahedra carry normals of four signed
+3 x 3 minors in the same cache: its volume and facet areas, which Cauchy's
+V_3 reads, and the ridge path of Monte Carlo V_2 are checked against the
+determinant path and against projection hulls.  Exact pins, computed by
+the determinant path that 3-D volumes and areas took before, show that
+V_1, the face counts and the 2-D measures did not move; the 4-D volume
+pin moved by one ulp, and Cauchy's V_3 kept its bits.
 """
 import itertools
 
@@ -20,6 +24,8 @@ from randpoly import hull
 from randpoly.bodies import Ball, sample_poisson_process
 from randpoly.hull import (
     _canonical_order,
+    _haar_bases,
+    _ridge_shadows,
     _running_sum,
     _simplex_areas,
     convex_hull,
@@ -159,6 +165,115 @@ def test_pins_2d_area_and_perimeter():
 
 
 def test_pins_4d_volume_and_cauchy_v3():
+    # the volume now sums tetrahedron normals, one ulp below the
+    # determinants' 1.6652343152818438; Cauchy's V_3 kept its bits
     poly = convex_hull(Ball(4).sample_uniform(stream(34), 80))
-    assert volume(poly) == 1.6652343152818438
+    assert volume(poly) == 1.6652343152818436
     assert intrinsic_volume_mc(poly, 3, 8, stream(35))[0] == 4.760756770424363
+
+
+# -- 4-polytopes: boundary tetrahedra and ridges -----------------------------
+
+
+TESSERACT = np.array(list(itertools.product([0.0, 1.0], repeat=4)))
+HULLS_4D = {f"t{t:g}_{rep}": convex_hull(sample_poisson_process(
+    Ball(4), t, stream(40, rep))) for t in (50.0, 100.0, 200.0)
+    for rep in range(2)}
+HULLS_4D["tesseract"] = convex_hull(TESSERACT)
+
+
+def _determinant_measures(poly):
+    """Volume, boundary simplex areas and their sum as the determinant
+    path computed them: cones from the vertex centroid, Gram matrices."""
+    vs = poly.local_vertices[poly.facet_simplices]
+    cones = vs - poly.local_vertices.mean(axis=0)
+    vol = _running_sum(np.abs(np.linalg.det(cones)) / 24.0)
+    e = vs[:, 1:] - vs[:, :1]
+    gram = np.linalg.det(e @ e.transpose(0, 2, 1))
+    areas = np.sqrt(np.where(gram > 0, gram, 0.0)) / 6.0
+    return vol, areas, _running_sum(areas)
+
+
+@pytest.mark.parametrize("name", HULLS_4D)
+def test_4d_volume_and_areas_match_the_determinant_path(name):
+    poly = HULLS_4D[name]
+    vol, areas, surface = _determinant_measures(poly)
+    assert volume(poly) == pytest.approx(vol, rel=REL)
+    assert surface_measure(poly) == pytest.approx(surface, rel=REL)
+    # one by one against the singular values of the edge matrix: the
+    # Gram determinant squares the condition of a sliver and is itself
+    # off by up to 4e-12 relative on these hulls.  qhull's triangulation
+    # of the tesseract's cubes has flat tetrahedra, whose singular values
+    # multiply to round-off.
+    vs = poly.local_vertices[poly.facet_simplices]
+    svd = np.linalg.svd(vs[:, 1:] - vs[:, :1], compute_uv=False)
+    ref = svd.prod(axis=1) / 6.0
+    atol = 1e-15 * ref.max()
+    assert np.allclose(_simplex_areas(poly), ref, rtol=REL, atol=atol)
+    assert np.allclose(_simplex_areas(poly), areas, rtol=1e-10, atol=atol)
+
+
+def test_tesseract_volume_and_half_surface():
+    poly = HULLS_4D["tesseract"]
+    assert not poly.is_simplicial
+    assert volume(poly) == pytest.approx(1.0, rel=REL)
+    assert surface_measure(poly) / 2.0 == pytest.approx(4.0, rel=REL)
+
+
+@pytest.mark.parametrize("name", HULLS_4D)
+def test_each_ridge_shadow_equals_its_projection_hull(name):
+    # the tesseract's facet normals are axes, so a cone test at c = the
+    # projection of e_1 would sit on a normal; c in the widest gap does not
+    poly = HULLS_4D[name]
+    bases = _haar_bases(4, 2, 100, stream(41))
+    want = [volume(convex_hull(poly.vertices @ b)) for b in bases]
+    assert np.allclose(_ridge_shadows(poly, bases), want, rtol=REL, atol=0)
+
+
+def test_ridge_shadows_of_a_hull_far_off():
+    pts = Ball(4).sample_uniform(stream(42), 80)
+    far = convex_hull(pts + 1e6)
+    assert np.any(far.origin != 0)  # the shifted branch
+    for a, b in zip(intrinsic_volume_mc(far, 2, 100, stream(43)),
+                    intrinsic_volume_mc(convex_hull(pts), 2, 100, stream(43))):
+        assert a == pytest.approx(b, rel=1e-9)
+
+
+def test_lower_dimensional_4d_input_keeps_projection_hulls():
+    # a 3-simplex in R^4 has no ridges in R^4; its planes are hulled
+    poly = convex_hull(np.hstack([np.vstack([np.zeros(3), np.eye(3)]),
+                                  np.ones((4, 1))]))
+    assert poly.affine_dim == 3
+    vals = np.array([volume(convex_hull(poly.vertices @ b))
+                     for b in _haar_bases(4, 2, 50, stream(44))])
+    c = hull.projection_mean_coefficient(4, 2)
+    est, se = intrinsic_volume_mc(poly, 2, 50, stream(44))
+    assert est == c * float(vals.mean())
+    assert se == c * float(vals.std(ddof=1)) / np.sqrt(50)
+
+
+@pytest.mark.parametrize("name", ["t200_0", "tesseract"])
+def test_ridge_path_leaves_the_rng_where_the_draws_do(name):
+    a, b = stream(45), stream(45)
+    intrinsic_volume_mc(HULLS_4D[name], 2, 30, a)
+    _haar_bases(4, 2, 30, b)
+    assert np.array_equal(a.random(4), b.random(4))
+
+
+def test_tetrahedra_are_built_once_and_no_determinant_is_taken(monkeypatch):
+    poly = convex_hull(Ball(4).sample_uniform(stream(46), 200))
+    builds, cross4 = [], hull._cross4
+    monkeypatch.setattr(hull, "_cross4", lambda *e: builds.append(1)
+                        or cross4(*e))
+
+    def det(*args):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "det", det)
+    bases = _haar_bases(4, 2, 8, stream(47))
+    for _ in range(2):
+        volume(poly)
+        surface_measure(poly)
+        _ridge_shadows(poly, bases)
+        intrinsic_volume_mc(poly, 2, 8, stream(47))
+    assert builds == [1]
