@@ -34,7 +34,7 @@ __all__ = [
     "column_values",
 ]
 
-DEFAULT_MC_DIRS = 4096
+DEFAULT_MC_DIRS = RECORDS["config"]["n_dirs"].default
 
 
 @dataclass(frozen=True)

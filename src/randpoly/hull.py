@@ -11,6 +11,8 @@ counts are array expressions over them.  A facet is the group of simplices
 that share one plane equation, so non-simplicial test bodies such as cubes
 get their true facets back.  The face lattice is built only when asked
 for: from the facets of a simplicial hull, by downward closure otherwise.
+:func:`f_vector` checks every count it makes against Euler's relation
+and, on a simplicial polytope, the ridge identity 2 f_{k-2} = k f_{k-1}.
 
 Intrinsic volumes are available exactly in ambient dimension <= 3 and by
 Monte Carlo averaging of projection volumes over Haar-random subspaces in
@@ -313,8 +315,7 @@ def outer_hull(points: np.ndarray, center: np.ndarray, rho: float,
     if not poly.is_full_dimensional():
         return None
     poly.source_indices = keep[poly.source_indices]
-    dist = poly.facet_offsets - poly.facet_normals @ (center - poly.origin)
-    return poly, float(dist.min())
+    return poly, -poly.max_facet_excess(center)
 
 
 def prefiltered_hull(cloud: PointCloud | np.ndarray,
@@ -615,17 +616,26 @@ def f_vector(poly: Polytope) -> FVector:
     f_0 is the vertex count, f_{k-1} the facet count, and each f_i in
     between the number of distinct (i+1)-subsets of the facets.  Any other
     polytope counts the faces of its lattice.
+
+    The counts of a k-polytope, k >= 1, must satisfy Euler's relation
+    sum (-1)^i f_i = 1 - (-1)^k, and a simplicial one with k >= 2 the
+    ridge identity 2 f_{k-2} = k f_{k-1} (each ridge lies in exactly two
+    facets); a violation is a hull bug and raises RuntimeError.
     """
-    d = poly.dim_ambient
+    d, k = poly.dim_ambient, poly.affine_dim
     if poly._faces is not None or not poly.is_simplicial:
         faces = poly.faces
-        return FVector(tuple(len(faces.get(i, ())) for i in range(d)))
-    facets = poly.facet_vertex_sets
-    k = facets.shape[1]
-    counts = [poly.n_vertices]
-    counts += [len(_subfaces(facets, i + 1)) for i in range(1, k - 1)]
-    counts += [len(facets)] + [0] * (d - k)
-    return FVector(tuple(counts))
+        fv = FVector(tuple(len(faces.get(i, ())) for i in range(d)))
+    else:
+        facets = poly.facet_vertex_sets
+        counts = [poly.n_vertices]
+        counts += [len(_subfaces(facets, i + 1)) for i in range(1, k - 1)]
+        fv = FVector(tuple(counts + [len(facets)] + [0] * (d - k)))
+    if k >= 1 and fv.euler_characteristic() != 1 - (-1) ** k:
+        raise RuntimeError(f"Euler's relation violated: f={fv.counts}")
+    if k >= 2 and poly.is_simplicial and 2 * fv[k - 2] != k * fv[k - 1]:
+        raise RuntimeError(f"ridge identity violated: f={fv.counts}")
+    return fv
 
 
 def _running_sum(terms: np.ndarray) -> float:
@@ -791,20 +801,13 @@ def _haar_bases(d: int, j: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal bases, shape (n, d, j), of n Haar-random j-subspaces.
 
     Orthonormalizes d x j standard Gaussian matrices, whose column spans
-    are rotation invariant, which characterizes the Haar measure; a
-    (numerically) rank-deficient draw is redrawn.  One batched QR gives
-    the draws, redraws and values of n successive single draws, because a
+    are rotation invariant, which characterizes the Haar measure.
+    Householder QR returns an orthonormal basis for any draw, and one
+    batched QR gives the values of n successive single draws, because a
     stack of Gaussian matrices takes the stream's normals in the same
     order, and the QR factors each matrix of a stack alone.
     """
-    bases = []
-    while n > 0:
-        q, r = np.linalg.qr(rng.standard_normal((n, d, j)))
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1)
-        ok = diag > 1e-12 * np.maximum(1.0, np.abs(r).max(axis=(1, 2)))
-        bases.append(q[ok])
-        n -= int(ok.sum())
-    return np.concatenate(bases)
+    return np.linalg.qr(rng.standard_normal((n, d, j)))[0]
 
 
 def projection_mean_coefficient(d: int, j: int) -> float:

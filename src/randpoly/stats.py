@@ -4,6 +4,9 @@ A replication table holds one column per functional and one row per
 independent draw of the point process at a fixed intensity.  Each row's
 generator stream is keyed by (seed, t-index, rep-index), never by
 scheduling order, so tables are bit-identical for any worker count.
+Each row counts its hull's faces once with :func:`~randpoly.hull.f_vector`,
+which checks the counts itself; the row adds only that the hull has no
+more vertices than the sample has points.
 
 On top of the tables: moments, correlation matrices with numeric rank,
 the quantile-coupling estimate of the Wasserstein-1 distance to the
@@ -128,24 +131,6 @@ class ReplicationTable:
 # replication engine
 
 
-def _check_hull_identities(poly, n_points: int, d: int):
-    """Per-sample exact identities; violations indicate a hull bug.
-    Returns the f-vector it counted."""
-    fv = f_vector(poly)
-    if fv[0] > n_points:
-        raise RuntimeError("hull has more vertices than sample points")
-    if poly.is_full_dimensional():
-        if fv.euler_characteristic() != 1 - (-1) ** d:
-            raise RuntimeError(
-                f"Euler characteristic violated: f={fv.counts}"
-            )
-        if d == 3 and poly.is_simplicial and 2 * fv[1] != 3 * fv[2]:
-            raise RuntimeError(
-                f"simplicial 3-polytope identity violated: f={fv.counts}"
-            )
-    return fv
-
-
 def _block_rows(body, evaluators, core, t, t_index, seed, mode, n_dirs,
                 rep_start, rep_stop) -> np.ndarray:
     out = np.empty((rep_stop - rep_start, 1 + len(evaluators)))
@@ -153,7 +138,9 @@ def _block_rows(body, evaluators, core, t, t_index, seed, mode, n_dirs,
         rng = stream(seed, t_index, r)
         cloud = sample_poisson_process(body, t, rng)
         poly = prefiltered_hull(cloud, core, convex_hull)
-        fv = _check_hull_identities(poly, len(cloud), body.dim)
+        fv = f_vector(poly)
+        if fv[0] > len(cloud):
+            raise RuntimeError("hull has more vertices than sample points")
         ctx = {"t": t, "rng": rng, "cache": {"fvec": fv}, "mode": mode,
                "n_dirs": n_dirs}
         row = out[r - rep_start]

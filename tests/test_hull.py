@@ -152,6 +152,30 @@ class TestFVector:
             assert 2 * fv[1] == 3 * fv[2]
             assert fv[0] - fv[1] + fv[2] == 2
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_sampled_hull_missing_a_simplex_raises(self, d):
+        """Removing one facet row breaks Euler's relation: every lower
+        face still lies in another facet, so only f_{d-1} drops."""
+        poly = convex_hull(sample_poisson_process(Ball(d), 100.0,
+                                                  stream(70 + d)))
+        f_vector(poly)  # the untouched hull passes
+        poly.facet_vertex_sets = poly.facet_vertex_sets[1:]
+        with pytest.raises(RuntimeError, match="Euler"):
+            f_vector(poly)
+
+    def test_ridge_identity_catches_what_euler_misses(self):
+        """The boundary of a 4-simplex with one tetrahedron glued onto a
+        triangle has f = (6, 13, 13, 6): Euler's relation holds, but
+        2 f_2 = 26 is not 4 f_3 = 24."""
+        poly = Polytope(4)
+        poly.affine_dim, poly.degeneracy = 4, "full_dimensional"
+        poly.vertices = np.zeros((6, 4))
+        poly.facet_vertex_sets = np.array(
+            list(itertools.combinations(range(5), 4)) + [(0, 1, 2, 5)])
+        poly._faces = None
+        with pytest.raises(RuntimeError, match="ridge identity"):
+            f_vector(poly)
+
 
 class TestVolume:
     def test_unit_cube(self):
@@ -373,31 +397,14 @@ class TestWidthAverage:
         got = intrinsic_volume_mc(poly, 1, 300, stream(63))
         assert got == self.hull_path(poly, 300, stream(63))
 
-    def test_batched_draws_redraw_like_single_draws(self):
-        """A rank-deficient draw is skipped and the stream moves on, as
-        the one-at-a-time loop did; here the second of five is zero."""
-
-        class Normals:
-            def __init__(self):
-                self.values = stream(69).standard_normal(40)
-                self.values[6:12] = 0.0  # the second 3 x 2 draw
-                self.used = 0
-
-            def standard_normal(self, shape):
-                n = math.prod(shape)
-                out = self.values[self.used:self.used + n].reshape(shape)
-                self.used += n
-                return out
-
-        rng = Normals()
-        expected = []
-        while len(expected) < 4:  # the single-draw loop, kept as reference
-            q, r = np.linalg.qr(rng.standard_normal((3, 2)))
-            if np.abs(np.diag(r)).min() > 1e-12 * max(1.0, np.abs(r).max()):
-                expected.append(q)
-        batched = Normals()
+    def test_batched_draws_equal_single_draws(self):
+        """One batched QR gives the bases of successive single draws and
+        leaves the stream where they leave it."""
+        single, batched = stream(69), stream(69)
+        expected = [np.linalg.qr(single.standard_normal((3, 2)))[0]
+                    for _ in range(4)]
         assert np.array_equal(_haar_bases(3, 2, 4, batched), expected)
-        assert batched.used == rng.used == 30
+        assert single.random() == batched.random()
 
     def test_rng_left_where_the_hull_path_leaves_it(self):
         poly = convex_hull(random_ball_points(30, 3, seed=64))
