@@ -58,7 +58,7 @@ w1 = w1_to_normal(standardize(vals))
 print(f"plug-in variance of the area: {variance:.3e}")
 
 tau = estimate_taus(ball, t, area, variance, n_outer=1200, n_inner=8,
-                    rng=stream(77), sampling="boundary_shell", label="V_2")
+                    rng=stream(77), sampling="boundary_shell")
 print(f"tau_1 = {tau.tau1:.3e} +- {tau.se1:.1e}")
 print(f"tau_2 = {tau.tau2:.3e} +- {tau.se2:.1e}")
 print(f"tau_3 = {tau.tau3:.3e} +- {tau.se3:.1e}")

@@ -76,12 +76,6 @@ class ConvexBody:
         """``n`` uniform points on the body, as an (n, d) array."""
         raise NotImplementedError
 
-    def spec(self) -> dict:
-        """JSON-serializable description, invertible by body_from_spec."""
-        spec = {key: getattr(self, key) for key in RECORDS["body"][self.kind]}
-        return {key: v.tolist() if isinstance(v, np.ndarray) else v
-                for key, v in spec.items()}
-
 
 def _unit_rows(g: np.ndarray) -> np.ndarray:
     """Divide each row of the (m, d) array ``g`` by its Euclidean norm, in

@@ -25,6 +25,21 @@ from .records import RECORDS, ConfigError, check_record
 __all__ = ["ConfigError", "ExperimentConfig", "MalliavinSettings"]
 
 
+def _check_exact(columns, t: float, d: int, path: str) -> None:
+    """Raise ConfigError at ``path`` naming the ``(name, evaluator)``
+    columns that cannot run exactly in dimension d, found by evaluating
+    each on the empty polytope; the evaluators own that limit."""
+    failed = []
+    for name, fn in columns:
+        try:
+            column_values([fn], t, Polytope(d))
+        except ValueError:
+            failed.append(name)
+    if failed:
+        raise ConfigError(path, f"cannot evaluate {', '.join(failed)} "
+                                f"exactly in dim {d}")
+
+
 @dataclass(frozen=True)
 class MalliavinSettings:
     t: float
@@ -108,11 +123,9 @@ class ExperimentConfig:
                     "or no nonzero c_k for k >= 1); set allow_non_clt "
                     "to evaluate it anyway",
                 )
-        build_evaluators(functionals, body.dim)
-
-        if cfg["mode"] == "exact" and body.dim > 3:
-            raise ConfigError("mode", "exact intrinsic volumes need dim <= 3; "
-                                      "use mode='mc'")
+        columns = build_evaluators(functionals, body.dim)
+        if cfg["mode"] == "exact":
+            _check_exact(columns, t_grid[0], body.dim, "mode")
         if cfg["mode"] == "mc" and cfg["n_dirs"] < 2:
             raise ConfigError("n_dirs", "must be >= 2 in mc mode")
         if not body.is_smooth and not cfg["allow_nonsmooth"]:
@@ -148,14 +161,9 @@ class ExperimentConfig:
         if missing:
             raise ConfigError("malliavin.functional", "no table column "
                               f"{missing} (columns: {', '.join(columns)})")
-        evaluators = tuple(columns[lab] for lab in labels)
-        if d > 3:  # exact intrinsic volumes stop at dimension 3
-            try:
-                column_values(evaluators, ms.t, Polytope(d))
-            except ValueError as exc:
-                msg = f"cannot evaluate {', '.join(labels)} exactly in dim {d}"
-                raise ConfigError("malliavin.functional", msg) from exc
-        return labels, evaluators
+        _check_exact([(lab, columns[lab]) for lab in labels], ms.t, d,
+                     "malliavin.functional")
+        return labels, tuple(columns[lab] for lab in labels)
 
     def worker_count(self, override: int | None) -> int:
         """``override``, checked as the ``workers`` key is, or the config's

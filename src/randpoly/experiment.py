@@ -301,7 +301,7 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable,
     variance = float(table.column(label).var(ddof=1))
     tau = estimate_taus(body, ms.t, values, variance,
                         ms.n_outer, ms.n_inner, rng, sampling=ms.sampling,
-                        shell_c=ms.c, label=label, workers=workers)
+                        shell_c=ms.c, workers=workers)
     return report | {
         "kind": "univariate",
         "functional": label,

@@ -96,7 +96,7 @@ class Polytope:
     maps each face dimension i to the set of faces, a face being the sorted
     tuple of its vertex indices.  For inputs of affine dimension k < d the
     lattice is that of the k-dimensional polytope inside its affine hull,
-    and ``degeneracy`` records the situation.  Facet hyperplane data lives
+    and ``degeneracy`` names the situation.  Facet hyperplane data lives
     in the coordinates qhull saw (``local_vertices``): k-dimensional chart
     coordinates for such inputs, and for a full-dimensional polytope the
     ambient ones minus ``origin``, which is nonzero only for inputs far
@@ -118,7 +118,6 @@ class Polytope:
     __slots__ = (
         "dim_ambient",
         "affine_dim",
-        "degeneracy",
         "vertices",
         "source_indices",
         "origin",
@@ -138,7 +137,6 @@ class Polytope:
     def __init__(self, dim_ambient: int):
         self.dim_ambient = dim_ambient
         self.affine_dim = -1
-        self.degeneracy = "empty"
         # shared read-only defaults: construction replaces, never writes
         (self.vertices, self.origin, self.source_indices, self.local_vertices,
          self.facet_normals, self.facet_offsets, self.facet_simplices,
@@ -166,11 +164,21 @@ class Polytope:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
+    @property
+    def degeneracy(self) -> str:
+        """``empty``, ``point``, ``lower_dimensional`` or
+        ``full_dimensional``, as ``affine_dim`` says."""
+        k = self.affine_dim
+        if k < 1:
+            return "empty" if k < 0 else "point"
+        return ("full_dimensional" if k == self.dim_ambient
+                else "lower_dimensional")
+
     def is_empty(self) -> bool:
-        return self.degeneracy == "empty"
+        return self.affine_dim < 0
 
     def is_full_dimensional(self) -> bool:
-        return self.degeneracy == "full_dimensional"
+        return self.affine_dim == self.dim_ambient
 
     def facet_planes(self) -> tuple[np.ndarray, np.ndarray]:
         """Outward unit normals and offsets (n . x <= b) in ambient coordinates.
@@ -269,11 +277,9 @@ def convex_hull(cloud: PointCloud | np.ndarray) -> Polytope:
         else:
             _build_full(poly, pts)
         poly.affine_dim = d
-        poly.degeneracy = "full_dimensional"
     else:
         _build_full(poly, centered @ vt[:k].T, pts)
         poly.affine_dim = k
-        poly.degeneracy = "lower_dimensional"
     return poly
 
 
@@ -398,7 +404,6 @@ def _certified_full_rank(rows: np.ndarray) -> bool:
 
 def _as_point(poly: Polytope, p: np.ndarray) -> None:
     poly.affine_dim = 0
-    poly.degeneracy = "point"
     poly.vertices = p[None, :].copy()
     poly.source_indices = np.array([0])
     poly.local_vertices = np.zeros((1, 0))

@@ -239,11 +239,6 @@ class TauEstimate:
     se1: float
     se2: float
     se3: float
-    n_outer: int
-    n_inner: int
-    functional_label: str
-    t: float
-    sampling: str
 
     def __post_init__(self):
         for v in (self.tau1, self.tau2, self.tau3):
@@ -273,10 +268,6 @@ class GammaEstimate:
     se2: float
     se3: float
     labels: tuple[str, ...]
-    n_outer: int
-    n_inner: int
-    t: float
-    sampling: str
 
     def __post_init__(self):
         for v in (self.gamma1, self.gamma2, self.gamma3):
@@ -454,7 +445,6 @@ def estimate_taus(
     rng: np.random.Generator,
     sampling: str = "plain",
     shell_c: float = 2.0,
-    label: str = "F",
     workers: int = 1,
 ) -> TauEstimate:
     """Monte Carlo estimates of the three univariate error terms.
@@ -471,17 +461,13 @@ def estimate_taus(
         raise ValueError("variance_estimate must be positive")
     vf = VectorFunctional(
         fn=functional,
-        labels=(label,),
+        labels=("F",),
         scales=np.array([math.sqrt(variance_estimate)]),
     )
     g1, g2, g3, se1, se2, se3 = _estimate_core(
         body, t, vf, n_outer, n_inner, rng, sampling, shell_c, workers
     )
-    return TauEstimate(
-        tau1=g1, tau2=g2, tau3=g3, se1=se1, se2=se2, se3=se3,
-        n_outer=n_outer, n_inner=n_inner, functional_label=label,
-        t=t, sampling=sampling,
-    )
+    return TauEstimate(tau1=g1, tau2=g2, tau3=g3, se1=se1, se2=se2, se3=se3)
 
 
 def estimate_gammas(
@@ -510,7 +496,6 @@ def estimate_gammas(
     return GammaEstimate(
         gamma1=g1, gamma2=g2, gamma3=g3, se1=se1, se2=se2, se3=se3,
         labels=vector_functional.labels,
-        n_outer=n_outer, n_inner=n_inner, t=t, sampling=sampling,
     )
 
 

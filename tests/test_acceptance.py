@@ -240,8 +240,7 @@ def test_criterion_10_bound_domination(table_d2_t500):
 
     tau = estimate_taus(Ball(2), 500.0, area, variance, n_outer=10_000,
                         n_inner=8, rng=stream(101),
-                        sampling="boundary_shell", label="V_2",
-                        workers=WORKERS)
+                        sampling="boundary_shell", workers=WORKERS)
     bound = tau.bound()
     combined_se = math.hypot(tau.bound_standard_error(), w1_se)
     ok = bound - w1 >= -4.0 * combined_se

@@ -228,10 +228,18 @@ class TestFloatingBodyRadius:
 
 class TestBodySpecs:
     def test_round_trip(self):
-        for body in (Ball(2), Ellipsoid(3, semi_axes=[1, 2, 3]), Cube(2)):
-            again = body_from_spec(body.spec())
-            assert again.kind == body.kind
-            assert again.volume == pytest.approx(body.volume)
+        # every field of the record comes back as the body's attribute
+        for record, volume in [
+            ({"kind": "ball", "dim": 2, "radius": 1.5, "center": [0.5, -1]},
+             2.25 * math.pi),
+            ({"kind": "ellipsoid", "dim": 3, "semi_axes": [1.0, 2.0, 3.0]},
+             8.0 * math.pi),
+            ({"kind": "cube", "dim": 2, "side": 1.5}, 2.25),
+        ]:
+            body = body_from_spec(record)
+            for key, value in record.items():
+                assert np.array_equal(getattr(body, key), value), key
+            assert body.volume == pytest.approx(volume)
 
     def test_from_config_record(self):
         b = body_from_spec({"kind": "ball", "dim": 2, "radius": 1.0})

@@ -88,6 +88,29 @@ class TestConfigValidation:
         raw["mode"] = "mc"
         ExperimentConfig.from_dict(raw)
 
+    def test_exact_mode_in_dim_4_runs_face_counts_and_oracle(self, tmp_path):
+        # exact intrinsic volumes stop at dimension 3; face counts and the
+        # oracle do not, and they read the same in both modes
+        raw = tiny_raw(body={"kind": "ball", "dim": 4, "radius": 1.0},
+                       t_grid=[50.0, 100.0, 200.0], n_reps=6,
+                       functionals=[{"type": "f", "j": j} for j in range(4)]
+                       + [{"type": "oracle"}])
+        tables = {}
+        for mode in ("exact", "mc"):
+            manifest = run(dict(raw, mode=mode), outdir=tmp_path / mode)
+            path = tmp_path / mode / "tiny" / "manifest.json"
+            assert verify(path, quiet=True)["ok"]
+            tables[mode] = [Path(e["csv"]).read_bytes()
+                            for e in manifest.tables]
+        assert tables["exact"] == tables["mc"]
+        for record in ({"type": "intrinsic", "j": 1}, {"type": "wills"},
+                       {"type": "valuation", "label": "v",
+                        "coeffs": [0, 1, 0, 0, 0]},
+                       {"type": "multivariate"}):
+            with pytest.raises(ConfigError, match="exactly in dim 4") as exc:
+                ExperimentConfig.from_dict(dict(raw, functionals=[record]))
+            assert exc.value.path == "mode"
+
     def test_malliavin_t_must_be_on_grid(self):
         raw = tiny_raw(malliavin={"t": 99.0, "functional": "V_2"})
         with pytest.raises(ConfigError, match="t_grid"):

@@ -168,7 +168,7 @@ class TestFVector:
         triangle has f = (6, 13, 13, 6): Euler's relation holds, but
         2 f_2 = 26 is not 4 f_3 = 24."""
         poly = Polytope(4)
-        poly.affine_dim, poly.degeneracy = 4, "full_dimensional"
+        poly.affine_dim = 4
         poly.vertices = np.zeros((6, 4))
         poly.facet_vertex_sets = np.array(
             list(itertools.combinations(range(5), 4)) + [(0, 1, 2, 5)])

@@ -37,7 +37,7 @@ def length(poly):
 def test_tau3_of_the_length(sampling, key, tau3):
     est = estimate_taus(Ball(1), T, length, 2.0 / T**2, n_outer=1000,
                         n_inner=8, rng=stream(SEED, key), sampling=sampling,
-                        shell_c=2.0, label="V_1")
+                        shell_c=2.0)
     assert abs(est.tau3 - tau3) <= 4.0 * est.se3, (est.tau3, est.se3)
 
 

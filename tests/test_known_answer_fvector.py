@@ -20,9 +20,14 @@ Miles, Illinois J. Math. 1971).
 Every sampled hull is simplicial, so Euler's relation and the ridge
 identity give the other columns exact means too: f_0 = f_1 in d = 2;
 f_1 = 3 f_2 / 2 and f_0 = f_2 / 2 + 2 in d = 3; f_2 = 2 f_3 and
-f_1 - f_0 = f_3 in d = 4.  The tables come from ``run_replications``,
-which hulls sampled balls through the core prefilter in d = 2 and 3 and
-hulls every point in d = 4.
+f_1 - f_0 = f_3 in d = 4.
+
+A vertex of the hull is a process point outside the hull of the others,
+so the Mecke formula gives E f_0 = t (kappa_d - E V_d) at every t (Efron
+1965): the oracle column V_d + f_0 / t has mean kappa_d exactly.
+
+The tables come from ``run_replications``, which hulls sampled balls
+through the core prefilter in d = 2 and 3 and hulls every point in d = 4.
 """
 import math
 
@@ -81,10 +86,12 @@ def exact_means(d: int, t: float) -> dict[str, float]:
     """Exact means of the table columns (and of f_1 - f_0 in d = 4)."""
     f = mean_facets(d, t)
     if d == 2:
-        return {"f_0": f, "f_1": f}
-    if d == 3:
-        return {"f_0": f / 2.0 + 2.0, "f_1": 1.5 * f, "f_2": f}
-    return {"f_1 - f_0": f, "f_2": 2.0 * f, "f_3": f}
+        means = {"f_0": f, "f_1": f}
+    elif d == 3:
+        means = {"f_0": f / 2.0 + 2.0, "f_1": 1.5 * f, "f_2": f}
+    else:
+        means = {"f_1 - f_0": f, "f_2": 2.0 * f, "f_3": f}
+    return means | {"oracle": kappa(d)}
 
 
 def test_quadrature_matches_the_asymptotic_planar_count():
@@ -104,9 +111,9 @@ def test_mean_face_counts(row):
     config = ExperimentConfig.from_dict({
         "name": f"fvector_d{d}", "body": {"kind": "ball", "dim": d},
         "t_grid": [t], "n_reps": n_reps, "seed": SEED + row,
-        "functionals": [{"type": "f", "j": j} for j in range(d)],
-        # face counts do not depend on the mode, which d = 4 must set
-        "mode": "exact" if d <= 3 else "mc",
+        "functionals": ([{"type": "f", "j": j} for j in range(d)]
+                        + [{"type": "oracle"}]),
+        "mode": "exact",
     })
     table = run_replications(config)
     cols = {name: table.column(name) for name in table.names}

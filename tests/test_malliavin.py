@@ -139,9 +139,7 @@ class TestSecondDifference:
 
 class TestBounds:
     def _tau(self, t1, t2, t3):
-        return TauEstimate(tau1=t1, tau2=t2, tau3=t3, se1=0, se2=0, se3=0,
-                           n_outer=2, n_inner=4, functional_label="F",
-                           t=1.0, sampling="plain")
+        return TauEstimate(tau1=t1, tau2=t2, tau3=t3, se1=0, se2=0, se3=0)
 
     def test_zero(self):
         assert self._tau(0, 0, 0).bound() == 0.0
@@ -169,7 +167,7 @@ class TestTauEstimation:
     def test_positive_and_finite(self):
         tau = estimate_taus(Ball(2), 100.0, area, 1e-3, n_outer=50,
                             n_inner=4, rng=stream(62),
-                            sampling="boundary_shell", label="V_2")
+                            sampling="boundary_shell")
         assert tau.tau3 > 0 and math.isfinite(tau.bound())
 
     def test_seed_stability(self):
@@ -203,8 +201,7 @@ class TestTauEstimation:
                           1.0, 10, 4, stream(0), sampling="boundary_shell")
 
     def test_worker_count_invariance(self):
-        kw = dict(n_outer=30, n_inner=4, sampling="boundary_shell",
-                  label="V_2")
+        kw = dict(n_outer=30, n_inner=4, sampling="boundary_shell")
         one = estimate_taus(Ball(2), 200.0, area, 2e-4, rng=stream(65),
                             workers=1, **kw)
         two = estimate_taus(Ball(2), 200.0, area, 2e-4, rng=stream(65),
@@ -215,8 +212,7 @@ class TestTauEstimation:
         # the bound report's functional: a one-column column_values partial
         (_, v2), = build_evaluators([{"type": "intrinsic", "j": 2}], 2)
         column = functools.partial(column_values, (v2,), 200.0)
-        kw = dict(n_outer=12, n_inner=4, sampling="boundary_shell",
-                  label="V_2")
+        kw = dict(n_outer=12, n_inner=4, sampling="boundary_shell")
         scalar = estimate_taus(Ball(2), 200.0, area, 2e-4, rng=stream(65),
                                **kw)
         for workers in (1, 2):
@@ -236,7 +232,7 @@ class TestTauEstimation:
         tau = estimate_taus(Ball(2), 500.0, area,
                             variance_estimate=8.974441573466594e-05,
                             n_outer=600, n_inner=8, rng=stream(101),
-                            sampling="boundary_shell", label="V_2")
+                            sampling="boundary_shell")
         assert tau.tau3 == pytest.approx(0.49959213099527905, rel=1e-9)
         assert abs(tau.tau3 - 0.66) <= 4 * tau.se3
 
@@ -362,7 +358,7 @@ class TestPlanarCertificatePins:
     ])
     def test_tau_pins(self, sampling, t, expected):
         tau = estimate_taus(Ball(2), t, area, 0.05, 40, 8, stream(171),
-                            sampling=sampling, label="V_2")
+                            sampling=sampling)
         assert (tau.tau1, tau.tau2, tau.tau3,
                 tau.se1, tau.se2, tau.se3) == expected
 
