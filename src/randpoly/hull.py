@@ -107,7 +107,8 @@ class Polytope:
     ``facet_neighbors[s, i]`` is the simplex across the ridge opposite
     slot i, and ``simplex_facet[s]`` is the facet that contains simplex s.
     On a simplicial hull each simplex is a facet, and
-    ``facet_vertex_sets`` is the (F, k) array of sorted facet vertex ids.
+    ``facet_vertex_sets`` is the (F, k) array of sorted facet vertex ids,
+    the rows of ``facet_simplices`` sorted on first read.
     On a non-simplicial hull (exact test bodies such as cubes) it is a
     list of sorted tuples, one per facet.  Metrics and face counts are
     array expressions over these arrays, and ``faces`` is built on first
@@ -124,7 +125,7 @@ class Polytope:
         "local_vertices",
         "_faces",
         "_triangles",
-        "facet_vertex_sets",
+        "_facet_vertex_sets",
         "facet_normals",
         "facet_offsets",
         "facet_simplices",
@@ -159,6 +160,16 @@ class Polytope:
                                  self.n_vertices)
             )
         return self._faces
+
+    @property
+    def facet_vertex_sets(self):
+        if self._facet_vertex_sets is None:
+            self._facet_vertex_sets = np.sort(self.facet_simplices, axis=1)
+        return self._facet_vertex_sets
+
+    @facet_vertex_sets.setter
+    def facet_vertex_sets(self, sets) -> None:
+        self._facet_vertex_sets = sets
 
     @property
     def n_vertices(self) -> int:
@@ -437,10 +448,11 @@ def _build_full(poly, work_pts, ambient_pts=None, round_off=0.0) -> None:
             used = np.zeros(work_pts.shape[0], dtype=bool)
             used[hull.simplices] = True
             vert_idx = np.flatnonzero(used)
-    poly.local_vertices = work_pts[vert_idx]
+    # take() gathers rows several times faster than fancy indexing
+    poly.local_vertices = work_pts.take(vert_idx, axis=0)
     poly.source_indices = vert_idx
     poly.vertices = (poly.local_vertices if ambient_pts is None
-                     else ambient_pts[vert_idx])
+                     else ambient_pts.take(vert_idx, axis=0))
     if k == 1:
         poly._faces = {0: frozenset({(0,), (1,)})}
         poly.facet_vertex_sets = [(0,), (1,)]
@@ -451,7 +463,7 @@ def _build_full(poly, work_pts, ambient_pts=None, round_off=0.0) -> None:
     # only the ids of vertices are ever looked up
     remap = np.empty(work_pts.shape[0], dtype=int)
     remap[vert_idx] = np.arange(len(vert_idx))
-    simplices = remap[hull.simplices]  # (S, k), new indexing
+    simplices = remap.take(hull.simplices)  # (S, k), new indexing
     eq = hull.equations
     neighbors = hull.neighbors
     poly.facet_simplices = simplices
@@ -464,12 +476,13 @@ def _build_full(poly, work_pts, ambient_pts=None, round_off=0.0) -> None:
     # facets, e.g. sliver pairs on large random hulls, carry distinct
     # equations and stay separate, so sampled hulls are simplicial.
     # (offsets are rarely equal, so whole equations are compared only then)
-    coplanar = ((eq[neighbors, -1] == eq[:, -1:]).any()
+    coplanar = ((eq[:, -1].take(neighbors) == eq[:, -1:]).any()
                 and (eq[neighbors] == eq[:, None]).all(axis=-1).any())
     if not coplanar:
         firsts = slice(None)
         poly.simplex_facet = np.arange(len(simplices))
-        poly.facet_vertex_sets = np.sort(simplices, axis=1)
+        # sorted on first read; a canonical order sorts the rows itself
+        poly.facet_vertex_sets = None
     else:
         _, firsts, fid = np.unique(eq, axis=0, return_index=True,
                                    return_inverse=True)
@@ -502,46 +515,78 @@ def _canonical_order(poly: Polytope) -> None:
     """
     lv = poly.local_vertices
     vorder = np.lexsort(lv.T[::-1])
-    vrank = np.argsort(vorder)
-    tri = vrank[poly.facet_simplices]
+    tri = np.argsort(vorder).take(poly.facet_simplices)
     n_s, k = tri.shape
-    # the flat index of each entry in its sorted row moves the neighbors
-    # with it; sorted rows read as digits in base len(lv) order simplices
-    at = ((tri[:, :, None] > tri[:, None, :]).sum(axis=2)
-          + k * np.arange(n_s)[:, None]).ravel()
-    rows = np.empty((2, n_s * k), dtype=tri.dtype)
-    rows[:, at] = tri.ravel(), poly.facet_neighbors.ravel()
-    tri, nb = rows.reshape(2, n_s, k)
+    # a row's ids are distinct, so any sort gives the one permutation (the
+    # stable one is fastest on short rows); the flat index of each entry in
+    # its sorted row moves the neighbors with it
+    at = tri.argsort(axis=1, kind="stable") + k * np.arange(n_s)[:, None]
+    tri, nb = tri.take(at), poly.facet_neighbors.take(at)
+    # sorted rows read as digits in base len(lv) order the simplices
     sorder = (np.argsort(tri @ len(lv) ** np.arange(k - 1, -1, -1))
               if len(lv) ** k < 2 ** 63 else np.lexsort(tri.T[::-1]))
-    poly.facet_simplices = poly.facet_vertex_sets = tri[sorder]
-    poly.facet_neighbors = np.argsort(sorder)[nb[sorder]]
-    poly.facet_normals = poly.facet_normals[sorder]
-    poly.facet_offsets = poly.facet_offsets[sorder]
-    poly.local_vertices = lv[vorder]
-    poly.vertices = poly.vertices[vorder]
-    poly.source_indices = poly.source_indices[vorder]
+    poly.facet_simplices = poly.facet_vertex_sets = tri.take(sorder, axis=0)
+    poly.facet_neighbors = np.argsort(sorder).take(nb.take(sorder, axis=0))
+    poly.facet_normals = poly.facet_normals.take(sorder, axis=0)
+    poly.facet_offsets = poly.facet_offsets.take(sorder)
+    poly.local_vertices = lv.take(vorder, axis=0)
+    poly.vertices = poly.vertices.take(vorder, axis=0)
+    poly.source_indices = poly.source_indices.take(vorder)
     poly._faces = poly._triangles = None
+
+
+def _subset_keys(facets: np.ndarray, m: int):
+    """Sorted integer keys of the m-subsets of the rows of a sorted (F, k)
+    facet array, repeats included, and their base: each subset read as
+    digits in base max + 1, built column by column.  None where a key
+    would overflow int64."""
+    base = int(facets.max()) + 1
+    if base ** m > np.iinfo(np.int64).max:
+        return None
+    cols = facets.T
+    combos = list(itertools.combinations(range(len(cols)), m))
+    key = np.empty((len(combos), len(facets)), dtype=np.int64)
+    for row, combo in zip(key, combos):
+        row[:] = cols[combo[0]]
+        for j in combo[1:]:
+            row *= base
+            row += cols[j]
+    key = key.ravel()
+    key.sort()
+    return key, base
+
+
+def _unique_subsets(facets: np.ndarray, m: int) -> np.ndarray:
+    """The distinct m-subsets by ``np.unique`` over the gathered rows, for
+    facet arrays whose subset keys would overflow."""
+    cols = list(itertools.combinations(range(facets.shape[1]), m))
+    return np.unique(facets[:, cols].reshape(-1, m), axis=0)
 
 
 def _subfaces(facets: np.ndarray, m: int) -> np.ndarray:
     """Distinct m-subsets of the rows of a sorted (F, k) facet array.
 
     Returns them as sorted rows in lexicographic order; on a simplicial
-    polytope these are exactly its (m - 1)-faces.  Rows are compared by
-    integer keys (the row read as digits in base max + 1).
+    polytope these are exactly its (m - 1)-faces.  The rows are the digits
+    of the distinct keys of :func:`_subset_keys`.
     """
-    cols = list(itertools.combinations(range(facets.shape[1]), m))
-    sub = facets[:, cols].reshape(-1, m)
-    base = int(facets.max()) + 1
-    if base ** m > np.iinfo(np.int64).max:  # the keys would overflow
-        return np.unique(sub, axis=0)
-    key = sub[:, 0]
-    for j in range(1, m):
-        key = key * base + sub[:, j]
-    order = np.argsort(key)
-    key = key[order]
-    return sub[order[np.r_[True, key[1:] != key[:-1]]]]
+    keyed = _subset_keys(facets, m)
+    if keyed is None:
+        return _unique_subsets(facets, m)
+    key, base = keyed
+    key = key[np.r_[True, key[1:] != key[:-1]]]
+    return np.stack([key // base ** (m - 1 - j) % base for j in range(m)],
+                    axis=1)
+
+
+def _count_subfaces(facets: np.ndarray, m: int) -> int:
+    """``len(_subfaces(facets, m))``, from the sorted keys alone: one more
+    than the number of places where neighbouring keys differ."""
+    keyed = _subset_keys(facets, m)
+    if keyed is None:
+        return len(_unique_subsets(facets, m))
+    key = keyed[0]
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
 def _lattice_simplicial(facets: np.ndarray) -> dict[int, frozenset]:
@@ -598,11 +643,29 @@ def _lattice_general(facet_sets, k, n_vertices):
     return {i: frozenset(s) for i, s in faces.items()}
 
 
+# the facet check computes at most this many heights n_F . v at a time
+_CHECK_BLOCK = 1 << 15
+
+
 def _check_facet_inequalities(poly, tol):
-    # rounding is monotone, so the largest n_F . v - b_F is the largest
-    # height minus b_F, and one reduction of the whole array finds it
-    excess = poly.facet_normals @ poly.local_vertices.T
-    excess -= poly.facet_offsets[:, None]
+    """Raise RuntimeError if a vertex lies more than ``tol`` above a facet
+    plane.  Every (facet, vertex) pair is tested.
+
+    The heights n_F . v go in row blocks of at most _CHECK_BLOCK pairs
+    through one buffer, so a large hull makes no F x V temporary.  Rounding
+    is monotone, so the largest n_F . v - b_F is each facet's largest
+    height minus b_F, and b_F is subtracted once per facet.
+    """
+    normals = poly.facet_normals
+    vt = np.ascontiguousarray(poly.local_vertices.T)  # BLAS reads it faster
+    step = max(1, _CHECK_BLOCK // vt.shape[1])
+    heights = np.empty((min(step, len(normals)), vt.shape[1]))
+    excess = np.empty(len(normals))
+    for b in range(0, len(normals), step):
+        rows = normals[b:b + step]
+        np.matmul(rows, vt, out=heights[:len(rows)]).max(
+            axis=1, out=excess[b:b + step])
+    excess -= poly.facet_offsets
     worst = float(excess.max())
     if worst > tol:
         raise RuntimeError(
@@ -619,7 +682,8 @@ def f_vector(poly: Polytope) -> FVector:
 
     A simplicial hull is counted from its facet array, without a lattice:
     f_0 is the vertex count, f_{k-1} the facet count, and each f_i in
-    between the number of distinct (i+1)-subsets of the facets.  Any other
+    between the number of distinct (i+1)-subsets of the facets, counted
+    on their sorted integer keys (:func:`_count_subfaces`).  Any other
     polytope counts the faces of its lattice.
 
     The counts of a k-polytope, k >= 1, must satisfy Euler's relation
@@ -634,7 +698,7 @@ def f_vector(poly: Polytope) -> FVector:
     else:
         facets = poly.facet_vertex_sets
         counts = [poly.n_vertices]
-        counts += [len(_subfaces(facets, i + 1)) for i in range(1, k - 1)]
+        counts += [_count_subfaces(facets, i + 1) for i in range(1, k - 1)]
         fv = FVector(tuple(counts + [len(facets)] + [0] * (d - k)))
     if k >= 1 and fv.euler_characteristic() != 1 - (-1) ** k:
         raise RuntimeError(f"Euler's relation violated: f={fv.counts}")

@@ -2,6 +2,7 @@
 import ast
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,43 @@ class TestFVector:
         poly._faces = None
         with pytest.raises(RuntimeError, match="ridge identity"):
             f_vector(poly)
+
+
+class TestFacetCheck:
+    """``_check_facet_inequalities`` tests every (facet, vertex) pair, in
+    row blocks on a large hull, and reports the worst excess of all."""
+
+    @staticmethod
+    def sampled(d, t, seed):
+        return convex_hull(sample_poisson_process(Ball(d), t, stream(seed)))
+
+    @pytest.mark.parametrize("d, t", [(2, 500.0), (3, 1000.0), (4, 200.0)])
+    def test_sampled_hulls_pass(self, d, t):
+        for seed in range(3):
+            poly = self.sampled(d, t, 80 + seed)
+            hull._check_facet_inequalities(poly, hull.REL_TOL * poly.diameter)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "one block"])
+    def test_a_shifted_plane_raises(self, where):
+        poly = self.sampled(2 if where == "one block" else 4, 200.0, 85)
+        n_f, n_v = len(poly.facet_normals), poly.n_vertices
+        step = hull._CHECK_BLOCK // n_v
+        if where == "one block":
+            assert n_f * n_v <= hull._CHECK_BLOCK
+            row = n_f // 2
+        else:
+            assert n_f > 4 * step  # several blocks
+            row = {"first": 0, "middle": (n_f // step // 2) * step + 1,
+                   "last": n_f - 1}[where]
+        tol = hull.REL_TOL * poly.diameter
+        poly.facet_offsets = poly.facet_offsets.copy()
+        poly.facet_offsets[row] -= 10.0 * tol
+        unblocked = (poly.facet_normals @ poly.local_vertices.T
+                     - poly.facet_offsets[:, None]).max()
+        assert unblocked > tol
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"plane by {unblocked:.3e}") + "$"):
+            hull._check_facet_inequalities(poly, tol)
 
 
 class TestVolume:

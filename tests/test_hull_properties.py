@@ -24,6 +24,7 @@ from randpoly.hull import (
     REL_TOL,
     Polytope,
     _certified_full_rank,
+    _lattice_simplicial,
     _subfaces,
     brute_force_facets,
     convex_hull,
@@ -91,8 +92,11 @@ def reference_mean_width_3d(poly):
 # -- properties --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_counts_match_lattice(d):
+    """f_vector counts sorted keys; the lattice holds the distinct subsets
+    themselves.  Vertex ids scaled by 2**40 overflow the int64 keys of
+    every f_i with 0 < i < d - 1, which np.unique then counts."""
     @PROPERTY
     @given(point_set_variants(d, 60))
     def check(variants):
@@ -101,8 +105,15 @@ def test_counts_match_lattice(d):
             poly = convex_hull(pts)
             assert poly.is_simplicial
             fv = f_vector(poly).counts  # counted before the lattice exists
-            assert fv == tuple(len(poly.faces[i]) for i in range(d))
+            lattice = _lattice_simplicial(poly.facet_vertex_sets)
+            assert fv == tuple(len(lattice[i]) for i in range(d))
             counts.add(fv)
+            relabelled = Polytope(d)
+            relabelled.affine_dim = d
+            relabelled.vertices = poly.vertices
+            relabelled.facet_vertex_sets = poly.facet_vertex_sets * 2**40
+            relabelled._faces = None
+            assert f_vector(relabelled).counts == fv
         assert len(counts) == 1
 
     check()
