@@ -535,11 +535,11 @@ def _canonical_order(poly: Polytope) -> None:
     poly._faces = poly._triangles = None
 
 
-def _subset_keys(facets: np.ndarray, m: int):
+def _subset_keys(facets: np.ndarray, m: int) -> np.ndarray | None:
     """Sorted integer keys of the m-subsets of the rows of a sorted (F, k)
-    facet array, repeats included, and their base: each subset read as
-    digits in base max + 1, built column by column.  None where a key
-    would overflow int64."""
+    facet array, repeats included: each subset read as digits in base
+    max + 1, built column by column.  None where a key would overflow
+    int64."""
     base = int(facets.max()) + 1
     if base ** m > np.iinfo(np.int64).max:
         return None
@@ -553,39 +553,25 @@ def _subset_keys(facets: np.ndarray, m: int):
             row += cols[j]
     key = key.ravel()
     key.sort()
-    return key, base
-
-
-def _unique_subsets(facets: np.ndarray, m: int) -> np.ndarray:
-    """The distinct m-subsets by ``np.unique`` over the gathered rows, for
-    facet arrays whose subset keys would overflow."""
-    cols = list(itertools.combinations(range(facets.shape[1]), m))
-    return np.unique(facets[:, cols].reshape(-1, m), axis=0)
+    return key
 
 
 def _subfaces(facets: np.ndarray, m: int) -> np.ndarray:
     """Distinct m-subsets of the rows of a sorted (F, k) facet array.
 
     Returns them as sorted rows in lexicographic order; on a simplicial
-    polytope these are exactly its (m - 1)-faces.  The rows are the digits
-    of the distinct keys of :func:`_subset_keys`.
+    polytope these are exactly its (m - 1)-faces.
     """
-    keyed = _subset_keys(facets, m)
-    if keyed is None:
-        return _unique_subsets(facets, m)
-    key, base = keyed
-    key = key[np.r_[True, key[1:] != key[:-1]]]
-    return np.stack([key // base ** (m - 1 - j) % base for j in range(m)],
-                    axis=1)
+    cols = list(itertools.combinations(range(facets.shape[1]), m))
+    return np.unique(facets[:, cols].reshape(-1, m), axis=0)
 
 
 def _count_subfaces(facets: np.ndarray, m: int) -> int:
     """``len(_subfaces(facets, m))``, from the sorted keys alone: one more
     than the number of places where neighbouring keys differ."""
-    keyed = _subset_keys(facets, m)
-    if keyed is None:
-        return len(_unique_subsets(facets, m))
-    key = keyed[0]
+    key = _subset_keys(facets, m)
+    if key is None:
+        return len(_subfaces(facets, m))
     return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
@@ -806,7 +792,7 @@ def _mean_width_term_3d(poly: Polytope) -> float:
     """
     s, slot, r = _ridges(poly)
     _, u, v, n = _triangles(poly)
-    n_s, n_r = n[:, s], n[:, r]
+    n_s, n_r = n.take(s, axis=1), n.take(r, axis=1)
     sin = np.sqrt((_cross(n_s, n_r) ** 2).sum(axis=0))
     w = v - u  # the edges opposite slots 0, 1, 2 are w, v and u
     length = np.sqrt(np.array([w * w, v * v, u * u]).sum(axis=1))[slot, s]
@@ -819,7 +805,7 @@ def _ridges(poly: Polytope) -> tuple[np.ndarray, ...]:
     facets, r = facet_neighbors[s, slot] across the ridge opposite slot."""
     nb, fid = poly.facet_neighbors, poly.simplex_facet
     s, slot = np.nonzero((nb > np.arange(len(nb))[:, None])
-                         & (fid[nb] != fid[:, None]))
+                         & (fid.take(nb) != fid[:, None]))
     return s, slot, nb[s, slot]
 
 
@@ -834,11 +820,11 @@ def _triangles(poly: Polytope) -> tuple[np.ndarray, ...]:
     if poly._triangles is None:
         lv = np.ascontiguousarray(poly.local_vertices.T)
         tri = poly.facet_simplices
-        a = lv[:, tri[:, 0]]
-        edges = [lv[:, tri[:, i]] - a for i in range(1, len(lv))]
+        a = lv.take(tri[:, 0], axis=1)
+        edges = [lv.take(tri[:, i], axis=1) - a for i in range(1, len(lv))]
         n = (_cross if len(lv) == 3 else _cross4)(*edges)
-        n *= np.sign((n * poly.facet_normals[poly.simplex_facet].T)
-                     .sum(axis=0))
+        outward = poly.facet_normals.take(poly.simplex_facet, axis=0).T
+        n *= np.sign((n * outward).sum(axis=0))
         poly._triangles = (a, *edges, n)
     return poly._triangles
 
@@ -944,7 +930,7 @@ def _hyperplane_shadows(poly: Polytope, normals: np.ndarray) -> np.ndarray:
     a contiguous row, so a value does not depend on its block.
     """
     half = _simplex_areas(poly) / 2.0
-    n = np.ascontiguousarray(poly.facet_normals[poly.simplex_facet].T)
+    n = poly.facet_normals.take(poly.simplex_facet, axis=0).T.copy()
     vals = np.empty(len(normals))
     step = max(1, _SHADOW_BLOCK // len(half))
     for b in range(0, len(normals), step):

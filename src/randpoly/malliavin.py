@@ -5,7 +5,8 @@ F when x is added to the point configuration; iterating gives the second
 order operator.  Monte Carlo moments of these differences yield the three
 error terms whose combination 2*sqrt(tau1) + sqrt(tau2) + tau3 dominates
 the Wasserstein distance between the standardized functional and a
-standard Gaussian, with a matching multivariate version (gamma terms).
+standard Gaussian.  They are the one-component case of the multivariate
+gamma terms, so one estimator (:func:`estimate_gammas`) computes both.
 
 The triple integrals carry a t^3 prefactor, so plain uniform sampling of
 the integration points is hopeless at large intensity: differences vanish
@@ -231,6 +232,11 @@ def second_difference(cloud, x, y, functional,
 # estimates of the error terms
 
 
+def _check_terms(kind: str, *terms: float) -> None:
+    if not all(0.0 <= v < math.inf for v in terms):
+        raise ValueError(f"{kind} estimates must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class TauEstimate:
     tau1: float
@@ -241,9 +247,7 @@ class TauEstimate:
     se3: float
 
     def __post_init__(self):
-        for v in (self.tau1, self.tau2, self.tau3):
-            if v < 0 or not math.isfinite(v):
-                raise ValueError("tau estimates must be finite and nonnegative")
+        _check_terms("tau", self.tau1, self.tau2, self.tau3)
 
     def bound(self) -> float:
         """2 sqrt(tau1) + sqrt(tau2) + tau3."""
@@ -270,9 +274,7 @@ class GammaEstimate:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        for v in (self.gamma1, self.gamma2, self.gamma3):
-            if v < 0 or not math.isfinite(v):
-                raise ValueError("gamma estimates must be finite and nonnegative")
+        _check_terms("gamma", self.gamma1, self.gamma2, self.gamma3)
 
     def bound(self) -> float:
         """m sqrt(gamma1) + (m/2) sqrt(gamma2) + (m^2/4) gamma3, with m
@@ -298,14 +300,12 @@ class VectorFunctional:
     def __post_init__(self):
         s = (np.ones(len(self.labels)) if self.scales is None
              else np.asarray(self.scales, dtype=float))
-        if s.shape != (len(self.labels),) or np.any(s <= 0):
-            raise ValueError("scales must be positive, one per component")
+        if (s.shape != (len(self.labels),)
+                or not np.all(np.isfinite(s) & (s > 0))):
+            raise ValueError("scales must be finite and positive, one per "
+                             "component")
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def m(self) -> int:
-        return len(self.labels)
 
 
 def _shell_points(body: Ball, frac: float, rng, n: int) -> np.ndarray:
@@ -367,8 +367,8 @@ def _outer_block(body, t, vf, n_inner, rng, draw_points, core, k0, k1):
         # Group g estimates E (D2_{x_{g mod 2}, x_3})^4, so x_1 and x_2 get
         # two independent copies each; groups 2 and 3 also estimate
         # E (D1)^4 and E |D1|^3 at their point, rows 0 and 1 of d1[g - 2].
-        d2 = np.zeros((4, vf.m))
-        d1 = np.zeros((2, 2, vf.m))
+        d2 = np.zeros((4, len(vf.labels)))
+        d1 = np.zeros((2, 2, len(vf.labels)))
         for g, idxs in enumerate(groups):
             for _ in idxs:
                 # one process draw: the standardized (D2_{x,y}, D1_x)
@@ -390,51 +390,6 @@ def _outer_block(body, t, vf, n_inner, rng, draw_points, core, k0, k1):
     return terms
 
 
-def _estimate_core(body, t, vf, n_outer, n_inner, rng, sampling, shell_c,
-                   workers):
-    """Shared Monte Carlo engine for the tau and gamma terms.
-
-    The outer steps run in contiguous blocks (:func:`_outer_block`), in a
-    process pool when ``workers > 1``; each block receives the sampler and
-    the prefilter core built here.  Their rows are stacked in step order
-    and reduced the same way for any worker count, so the estimates are
-    bit-identical across worker counts.
-    """
-    if n_inner < 4:
-        raise ValueError("n_inner must be >= 4: the moment products combine "
-                         "four expectations, each needing disjoint draws")
-    if n_outer < 2:
-        raise ValueError("n_outer must be >= 2 to report standard errors")
-    draw_points, region_volume = _region_sampler(body, t, sampling, shell_c)
-    if workers > 1:
-        try:
-            pickle.dumps(vf)
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise ValueError(
-                "workers > 1 needs a picklable functional (a module-level "
-                f"function or class instance): {exc}"
-            ) from exc
-
-    term1, term2, term3 = np.hstack(map_blocks(
-        _outer_block, n_outer, workers,
-        (body, t, vf, n_inner, rng, draw_points, floating_core(body, t)),
-    ))
-
-    w3 = t * region_volume
-    w1 = w3**3
-    root_n = math.sqrt(n_outer)
-
-    def reduce(vals, w):
-        mean = w * math.fsum(vals) / n_outer
-        se = w * float(vals.std(ddof=1)) / root_n
-        return max(mean, 0.0), se
-
-    g1, se1 = reduce(term1, w1)
-    g2, se2 = reduce(term2, w1)
-    g3, se3 = reduce(term3, w3)
-    return (g1, g2, g3, se1, se2, se3)
-
-
 def estimate_taus(
     body: ConvexBody,
     t: float,
@@ -452,22 +407,18 @@ def estimate_taus(
     ``functional`` maps a polytope to a raw scalar or a one-element
     sequence; ``variance_estimate`` is the plug-in variance used to put
     the functional on unit-variance scale (means cancel inside
-    differences, so only the scale matters).
-    With ``workers > 1`` the outer steps run in a process pool, which
-    needs a picklable ``functional``; the estimates are the same for any
-    worker count.
+    differences, so only the scale matters).  The tau terms are the gamma
+    terms of the one-component functional scaled by
+    sqrt(variance_estimate), so this is that :func:`estimate_gammas` call,
+    with its options and the same numbers.
     """
-    if variance_estimate <= 0:
-        raise ValueError("variance_estimate must be positive")
-    vf = VectorFunctional(
-        fn=functional,
-        labels=("F",),
-        scales=np.array([math.sqrt(variance_estimate)]),
-    )
-    g1, g2, g3, se1, se2, se3 = _estimate_core(
-        body, t, vf, n_outer, n_inner, rng, sampling, shell_c, workers
-    )
-    return TauEstimate(tau1=g1, tau2=g2, tau3=g3, se1=se1, se2=se2, se3=se3)
+    if not 0.0 < variance_estimate < math.inf:
+        raise ValueError("variance_estimate must be finite and positive")
+    vf = VectorFunctional(fn=functional, labels=("F",),
+                          scales=[math.sqrt(variance_estimate)])
+    g = estimate_gammas(body, t, vf, n_outer, n_inner, rng, sampling,
+                        shell_c, workers)
+    return TauEstimate(g.gamma1, g.gamma2, g.gamma3, g.se1, g.se2, g.se3)
 
 
 def estimate_gammas(
@@ -483,20 +434,43 @@ def estimate_gammas(
 ) -> GammaEstimate:
     """Monte Carlo estimates of the three multivariate error terms.
 
-    With a single component and the same generator state this reduces
-    exactly to :func:`estimate_taus`; ``workers`` works as there.  The
-    bound m sqrt(gamma1) + (m/2) sqrt(gamma2) + (m^2/4) gamma3 is the
+    The bound m sqrt(gamma1) + (m/2) sqrt(gamma2) + (m^2/4) gamma3 is the
     d_3 bound for the covariance of the standardized vector itself, so
     no covariance matrix enters the estimate.
+
+    The outer steps run in contiguous blocks (:func:`_outer_block`), in a
+    process pool when ``workers > 1``, which needs a picklable functional;
+    each block receives the sampler and the prefilter core built here.
+    Their rows are stacked in step order and reduced the same way for any
+    worker count, so the estimates are bit-identical across worker counts.
     """
-    g1, g2, g3, se1, se2, se3 = _estimate_core(
-        body, t, vector_functional, n_outer, n_inner, rng, sampling, shell_c,
-        workers,
-    )
-    return GammaEstimate(
-        gamma1=g1, gamma2=g2, gamma3=g3, se1=se1, se2=se2, se3=se3,
-        labels=vector_functional.labels,
-    )
+    if n_inner < 4:
+        raise ValueError("n_inner must be >= 4: the moment products combine "
+                         "four expectations, each needing disjoint draws")
+    if n_outer < 2:
+        raise ValueError("n_outer must be >= 2 to report standard errors")
+    draw_points, region_volume = _region_sampler(body, t, sampling, shell_c)
+    if workers > 1:
+        try:
+            pickle.dumps(vector_functional)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(
+                "workers > 1 needs a picklable functional (a module-level "
+                f"function or class instance): {exc}"
+            ) from exc
+
+    rows = np.hstack(map_blocks(
+        _outer_block, n_outer, workers,
+        (body, t, vector_functional, n_inner, rng, draw_points,
+         floating_core(body, t)),
+    ))
+    w = t * region_volume  # terms 1 and 2 are triple integrals, 3 single
+    weights = (w**3, w**3, w)
+    means = [max(wk * math.fsum(r) / n_outer, 0.0)
+             for wk, r in zip(weights, rows)]
+    ses = [wk * float(r.std(ddof=1)) / math.sqrt(n_outer)
+           for wk, r in zip(weights, rows)]
+    return GammaEstimate(*means, *ses, labels=vector_functional.labels)
 
 
 # ---------------------------------------------------------------------------

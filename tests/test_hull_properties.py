@@ -94,9 +94,10 @@ def reference_mean_width_3d(poly):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_counts_match_lattice(d):
-    """f_vector counts sorted keys; the lattice holds the distinct subsets
-    themselves.  Vertex ids scaled by 2**40 overflow the int64 keys of
-    every f_i with 0 < i < d - 1, which np.unique then counts."""
+    """f_vector counts sorted integer keys; the lattice holds the distinct
+    subsets themselves, found by np.unique without keys.  Vertex ids
+    scaled by 2**40 overflow the int64 keys of every f_i with
+    0 < i < d - 1, which np.unique then counts."""
     @PROPERTY
     @given(point_set_variants(d, 60))
     def check(variants):

@@ -37,6 +37,10 @@ def area_and_f0(poly):
     return np.array([area(poly), f0(poly)])
 
 
+def area_vector(poly):
+    return np.array([area(poly)])
+
+
 class TestFirstDifference:
     def test_interior_point_is_exactly_zero(self):
         cloud = Ball(2).sample_uniform(stream(50), 40)
@@ -192,6 +196,11 @@ class TestTauEstimation:
             estimate_taus(Ball(2), 50.0, area, 1.0, 10, 1, stream(0))
         with pytest.raises(ValueError):
             estimate_taus(Ball(2), 50.0, area, 1.0, 10, 3, stream(0))
+        # no generator: a variance that is not finite and positive is
+        # rejected before any sampling
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="variance_estimate"):
+                estimate_taus(Ball(2), 50.0, area, bad, 10, 4, None)
 
     def test_shell_needs_ball(self):
         from randpoly.bodies import Ellipsoid
@@ -259,12 +268,17 @@ class TestGammaEstimation:
         return VectorFunctional(fn=fn, labels=("V_2", "f_0"),
                                 scales=np.asarray(scales))
 
-    def test_single_component_reduces_to_taus(self):
-        vf = VectorFunctional(fn=lambda p: np.array([area(p)]),
-                              labels=("V_2",), scales=np.array([0.05]))
-        g = estimate_gammas(Ball(2), 80.0, vf, 40, 4, stream(68))
-        tau = estimate_taus(Ball(2), 80.0, area, 0.05**2, 40, 4, stream(68))
-        assert (g.gamma1, g.gamma2, g.gamma3) == (tau.tau1, tau.tau2, tau.tau3)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sampling", ["plain", "boundary_shell"])
+    def test_single_component_reduces_to_taus(self, sampling, workers):
+        vf = VectorFunctional(fn=area_vector, labels=("V_2",),
+                              scales=np.array([0.05]))
+        kw = dict(sampling=sampling, workers=workers)
+        g = estimate_gammas(Ball(2), 80.0, vf, 40, 4, stream(68), **kw)
+        tau = estimate_taus(Ball(2), 80.0, area, 0.05**2, 40, 4, stream(68),
+                            **kw)
+        assert (g.gamma1, g.gamma2, g.gamma3, g.se1, g.se2, g.se3) == (
+            tau.tau1, tau.tau2, tau.tau3, tau.se1, tau.se2, tau.se3)
 
     def test_worker_count_invariance(self):
         vf = VectorFunctional(fn=area_and_f0, labels=("V_2", "f_0"),
@@ -295,6 +309,10 @@ class TestGammaEstimation:
         with pytest.raises(ValueError):
             VectorFunctional(fn=lambda p: np.zeros(2), labels=("a", "b"),
                              scales=np.array([1.0, 0.0]))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="scales"):
+                VectorFunctional(fn=lambda p: np.zeros(2), labels=("a", "b"),
+                                 scales=np.array([bad, 1.0]))
 
     def test_regression_pin_full_vector_t500(self):
         # pinned from this module's converged self-estimate at t=500 in the

@@ -24,27 +24,36 @@ def test_tracer_installs_and_restores(monkeypatch):
 
 
 def test_tracer_sees_the_error_term_report(monkeypatch, tmp_path):
-    """The wrapped names still carry the report path: the tau estimate,
-    its functional, and the sampling and hulls of the malliavin module."""
+    """The wrapped names still carry the report path: the sampling and
+    hulls of the malliavin module, which the univariate (tau) and the
+    multivariate (gamma) reports share, and the tau estimate and its
+    functional."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import instrument
     from tracer import Tracer
 
-    config = {
-        "name": "traced", "body": {"kind": "ball", "dim": 2, "radius": 1.0},
-        "t_grid": [100.0], "n_reps": 4, "functionals": [{"type": "oracle"}],
-        "seed": 3, "workers": 1,
-        "malliavin": {"t": 100.0, "functional": "oracle", "n_outer": 2,
-                      "n_inner": 4, "sampling": "plain"},
-    }
-    tracer = Tracer()
-    try:
-        instrument.install(tracer)
-        experiment.run(config, outdir=tmp_path)
-    finally:
-        tracer.restore()
-    assert tracer.unrestored() == []
-    assert tracer.named("malliavin.estimate_taus")
-    assert tracer.named("malliavin.functional")
-    assert tracer.named("bodies.sample", site="randpoly.malliavin")
-    assert tracer.named("hull.convex_hull", site="randpoly.malliavin")
+    for multivariate in (False, True):
+        spec = ({"multivariate": True} if multivariate
+                else {"functional": "oracle"})
+        config = {
+            "name": "traced",
+            "body": {"kind": "ball", "dim": 2, "radius": 1.0},
+            "t_grid": [100.0], "n_reps": 4,
+            "functionals": [{"type": "multivariate" if multivariate
+                             else "oracle"}],
+            "seed": 3, "workers": 1,
+            "malliavin": {"t": 100.0, "n_outer": 2, "n_inner": 4,
+                          "sampling": "plain", **spec},
+        }
+        tracer = Tracer()
+        try:
+            instrument.install(tracer)
+            experiment.run(config, outdir=tmp_path / str(multivariate))
+        finally:
+            tracer.restore()
+        assert tracer.unrestored() == []
+        # only the univariate report goes through experiment.estimate_taus
+        assert bool(tracer.named("malliavin.estimate_taus")) != multivariate
+        assert bool(tracer.named("malliavin.functional")) != multivariate
+        assert tracer.named("bodies.sample", site="randpoly.malliavin")
+        assert tracer.named("hull.convex_hull", site="randpoly.malliavin")
