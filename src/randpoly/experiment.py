@@ -24,7 +24,13 @@ from . import __version__
 from .bodies import body_from_spec
 from .config import ConfigError, ExperimentConfig
 from .functionals import column_values
-from .malliavin import VectorFunctional, estimate_gammas, estimate_taus
+from .malliavin import (
+    GammaEstimate,
+    TauEstimate,
+    VectorFunctional,
+    estimate_gammas,
+    estimate_taus,
+)
 from .rng import shared_pool, stream
 from .stats import (
     CSV_FLOAT_FORMAT,
@@ -113,43 +119,47 @@ def _resolve_outdir(config: ExperimentConfig, outdir) -> Path:
     return out
 
 
-def _variance_se(col: np.ndarray) -> float:
-    # standard error of the sample variance from the fourth central moment
-    n = len(col)
-    c = col - col.mean()
-    m2 = float((c**2).mean())
-    m4 = float((c**4).mean())
+def _variance_se(x: np.ndarray):
+    # standard error of the sample variance from the fourth central moment,
+    # of one column or of each row of an (m, n) array
+    n = x.shape[-1]
+    c = x - x.mean(axis=-1, keepdims=True)
+    m2 = (c**2).mean(axis=-1)
+    m4 = (c**4).mean(axis=-1)
     inner = m4 - m2 * m2 * (n - 3.0) / (n - 1.0)
-    return math.sqrt(max(inner, 0.0) / n)
+    return np.sqrt(np.maximum(inner, 0.0) / n)
 
 
 def _summarize_table(table: ReplicationTable, seed: int) -> dict:
-    """Per-intensity report: moments, W1 distances, correlation structure."""
+    """Per-intensity report: moments, W1 distances, correlation structure.
+    Each statistic comes from one row-wise call on the (columns ×
+    replications) array, and rounds as the 1-D call on each column would."""
     names = [n for n in table.names if n != "n_points"]
-    varying = [n for n in names if table.column(n).var(ddof=1) > 0.0]
-    constant = [n for n in names if n not in varying]
+    rows = table.matrix(names).T.copy()
+    var = rows.var(axis=1, ddof=1)
+    vary = var > 0.0
+    varying = [n for n, v in zip(names, vary) if v]
     out = {
         "t": table.t,
         "n_reps": table.n_reps,
-        "means": {n: float(table.column(n).mean()) for n in names},
-        "variances": {n: float(table.column(n).var(ddof=1)) for n in names},
-        "variance_se": {n: _variance_se(table.column(n)) for n in varying},
-        "constant_columns": constant,
+        "means": dict(zip(names, rows.mean(axis=1).tolist())),
+        "variances": dict(zip(names, var.tolist())),
+        "variance_se": dict(zip(varying, _variance_se(rows[vary]).tolist())),
+        "constant_columns": [n for n, v in zip(names, vary) if not v],
     }
     if varying:
         ss = covariance_matrix(table, varying)
         rng = stream(seed, BOOTSTRAP_STAGE, table.t_index)
-        out["w1_to_normal"] = {n: ss.w1_to_normal[n] for n in varying}
-        out["w1_se"] = {
-            n: w1_bootstrap_se(ss.standardized[n], rng) for n in varying
-        }
+        z = np.array([ss.standardized[n] for n in varying])
+        out["w1_to_normal"] = ss.w1_to_normal
+        out["w1_se"] = dict(zip(varying, w1_bootstrap_se(z, rng).tolist()))
         out["correlation_columns"] = list(ss.columns)
-        out["correlation"] = [[float(v) for v in row] for row in ss.covariance]
+        out["correlation"] = ss.covariance.tolist()
         out["correlation_ci"] = _correlation_bootstrap_ci(
-            table.matrix(list(ss.columns)), ss.columns, rng
+            table.matrix(varying), ss.columns, rng
         )
         out["rank_estimate"] = ss.rank_estimate
-        out["eigenvalues"] = [float(v) for v in ss.eigenvalues]
+        out["eigenvalues"] = ss.eigenvalues.tolist()
     return out
 
 
@@ -176,6 +186,26 @@ def _resample_correlations(res: np.ndarray, rows, cols) -> np.ndarray:
     return corr
 
 
+def _percentiles(x: np.ndarray, q) -> np.ndarray:
+    """``np.percentile(x, q, axis=0)`` of a 2-D array without NaNs, bit for
+    bit, from one sort: numpy's 'linear' rule, virtual index (n - 1) q
+    between neighbours a <= b, value a + (b - a) g, or b - (b - a)(1 - g)
+    when the fraction g is at least 1/2."""
+    x = np.sort(x, axis=0)
+    n = len(x)
+    out = np.empty((len(q), x.shape[1]))
+    for k, p in enumerate(q):
+        v = (n - 1) * (p / 100)
+        lo = math.floor(v)
+        hi = lo + 1
+        if v >= n - 1:  # numpy takes the last value, with g = v + 1
+            lo = hi = -1
+        g = v - lo
+        a, b = x[lo], x[hi]
+        out[k] = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+    return out
+
+
 def _correlation_bootstrap_ci(mat: np.ndarray, names, rng,
                               n_boot: int = 200) -> dict:
     """Central 95% bootstrap intervals for each correlation entry.
@@ -192,8 +222,8 @@ def _correlation_bootstrap_ci(mat: np.ndarray, names, rng,
     for b in range(0, n_boot, step):  # a block's gather dies with the call
         samples[b:b + step] = _resample_correlations(
             mat[draws[b:b + step]], rows, cols)
-    # one percentile call per pattern of kept resamples; all the pairs
-    # usually share one or two patterns
+    # one sort per pattern of kept resamples; all the pairs usually share
+    # one or two patterns
     ok = np.isfinite(samples)
     patterns: dict[bytes, list[int]] = {}
     for p, keep in enumerate(ok.T):
@@ -202,8 +232,7 @@ def _correlation_bootstrap_ci(mat: np.ndarray, names, rng,
     for pairs in patterns.values():
         keep = ok[:, pairs[0]]
         if keep.any():
-            ci[:, pairs] = np.percentile(samples[keep][:, pairs],
-                                         [2.5, 97.5], axis=0)
+            ci[:, pairs] = _percentiles(samples[keep][:, pairs], (2.5, 97.5))
     return {f"{names[i]}.{names[j]}": [float(lo), float(hi)]
             for i, j, lo, hi in zip(rows, cols, *ci)}
 
@@ -280,36 +309,46 @@ def _malliavin_report(config: ExperimentConfig, table: ReplicationTable,
     labels, columns = config.malliavin_functional()
     values = functools.partial(column_values, columns, ms.t)
     workers = config.worker_count(workers)
-
-    report = {"n_outer": ms.n_outer, "n_inner": ms.n_inner, "t": ms.t,
-              "sampling": ms.sampling}
     if ms.multivariate:
         scales = np.array([table.column(l).std(ddof=1) for l in labels])
         vf = VectorFunctional(fn=values, labels=labels, scales=scales)
-        g = estimate_gammas(body, ms.t, vf, ms.n_outer, ms.n_inner, rng,
+        est = estimate_gammas(body, ms.t, vf, ms.n_outer, ms.n_inner, rng,
+                              sampling=ms.sampling, shell_c=ms.c,
+                              workers=workers)
+    else:
+        est = estimate_taus(body, ms.t, values,
+                            float(table.column(labels[0]).var(ddof=1)),
+                            ms.n_outer, ms.n_inner, rng,
                             sampling=ms.sampling, shell_c=ms.c,
                             workers=workers)
-        return report | {
-            "kind": "multivariate",
-            "labels": list(g.labels),
-            "gamma1": g.gamma1, "gamma2": g.gamma2, "gamma3": g.gamma3,
-            "se": {"gamma1": g.se1, "gamma2": g.se2, "gamma3": g.se3},
-            "bound": g.bound(),
-        }
+    return _error_term_block(config, table, est)
 
-    label, = labels
-    variance = float(table.column(label).var(ddof=1))
-    tau = estimate_taus(body, ms.t, values, variance,
-                        ms.n_outer, ms.n_inner, rng, sampling=ms.sampling,
-                        shell_c=ms.c, workers=workers)
-    return report | {
+
+def _error_term_block(config: ExperimentConfig, table: ReplicationTable,
+                      est) -> dict:
+    """The report's ``malliavin_stein`` block for an estimate of the error
+    terms (a GammaEstimate when the config's ``malliavin`` block is
+    multivariate, else a TauEstimate) of the functional on ``table``."""
+    ms = config.malliavin
+    block = {"n_outer": ms.n_outer, "n_inner": ms.n_inner, "t": ms.t,
+             "sampling": ms.sampling}
+    if ms.multivariate:
+        return block | {
+            "kind": "multivariate",
+            "labels": list(est.labels),
+            "gamma1": est.gamma1, "gamma2": est.gamma2, "gamma3": est.gamma3,
+            "se": {"gamma1": est.se1, "gamma2": est.se2, "gamma3": est.se3},
+            "bound": est.bound(),
+        }
+    label, = config.malliavin_functional()[0]
+    return block | {
         "kind": "univariate",
         "functional": label,
-        "tau1": tau.tau1, "tau2": tau.tau2, "tau3": tau.tau3,
-        "se": {"tau1": tau.se1, "tau2": tau.se2, "tau3": tau.se3},
-        "bound": tau.bound(),
-        "bound_se": tau.bound_standard_error(),
-        "variance_estimate": variance,
+        "tau1": est.tau1, "tau2": est.tau2, "tau3": est.tau3,
+        "se": {"tau1": est.se1, "tau2": est.se2, "tau3": est.se3},
+        "bound": est.bound(),
+        "bound_se": est.bound_standard_error(),
+        "variance_estimate": float(table.column(label).var(ddof=1)),
     }
 
 
@@ -451,6 +490,29 @@ def _deep_compare(a, b, path="") -> list[str]:
     return diffs
 
 
+def _error_term_diffs(config: ExperimentConfig,
+                      tables: list[ReplicationTable], block) -> list[str]:
+    """Differences between the stored error-term block and the block that
+    its own terms give (settings from the config, the bound, and a tau
+    report's variance estimate from the table).  The terms and standard
+    errors must be finite and >= 0; re-deriving them would cost a new
+    estimate, so they are not checked further."""
+    ms = config.malliavin
+    table = tables[list(config.t_grid).index(ms.t)]
+    labels, _ = config.malliavin_functional()
+    name = "gamma" if ms.multivariate else "tau"
+    keys = [f"{name}{i}" for i in (1, 2, 3)]
+    try:
+        terms = [block[k] for k in keys] + [block["se"][k] for k in keys]
+        est = (GammaEstimate(*terms, labels=tuple(labels))
+               if ms.multivariate else TauEstimate(*terms))
+    except (KeyError, TypeError, ValueError) as exc:
+        return [f"malliavin_stein: no valid {name} terms "
+                f"({type(exc).__name__}: {exc})"]
+    return _deep_compare(block, _error_term_block(config, table, est),
+                         "malliavin_stein")
+
+
 def verify(manifest_path, quiet: bool = False) -> dict:
     """Re-derive all summaries from the stored tables and evaluate preset
     assertions; returns a report with per-check pass/fail entries."""
@@ -487,12 +549,19 @@ def verify(manifest_path, quiet: bool = False) -> dict:
         stored = json.loads(Path(report_path).read_text())
         diffs = []
         for key, value in _derive_report(config, tables).items():
-            if key in stored:
-                diffs += _deep_compare(stored[key], value, key)
-            else:
+            # JSON floats round-trip exactly, so only a key that differs
+            # (or holds a NaN) needs the tolerant walk
+            if key not in stored:
                 diffs.append(f"{key}: missing from the stored report")
+            elif stored[key] != value:
+                diffs += _deep_compare(stored[key], value, key)
         check("report reproducible from tables", not diffs,
               "; ".join(diffs[:3]))
+        if config.malliavin is not None:
+            diffs = _error_term_diffs(config, tables,
+                                      stored.get("malliavin_stein"))
+            check("error-term report consistent", not diffs,
+                  "; ".join(diffs[:3]))
 
     if manifest.preset and manifest.preset in PRESETS:
         assertions = PRESETS[manifest.preset].get("assertions", [])

@@ -234,7 +234,8 @@ def second_difference(cloud, x, y, functional,
 
 def _check_terms(kind: str, *terms: float) -> None:
     if not all(0.0 <= v < math.inf for v in terms):
-        raise ValueError(f"{kind} estimates must be finite and nonnegative")
+        raise ValueError(f"{kind} estimates and their standard errors must "
+                         "be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,8 @@ class TauEstimate:
     se3: float
 
     def __post_init__(self):
-        _check_terms("tau", self.tau1, self.tau2, self.tau3)
+        _check_terms("tau", self.tau1, self.tau2, self.tau3,
+                     self.se1, self.se2, self.se3)
 
     def bound(self) -> float:
         """2 sqrt(tau1) + sqrt(tau2) + tau3."""
@@ -274,7 +276,8 @@ class GammaEstimate:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        _check_terms("gamma", self.gamma1, self.gamma2, self.gamma3)
+        _check_terms("gamma", self.gamma1, self.gamma2, self.gamma3,
+                     self.se1, self.se2, self.se3)
 
     def bound(self) -> float:
         """m sqrt(gamma1) + (m/2) sqrt(gamma2) + (m^2/4) gamma3, with m

@@ -199,33 +199,41 @@ def _normal_grid_quantiles(n: int) -> np.ndarray:
     return special.ndtri((np.arange(1, n + 1) - 0.5) / n)
 
 
+def _w1_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`w1_to_normal` of each row of a (k, n) array."""
+    return np.abs(np.sort(rows, axis=1)
+                  - _normal_grid_quantiles(rows.shape[1])).mean(axis=1)
+
+
 def w1_to_normal(standardized_column: np.ndarray) -> float:
     """Quantile-coupling estimate of the Wasserstein-1 distance to N(0,1):
     mean absolute gap between order statistics and normal quantiles at
     the midpoint grid (i - 1/2)/n."""
-    x = np.sort(np.asarray(standardized_column, dtype=float))
-    n = len(x)
-    if n < 2:
+    x = np.asarray(standardized_column, dtype=float)
+    if len(x) < 2:
         raise ValueError("need at least 2 observations")
-    return float(np.abs(x - _normal_grid_quantiles(n)).mean())
+    return float(_w1_rows(x[None])[0])
 
 
-def w1_bootstrap_se(standardized_column: np.ndarray,
-                    rng: np.random.Generator, n_boot: int = 200) -> float:
-    """Bootstrap standard error of the empirical W1 distance.
+def w1_bootstrap_se(standardized: np.ndarray, rng: np.random.Generator,
+                    n_boot: int = 200):
+    """Bootstrap standard error of the empirical W1 distance of one
+    standardized column (a float), or of each row of an (m, n) stack of
+    them (an array of m).
 
     All resamples come from one ``rng.integers`` call of shape
-    (n_boot, n), which draws the same values and leaves the generator in
-    the same state as ``n_boot`` calls of size n.
+    (m, n_boot, n), which draws the same values and leaves the generator
+    in the same state as m·n_boot calls of size n, row after row.
     """
-    x = np.asarray(standardized_column, dtype=float)
-    n = len(x)
+    x = np.asarray(standardized, dtype=float)
+    rows = np.atleast_2d(x)
+    m, n = rows.shape
     if n < 2:
         raise ValueError("need at least 2 observations")
-    draws = rng.integers(0, n, size=(n_boot, n))
-    vals = np.abs(np.sort(x[draws], axis=1)
-                  - _normal_grid_quantiles(n)).mean(axis=1)
-    return float(vals.std(ddof=1))
+    draws = rng.integers(0, n, size=(m, n_boot, n))
+    se = np.array([_w1_rows(row[d]).std(ddof=1)
+                   for row, d in zip(rows, draws)])
+    return float(se[0]) if x.ndim == 1 else se
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +259,22 @@ def covariance_matrix(table: ReplicationTable,
         columns = [n for n in table.names if n != "n_points"]
     if table.n_reps < 2:
         raise ValueError("need at least 2 replications")
+    # one (m, n) array of the columns: each row reduces along its
+    # contiguous axis, so it rounds as the 1-D calls on that column do
     mat = table.matrix(columns)
-    for i, c in enumerate(columns):
-        if mat[:, i].var(ddof=1) == 0.0:
+    rows = mat.T.copy()
+    var = rows.var(axis=1, ddof=1)
+    for c, v in zip(columns, var):
+        if v == 0.0:
             raise ValueError(f"column {c!r} has zero variance")
-    std = {c: standardize(mat[:, i]) for i, c in enumerate(columns)}
-    corr = np.corrcoef(mat, rowvar=False)
-    corr = np.atleast_2d(corr)
-    w1 = {c: w1_to_normal(std[c]) for c in columns}
+    z = (rows - rows.mean(axis=1, keepdims=True)) / np.sqrt(var)[:, None]
+    corr = np.atleast_2d(np.corrcoef(mat, rowvar=False))
     rank, eig = numeric_rank(corr)
     return SummaryStats(
-        columns=tuple(columns), covariance=corr, standardized=std,
-        w1_to_normal=w1, rank_estimate=rank, eigenvalues=eig,
+        columns=tuple(columns), covariance=corr,
+        standardized=dict(zip(columns, z)),
+        w1_to_normal=dict(zip(columns, _w1_rows(z).tolist())),
+        rank_estimate=rank, eigenvalues=eig,
     )
 
 

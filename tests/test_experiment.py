@@ -17,12 +17,22 @@ from randpoly.experiment import (
     PRESETS,
     RunManifest,
     _config_hash,
+    BOOTSTRAP_STAGE,
     _correlation_bootstrap_ci,
+    _percentiles,
+    _summarize_table,
     preset_config,
     run,
     verify,
 )
 from randpoly.rng import stream
+from randpoly.stats import (
+    ReplicationTable,
+    numeric_rank,
+    standardize,
+    w1_bootstrap_se,
+    w1_to_normal,
+)
 
 
 def tiny_raw(**overrides):
@@ -431,6 +441,22 @@ class TestRunAndManifest:
         # the preset's assertion still runs, on an empty report
         assert failed == ["report exists", "assertion mean_close"]
 
+    def test_verify_walks_only_unequal_keys(self, tmp_path, monkeypatch):
+        run(tiny_raw(), outdir=tmp_path)
+        walked = []
+        compare = experiment._deep_compare
+        monkeypatch.setattr(experiment, "_deep_compare",
+                            lambda a, b, path="": walked.append(path)
+                            or compare(a, b, path))
+        path = tmp_path / "tiny" / "report.json"
+        assert verify(path.with_name("manifest.json"), quiet=True)["ok"]
+        assert walked == []
+        report = json.loads(path.read_text())
+        report["rate_fits"]["V_2"]["slope"] *= 1.0 + 1e-15
+        path.write_text(json.dumps(report))
+        assert verify(path.with_name("manifest.json"), quiet=True)["ok"]
+        assert walked[0] == "rate_fits"
+
     def test_manifest_round_trip(self, tmp_path):
         run(tiny_raw(t_grid=[30.0], n_reps=10), outdir=tmp_path)
         path = tmp_path / "tiny" / "manifest.json"
@@ -504,6 +530,101 @@ class TestRunAndManifest:
                     for w in (1, 2))
         assert "malliavin_stein" in json.loads(one.read_text())
         assert one.read_bytes() == two.read_bytes()
+
+
+def bound_raw(multivariate=False):
+    spec = {"multivariate": True} if multivariate else {"functional": "V_2"}
+    return {
+        "name": "bound", "body": {"kind": "ball", "dim": 2, "radius": 1.0},
+        "t_grid": [500.0], "n_reps": 20,
+        "functionals": [{"type": "multivariate"}], "mode": "exact",
+        "seed": 1, "workers": 1,
+        "malliavin": {"t": 500.0, "n_outer": 4, "n_inner": 8,
+                      "sampling": "boundary_shell", "c": 2.0, **spec},
+    }
+
+
+class TestVerifyErrorTerms:
+    """``verify`` checks the stored ``malliavin_stein`` block: the config's
+    settings, finite nonnegative terms and standard errors, the bound those
+    terms give, and a tau report's variance estimate."""
+
+    CHECK = "error-term report consistent"
+
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("error_terms")
+        run(bound_raw(), outdir=out / "univariate")
+        run(bound_raw(multivariate=True),
+            outdir=out / "multivariate")
+        return {kind: out / kind / "bound" / "report.json"
+                for kind in ("univariate", "multivariate")}
+
+    def verify_edited(self, path, edit):
+        original = path.read_text()
+        report = json.loads(original)
+        edit(report)
+        path.write_text(json.dumps(report))
+        try:
+            return verify(path.with_name("manifest.json"), quiet=True)
+        finally:
+            path.write_text(original)
+
+    @pytest.mark.parametrize("kind", ["univariate", "multivariate"])
+    def test_untouched_run_passes(self, reports, kind):
+        result = verify(reports[kind].with_name("manifest.json"), quiet=True)
+        assert result["ok"]
+        assert [c["name"] for c in result["checks"]][-1] == self.CHECK
+
+    # each edit names the field and what the failing check reports; None
+    # moves the stored value by 1e-9 relative (the tolerance is 1e-12)
+    @pytest.mark.parametrize("kind, field, value, detail", [
+        ("univariate", "t", 250.0, "malliavin_stein.t: 250.0 != 500.0"),
+        ("univariate", "n_outer", 5, "malliavin_stein.n_outer: 5 != 4"),
+        ("univariate", "n_inner", 9, "malliavin_stein.n_inner: 9 != 8"),
+        ("univariate", "sampling", "plain", "malliavin_stein.sampling"),
+        ("univariate", "kind", "multivariate", "malliavin_stein.kind"),
+        ("univariate", "functional", "V_1", "malliavin_stein.functional"),
+        ("univariate", "tau1", -1.0, "no valid tau terms"),
+        ("univariate", "tau2", math.nan, "no valid tau terms"),
+        ("univariate", "tau3", -5.0, "no valid tau terms"),
+        ("univariate", "se.tau1", math.inf, "no valid tau terms"),
+        ("univariate", "se.tau2", -1e-3, "no valid tau terms"),
+        ("univariate", "se.tau3", "0.1", "no valid tau terms"),
+        ("univariate", "bound", 123.0, "malliavin_stein.bound: 123.0"),
+        ("univariate", "bound", None, "malliavin_stein.bound"),
+        ("univariate", "bound_se", 1.0, "malliavin_stein.bound_se"),
+        ("univariate", "variance_estimate", None,
+         "malliavin_stein.variance_estimate"),
+        ("multivariate", "labels", ["V_1"], "malliavin_stein.labels"),
+        ("multivariate", "gamma1", -1.0, "no valid gamma terms"),
+        ("multivariate", "se.gamma3", math.nan, "no valid gamma terms"),
+        ("multivariate", "bound", None, "malliavin_stein.bound"),
+    ])
+    def test_edited_field_fails(self, reports, kind, field, value, detail):
+        def edit(report):
+            block = report["malliavin_stein"]
+            *parents, key = field.split(".")
+            for p in parents:
+                block = block[p]
+            block[key] = block[key] * (1.0 + 1e-9) if value is None else value
+
+        result = self.verify_edited(reports[kind], edit)
+        failed = [c for c in result["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == [self.CHECK]
+        assert detail in failed[0]["detail"]
+
+    def test_missing_block_fails(self, reports):
+        result = self.verify_edited(
+            reports["univariate"], lambda r: r.pop("malliavin_stein"))
+        failed = [c for c in result["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == [self.CHECK]
+
+    def test_bound_within_tolerance_passes(self, reports):
+        def edit(report):
+            report["malliavin_stein"]["bound"] *= 1.0 + 1e-14
+
+        assert self.verify_edited(reports["univariate"], edit)["ok"]
 
 
 class TestSharedPool:
@@ -685,6 +806,92 @@ class TestCorrelationBootstrapBitIdentity:
     def test_small_blocks(self, monkeypatch, block):
         monkeypatch.setattr(experiment, "_BOOT_BLOCK", block)
         self.check(stream(11).standard_normal((20, 3)), n_boot=50)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 21, 200])
+def test_percentiles_match_numpy(rows):
+    """The one-sort percentiles equal ``np.percentile``'s bit for bit; at
+    21 rows both virtual indices fall halfway between two values."""
+    rng = stream(12, rows)
+    x = rng.standard_normal((rows, 7)) * 10.0 ** rng.uniform(-3, 3, size=7)
+    x[:, 5] = rng.normal(size=rows) * 10.0 ** rng.uniform(-8, 8, size=rows)
+    x[:, 6] = np.round(x[:, 6])  # ties
+    want = np.percentile(x, [2.5, 97.5], axis=0)
+    assert _percentiles(x, (2.5, 97.5)).tobytes() == want.tobytes()
+
+
+def per_column_summary(table, seed):
+    """Reference for ``_summarize_table``: one public 1-D call per column,
+    and ``np.percentile`` per correlation pair."""
+    names = [n for n in table.names if n != "n_points"]
+    cols = {n: table.column(n) for n in names}
+    varying = [n for n in names if cols[n].var(ddof=1) > 0.0]
+
+    def variance_se(col):
+        n = len(col)
+        c = col - col.mean()
+        m2, m4 = float((c**2).mean()), float((c**4).mean())
+        return math.sqrt(max(m4 - m2 * m2 * (n - 3.0) / (n - 1.0), 0.0) / n)
+
+    out = {
+        "t": table.t, "n_reps": table.n_reps,
+        "means": {n: float(cols[n].mean()) for n in names},
+        "variances": {n: float(cols[n].var(ddof=1)) for n in names},
+        "variance_se": {n: variance_se(cols[n]) for n in varying},
+        "constant_columns": [n for n in names if n not in varying],
+    }
+    if varying:
+        rng = stream(seed, BOOTSTRAP_STAGE, table.t_index)
+        z = {n: standardize(cols[n]) for n in varying}
+        mat = table.matrix(varying)
+        corr = np.atleast_2d(np.corrcoef(mat, rowvar=False))
+        rank, eig = numeric_rank(corr)
+        out["w1_to_normal"] = {n: w1_to_normal(z[n]) for n in varying}
+        out["w1_se"] = {n: w1_bootstrap_se(z[n], rng) for n in varying}
+        out["correlation_columns"] = varying
+        out["correlation"] = [[float(v) for v in row] for row in corr]
+        out["correlation_ci"] = per_draw_correlation_ci(mat, varying, rng)
+        out["rank_estimate"] = rank
+        out["eigenvalues"] = [float(v) for v in eig]
+    return out
+
+
+class TestSummaryMatchesPerColumnCalls:
+    """``_summarize_table`` works on the (columns x replications) array at
+    once; every value equals the per-column public calls' bit for bit."""
+
+    @staticmethod
+    def check(columns, seed=13):
+        n = len(next(iter(columns.values())))
+        table = ReplicationTable(
+            t=100.0, t_index=2, body={"kind": "ball", "dim": 2,
+                                      "radius": 1.0},
+            n_reps=n, seed=seed, columns={"n_points": np.full(n, 9.0),
+                                          **columns})
+        got = _summarize_table(table, seed)
+        want = per_column_summary(table, seed)
+        # json.dumps writes each float by repr and NaN as NaN
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("n", [2, 150, 2000])
+    def test_random_columns(self, n):
+        rng = stream(14, n)
+        scales = 10.0 ** rng.uniform(-3, 3, size=5)
+        mat = rng.standard_normal((n, 5)) * scales + rng.normal(size=5)
+        self.check({f"c{k}": mat[:, k].copy() for k in range(5)})
+
+    @pytest.mark.parametrize("n", [2, 150, 2000])
+    def test_constant_columns_and_constant_resamples(self, n):
+        # a column that is constant, and one with a single 1.0 among zeros,
+        # which is constant in many resamples (NaN correlations there)
+        rng = stream(15, n)
+        rare = np.zeros(n)
+        rare[n // 2] = 1.0
+        self.check({"a": rng.standard_normal(n), "const": np.full(n, 0.1),
+                    "rare": rare, "b": rng.exponential(size=n)})
+
+    def test_only_constant_columns(self):
+        self.check({"a": np.full(5, 2.0), "b": np.zeros(5)})
 
 
 GOLDEN = Path(__file__).parent / "data" / "reports"

@@ -14,6 +14,7 @@ from randpoly.functionals import (
 )
 from randpoly.hull import convex_hull, f_vector, volume
 from randpoly.malliavin import (
+    GammaEstimate,
     TauEstimate,
     VectorFunctional,
     estimate_gammas,
@@ -160,6 +161,13 @@ class TestBounds:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             self._tau(-1, 0, 0)
+
+    @pytest.mark.parametrize("se", [-1e-3, math.inf, math.nan])
+    def test_bad_standard_error_rejected(self, se):
+        with pytest.raises(ValueError, match="standard errors"):
+            TauEstimate(1.0, 1.0, 1.0, 0.1, se, 0.1)
+        with pytest.raises(ValueError, match="standard errors"):
+            GammaEstimate(1.0, 1.0, 1.0, se, 0.1, 0.1, labels=("a",))
 
 
 class TestTauEstimation:

@@ -158,6 +158,27 @@ class TestW1:
         assert se == self.per_draw_bootstrap_se(x, n_boot, ref)
         assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize("m", [1, 2, 9])
+    @pytest.mark.parametrize("n", [2, 3, 150])
+    def test_one_draw_equals_successive_draws(self, n, m):
+        # w1_bootstrap_se draws a stack's resamples in one call
+        rng, ref = stream(89, n, m), stream(89, n, m)
+        got = rng.integers(0, n, size=(m, 200, n))
+        want = np.stack([ref.integers(0, n, size=(200, n))
+                         for _ in range(m)])
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", [2, 3, 20, 150])
+    def test_bootstrap_se_of_a_stack_is_row_after_row(self, n):
+        z = np.stack([standardize(x)
+                      for x in stream(90, n).standard_normal((4, n))])
+        rng, ref = stream(91, n), stream(91, n)
+        got = w1_bootstrap_se(z, rng=rng)
+        assert got.shape == (4,)
+        assert got.tolist() == [w1_bootstrap_se(x, rng=ref) for x in z]
+        assert rng.random() == ref.random()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 5000])
     def test_grid_quantiles_match_scipy_stats(self, n):
         grid = (np.arange(1, n + 1) - 0.5) / n

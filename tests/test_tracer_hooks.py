@@ -57,3 +57,35 @@ def test_tracer_sees_the_error_term_report(monkeypatch, tmp_path):
         assert bool(tracer.named("malliavin.functional")) != multivariate
         assert tracer.named("bodies.sample", site="randpoly.malliavin")
         assert tracer.named("hull.convex_hull", site="randpoly.malliavin")
+
+
+def test_tracer_sees_the_summary_statistics(monkeypatch, tmp_path):
+    """Each table's summary calls ``covariance_matrix`` and
+    ``w1_bootstrap_se`` once, through the names that the tracer wraps in
+    ``experiment``, in ``run`` and again in ``verify``; so the summary's
+    work shows as ``stats.summary`` spans."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import instrument
+    from tracer import Tracer
+
+    config = {
+        "name": "traced",
+        "body": {"kind": "ball", "dim": 2, "radius": 1.0},
+        "t_grid": [100.0, 200.0], "n_reps": 4,
+        "functionals": [{"type": "multivariate"}],
+        "seed": 3, "workers": 1,
+    }
+    tracer = Tracer()
+    try:
+        instrument.install(tracer)
+        experiment.run(config, outdir=tmp_path)
+        in_run = len(tracer.named("stats.summary"))
+        result = experiment.verify(tmp_path / "traced" / "manifest.json",
+                                   quiet=True)
+    finally:
+        tracer.restore()
+    assert tracer.unrestored() == []
+    assert result["ok"]
+    spans = tracer.named("stats.summary", site="randpoly.experiment")
+    assert len(spans) == len(tracer.named("stats.summary"))
+    assert in_run == 2 * 2 and len(spans) == 2 * in_run
