@@ -31,6 +31,7 @@ __all__ = [
     "ball_cap_volume",
     "ball_floating_body_radius",
     "ball_core_radius",
+    "floating_radius",
 ]
 
 def unit_ball_volume(k: int) -> float:
@@ -126,9 +127,14 @@ class Ball(ConvexBody):
         d2 = ((pts - self.center) ** 2).sum(axis=1)
         return d2 <= self.radius**2 * (1.0 + 1e-15)
 
-    def sample_uniform(self, rng, n):
+    def sample_uniform(self, rng, n, inner=0.0):
+        """``n`` uniform points on the ball outside its concentric ball of
+        volume fraction ``inner`` (the whole ball when it is 0)."""
         out = _unit_rows(rng.standard_normal((n, self.dim)))
-        out *= (self.radius * rng.random(n) ** (1.0 / self.dim))[:, None]
+        u = rng.random(n)
+        if inner:
+            u = inner + u * (1.0 - inner)
+        out *= (self.radius * u ** (1.0 / self.dim))[:, None]
         out += self.center
         return out
 
@@ -256,6 +262,17 @@ def ball_floating_body_radius(d: int, r: float, eps: float) -> float:
     if f(0.0) <= 0.0:  # eps at (or within rounding of) the half volume
         return 0.0
     return float(brentq(f, 0.0, r, xtol=1e-15, rtol=1e-12))
+
+
+def floating_radius(body: ConvexBody, t: float, c: float) -> float:
+    """Radius of the floating body at cap volume c log t / t of a ball,
+    the shell's inner radius at intensity t."""
+    if not isinstance(body, Ball):
+        raise ValueError("the floating body is implemented for balls only")
+    if t <= 1.0:
+        raise ValueError("need t > 1 so that eps = c log t / t is positive")
+    return ball_floating_body_radius(body.dim, body.radius,
+                                     c * math.log(t) / t)
 
 
 def ball_core_radius(d: int, r: float, eps: float) -> float | None:

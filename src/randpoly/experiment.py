@@ -538,7 +538,7 @@ def verify(manifest_path, quiet: bool = False) -> dict:
               f"{digest[:12]} vs {entry['sha256'][:12]}")
         try:
             tables.append(ReplicationTable.read_csv(p))
-        except (ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError) as exc:
             check(f"table {p.name} readable", False, str(exc))
 
     report_path = manifest.reports.get("report")

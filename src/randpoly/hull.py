@@ -10,7 +10,8 @@ plane equations; volumes, surface measures, exterior angles and face
 counts are array expressions over them.  A facet is the group of simplices
 that share one plane equation, so non-simplicial test bodies such as cubes
 get their true facets back.  The face lattice is built only when asked
-for: from the facets of a simplicial hull, by downward closure otherwise.
+for: from the facets of a simplicial hull, otherwise by descent from the
+facets, each face's facets being its maximal intersections with them.
 :func:`f_vector` checks every count it makes against Euler's relation
 and, on a simplicial polytope, the ridge identity 2 f_{k-2} = k f_{k-1}.
 
@@ -582,51 +583,29 @@ def _lattice_simplicial(facets: np.ndarray) -> dict[int, frozenset]:
 
 
 def _lattice_general(facet_sets, k, n_vertices):
-    """Lattice by downward closure: faces are intersections of facet vertex
-    sets.  ``k`` is the polytope's dimension and ``n_vertices`` its vertex
-    count."""
+    """Lattice by descent from the facets (level k - 1): the faces one
+    level below a face F are the maximal nonempty F & G over the facets G
+    not containing F, so sliver faces get their true dimension without a
+    rank test.  ``k`` is the polytope's dimension and ``n_vertices`` its
+    vertex count."""
     fsets = [frozenset(fs) for fs in facet_sets]
-    faces_all: set[frozenset] = set(fsets)
-    frontier = set(fsets)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in fsets:
-                c = a & b
-                if c and c != a and c not in faces_all:
-                    new.add(c)
-        faces_all |= new
-        frontier = new
-
-    # Grade combinatorially: the face lattice of a polytope is graded, so
-    # the dimension of a face is its height in the containment order.
-    # (A geometric rank test would misclassify sliver faces whose shape is
-    # degenerate at the decision tolerance.)
-    by_size = sorted(faces_all, key=len)
-    height: dict[frozenset, int] = {}
-    for fc in by_size:
-        h = 0
-        for other in by_size:
-            if len(other) >= len(fc):
-                break
-            if other in height and other < fc:
-                h = max(h, height[other] + 1)
-        height[fc] = h
-
-    for fs in fsets:
-        if height[fs] != k - 1:
+    levels = {k - 1: set(fsets)}
+    for i in range(k - 2, -1, -1):
+        below = set()
+        for face in levels[i + 1]:
+            cuts = {face & g for g in fsets if not face <= g} - {frozenset()}
+            below.update(c for c in cuts if not any(c < o for o in cuts))
+        if any(below & upper for upper in levels.values()):
             raise RuntimeError("face lattice grading inconsistent with the "
                                "facet level; hull construction bug")
-    faces: dict[int, set] = {i: set() for i in range(k)}
-    for fc, h in height.items():
-        if h < k:
-            faces[h].add(tuple(sorted(fc)))
+        levels[i] = below
     # a point that qhull reports as a vertex but that is not extreme lies
-    # inside a larger face and is no 0-face of the closure
-    if faces[0] != {(v,) for v in range(n_vertices)}:
+    # inside a larger face and is no 0-face of the descent
+    if levels[0] != {frozenset((v,)) for v in range(n_vertices)}:
         raise RuntimeError("hull vertex is not a 0-face of the face "
                            "lattice; hull construction bug")
-    return {i: frozenset(s) for i, s in faces.items()}
+    return {i: frozenset(tuple(sorted(fc)) for fc in levels[i])
+            for i in range(k)}
 
 
 # the facet check computes at most this many heights n_F . v at a time

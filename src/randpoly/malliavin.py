@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import (
-    Ball,
     ConvexBody,
     PointCloud,
     _unit_rows,
-    ball_floating_body_radius,
+    floating_radius,
     sample_poisson_process,
 )
 from .hull import (
@@ -311,16 +310,6 @@ class VectorFunctional:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
-def _shell_points(body: Ball, frac: float, rng, n: int) -> np.ndarray:
-    """n uniform points of ``body`` outside its concentric ball of volume
-    fraction ``frac``."""
-    d = body.dim
-    g = _unit_rows(rng.standard_normal((n, d)))
-    u = rng.random(n)
-    r = body.radius * (frac + u * (1.0 - frac)) ** (1.0 / d)
-    return body.center + g * r[:, None]
-
-
 def _region_sampler(body: ConvexBody, t: float, sampling: str, shell_c: float):
     """Integration-point sampler ``draw(rng, n)`` and its region volume.
 
@@ -334,15 +323,8 @@ def _region_sampler(body: ConvexBody, t: float, sampling: str, shell_c: float):
     if sampling == "plain":
         return body.sample_uniform, body.volume
     if sampling == "boundary_shell":
-        if not isinstance(body, Ball):
-            raise ValueError("boundary_shell sampling is implemented for "
-                             "balls only; use plain")
-        if t <= 1.0:
-            raise ValueError("boundary_shell needs t > 1 (eps = c log t / t)")
-        eps = shell_c * math.log(t) / t
-        rho = ball_floating_body_radius(body.dim, body.radius, eps)
-        frac = (rho / body.radius) ** body.dim
-        return (functools.partial(_shell_points, body, frac),
+        frac = (floating_radius(body, t, shell_c) / body.radius) ** body.dim
+        return (functools.partial(body.sample_uniform, inner=frac),
                 body.volume * (1.0 - frac))
     raise ValueError(f"unknown sampling {sampling!r}")
 

@@ -26,8 +26,8 @@ from scipy import special
 
 from .bodies import (
     Ball,
-    ball_floating_body_radius,
     body_from_spec,
+    floating_radius,
     sample_poisson_process,
 )
 from .config import ExperimentConfig
@@ -115,11 +115,19 @@ class ReplicationTable:
 
     @staticmethod
     def read_csv(path: str | Path) -> "ReplicationTable":
+        """The table of :meth:`write_csv`; ValueError where the CSV has no
+        data rows or their width is not the header's."""
         path = Path(path)
         meta = json.loads(path.with_suffix(".meta.json").read_text())
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            lines = fh.readlines()
+        if not lines:
+            raise ValueError(f"{path.name} has no data rows")
+        data = np.loadtxt(lines, delimiter=",", ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError(f"{path.name} has {data.shape[1]} data columns "
+                             f"under {len(header)} header names")
         cols = {name: data[:, i].copy() for i, name in enumerate(header)}
         return ReplicationTable(
             t=meta["t"], t_index=meta["t_index"], body=meta["body"],
@@ -352,13 +360,7 @@ def sandwich_probability(body: Ball, t: float, c: float, n_reps: int,
     ``n_reps`` is an integer >= 1."""
     if not isinstance(n_reps, (int, np.integer)) or n_reps < 1:
         raise ValueError(f"n_reps must be an integer >= 1, not {n_reps!r}")
-    if not isinstance(body, Ball):
-        raise ValueError("floating-body containment is implemented for "
-                         "balls only")
-    if t <= 1.0:
-        raise ValueError("need t > 1 so that eps = c log t / t is positive")
-    eps = c * math.log(t) / t
-    rho = ball_floating_body_radius(body.dim, body.radius, eps)
+    rho = floating_radius(body, t, c)
     hits = 0
     for i in range(n_reps):
         ri = substream(rng, i)

@@ -4,7 +4,8 @@
 
 Run from anywhere in a checkout; randpoly is imported from its ``src/``.
 The run's ``report.json`` and plot CSVs replace the stored copies under
-``NAME/``.  Every number is paired with the stored one at the same place
+``NAME/``; a directory that holds only its ``config.json`` receives
+them.  Every number is paired with the stored one at the same place
 (JSON path, or CSV file, row and column) and the script prints how many
 moved, the largest relative change among values larger than 1e-12 in
 size, and how many smaller values moved, which are round-off where a
@@ -104,6 +105,12 @@ def rebaseline(name: str) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         run(raw, outdir=tmp)
         fresh = Path(tmp) / raw["name"]
+        if not stored:  # a new report: store its report.json and plots
+            stored = [Path("report.json")] + sorted(
+                p.relative_to(fresh) for p in (fresh / "plots").glob("*.csv"))
+            (golden / "plots").mkdir(exist_ok=True)
+            for rel in stored:
+                shutil.copyfile(fresh / rel, golden / rel)
         old, new = {}, {}
         for rel in stored:
             old.update(_values(golden, rel))

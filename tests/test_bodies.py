@@ -1,10 +1,14 @@
 """Tests for convex bodies, samplers, and the Poisson point process."""
+import ast
+import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randpoly
 from randpoly.bodies import (
     Ball,
     Cube,
@@ -13,6 +17,7 @@ from randpoly.bodies import (
     ball_cap_volume,
     ball_floating_body_radius,
     body_from_spec,
+    floating_radius,
     sample_poisson_process,
     unit_ball_volume,
 )
@@ -147,6 +152,8 @@ class TestSamplerBits:
             return body.center + g * r[:, None]
 
         self.check(draw, reference, 60 + d)
+        self.check(functools.partial(body.sample_uniform, inner=frac),
+                   reference, 60 + d)
 
 
 class TestPoissonProcess:
@@ -219,6 +226,20 @@ class TestFloatingBodyRadius:
         with pytest.raises(ValueError):
             ball_floating_body_radius(2, 1.0, math.pi / 2 + 1e-6)
 
+    def test_floating_radius_of_a_ball(self):
+        body, t, c = Ball(3, radius=1.5, center=[1.0, 0.0, -2.0]), 800.0, 2.5
+        assert floating_radius(body, t, c) == ball_floating_body_radius(
+            3, 1.5, c * math.log(t) / t)
+
+    @pytest.mark.parametrize("body, t, message", [
+        (Ellipsoid(2, semi_axes=[1.0, 2.0]), 100.0, "balls only"),
+        (Cube(2), 100.0, "balls only"),
+        (Ball(2), 1.0, "t > 1"),
+    ])
+    def test_floating_radius_out_of_range(self, body, t, message):
+        with pytest.raises(ValueError, match=message):
+            floating_radius(body, t, 2.0)
+
     def test_cap_volume_full_half(self):
         assert ball_cap_volume(3, 1.0, 0.0) == pytest.approx(
             unit_ball_volume(3) / 2
@@ -276,3 +297,37 @@ class TestBodySpecs:
     def test_smoothness_flags(self):
         assert Ball(2).is_smooth and Ellipsoid(2, semi_axes=[1, 2]).is_smooth
         assert not Cube(2).is_smooth
+
+
+def test_each_radius_solver_has_one_caller():
+    """Inside the package only ``bodies.floating_radius`` reads
+    ``ball_floating_body_radius`` and only ``hull.floating_core`` reads
+    ``ball_core_radius``, so a change of solver touches one function
+    each."""
+    solvers = {"ball_floating_body_radius", "ball_core_radius"}
+    readers = set()
+
+    class Reads(ast.NodeVisitor):
+        def __init__(self, module):
+            self.where = [module]
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Name(self, node):
+            if node.id in solvers:
+                readers.add((node.id, ".".join(self.where)))
+
+        def visit_Attribute(self, node):
+            if node.attr in solvers:
+                readers.add((node.attr, ".".join(self.where)))
+            self.generic_visit(node)
+
+    for path in Path(randpoly.__file__).parent.glob("*.py"):
+        Reads(path.stem).visit(ast.parse(path.read_text()))
+    assert readers == {("ball_floating_body_radius", "bodies.floating_radius"),
+                       ("ball_core_radius", "hull.floating_core")}

@@ -898,12 +898,13 @@ GOLDEN = Path(__file__).parent / "data" / "reports"
 
 
 @pytest.mark.parametrize("name", ["exact_d2", "mc_d4", "bound_f0",
-                                  "gamma_d2"])
+                                  "gamma_d2", "exact_d3"])
 def test_report_matches_golden_files(tmp_path, name):
-    """``report.json`` and the plot CSVs of four small runs are byte-equal
-    to stored copies, so any change in a summation order shows here; the
-    last two carry a univariate and a multivariate ``malliavin_stein``
-    block."""
+    """``report.json`` and the plot CSVs of five small runs are byte-equal
+    to stored copies, so any change in a summation order shows here;
+    ``bound_f0`` and ``gamma_d2`` carry a univariate and a multivariate
+    ``malliavin_stein`` block, and ``exact_d3`` holds the exact d = 3
+    volumes and the Wills functional."""
     raw = json.loads((GOLDEN / name / "config.json").read_text())
     run(raw, outdir=tmp_path)
     want = sorted(p.relative_to(GOLDEN / name)
@@ -1089,6 +1090,29 @@ class TestCLI:
         body = csv.read_text().replace(",", ",", 1)
         csv.write_text(body + "0,0,0,0,0,0,0\n")  # appended garbage row
         assert cli_main(["verify", str(tmp_path / "tiny" / "manifest.json")]) == 2
+
+    @pytest.mark.parametrize("damage", ["header_only", "short_rows",
+                                        "no_meta"])
+    def test_verify_fails_on_an_incomplete_table(self, tmp_path, capsys,
+                                                 damage):
+        """A table cut off after its header, rows with too few fields, or
+        a missing sidecar is a failed check, not a traceback."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(t_grid=[30.0], n_reps=20)))
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+        csv = tmp_path / "tiny" / "table_t0.csv"
+        lines = csv.read_text().splitlines(keepends=True)
+        if damage == "header_only":
+            csv.write_text(lines[0])
+        elif damage == "short_rows":
+            csv.write_text(lines[0] + "".join(
+                line.split(",", 1)[1] for line in lines[1:]))
+        else:
+            csv.with_suffix(".meta.json").unlink()
+        capsys.readouterr()
+        assert cli_main(["verify", str(tmp_path / "tiny" / "manifest.json")]) == 2
+        out = capsys.readouterr().out
+        assert "[FAIL] table table_t0.csv readable" in out
 
     @pytest.mark.parametrize("content", [{"config": {}}, [1, 2]])
     def test_malformed_manifest_exit_code(self, tmp_path, capsys, content):

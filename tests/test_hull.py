@@ -43,6 +43,41 @@ def random_ball_points(n, d, seed):
     return Ball(d).sample_uniform(stream(seed), n)
 
 
+def _rotation(d, seed):
+    q, _ = np.linalg.qr(stream(seed).standard_normal((d, d)))
+    return q
+
+
+# non-simplicial bodies whose face lattice is built by descent
+NON_SIMPLICIAL = {
+    **{f"cube_d{d}": unit_cube_vertices(d) for d in (3, 4, 5)},
+    "prism": np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0],
+                       [0, 0, 1], [1, 0, 1], [0, 1, 1]]),
+    "square_pyramid": np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0],
+                                [0, 1, 0], [0.5, 0.5, 1]]),
+    "rotated_cube": unit_cube_vertices(3) @ _rotation(3, 7),
+    "far_off_cube": unit_cube_vertices(3) + 1e6,
+    "rotated_tesseract": unit_cube_vertices(4) @ _rotation(4, 8) - 3.0,
+}
+
+
+def closure_faces(poly):
+    """{dimension: vertex tuples} of the nonempty intersections of facet
+    vertex sets, closed under intersection, each graded by the affine rank
+    of its vertices."""
+    facets = {frozenset(fs) for fs in poly.facet_vertex_sets}
+    closed, more = set(), facets
+    while more:
+        closed |= more
+        more = {a & b for a in closed for b in facets} - closed - {frozenset()}
+    faces = {}
+    for fc in closed:
+        pts = poly.vertices[sorted(fc)]
+        rank = int(np.linalg.matrix_rank(pts - pts[0], tol=1e-6))
+        faces.setdefault(rank, set()).add(tuple(sorted(fc)))
+    return faces
+
+
 class TestConstruction:
     def test_tetrahedron(self):
         p = convex_hull(simplex_vertices(3))
@@ -105,6 +140,20 @@ class TestConstruction:
         facets = [(0, 1, 4), (1, 2), (2, 3), (0, 3)]
         with pytest.raises(RuntimeError, match="not a 0-face"):
             _lattice_general(facets, 2, 5)
+
+    def test_facet_inside_a_facet_is_a_grading_error(self):
+        # a square pyramid whose base edge (0, 1) is also listed as a facet
+        facets = [(0, 1, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4),
+                  (0, 1)]
+        with pytest.raises(RuntimeError, match="grading inconsistent"):
+            _lattice_general(facets, 3, 5)
+
+    @pytest.mark.parametrize("body", sorted(NON_SIMPLICIAL))
+    def test_lattice_is_the_closure_of_facet_intersections(self, body):
+        poly = convex_hull(NON_SIMPLICIAL[body])
+        assert not poly.is_simplicial
+        assert {i: set(fs) for i, fs in poly.faces.items()} == closure_faces(
+            poly)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_rejected(self, bad):

@@ -88,6 +88,18 @@ class TestRunReplications:
         for name in table.names:
             assert np.array_equal(back.column(name), table.column(name))
 
+    @pytest.mark.parametrize("body, message", [
+        ("", "no data rows"),
+        ("1,2\n3,4\n", "2 data columns under 3 header names"),
+        ("1,2,3,4\n", "4 data columns under 3 header names"),
+    ])
+    def test_csv_rows_must_match_the_header(self, tmp_path, body, message):
+        table = run_replications(small_config(n_reps=2))
+        p = table.write_csv(tmp_path / "table.csv")
+        p.write_text("a,b,c\n" + body)
+        with pytest.raises(ValueError, match=message):
+            ReplicationTable.read_csv(p)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_config(n_reps=30)
         p1 = run_replications(cfg, workers=1).write_csv(tmp_path / "a.csv")
