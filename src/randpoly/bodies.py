@@ -131,9 +131,7 @@ class Ball(ConvexBody):
         """``n`` uniform points on the ball outside its concentric ball of
         volume fraction ``inner`` (the whole ball when it is 0)."""
         out = _unit_rows(rng.standard_normal((n, self.dim)))
-        u = rng.random(n)
-        if inner:
-            u = inner + u * (1.0 - inner)
+        u = inner + rng.random(n) * (1.0 - inner)
         out *= (self.radius * u ** (1.0 / self.dim))[:, None]
         out += self.center
         return out
@@ -268,7 +266,8 @@ def floating_radius(body: ConvexBody, t: float, c: float) -> float:
     """Radius of the floating body at cap volume c log t / t of a ball,
     the shell's inner radius at intensity t."""
     if not isinstance(body, Ball):
-        raise ValueError("the floating body is implemented for balls only")
+        raise ValueError("the floating body is implemented for balls only;"
+                         " other bodies' error terms take sampling='plain'")
     if t <= 1.0:
         raise ValueError("need t > 1 so that eps = c log t / t is positive")
     return ball_floating_body_radius(body.dim, body.radius,

@@ -213,7 +213,7 @@ class TestTauEstimation:
     def test_shell_needs_ball(self):
         from randpoly.bodies import Ellipsoid
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="balls only.*sampling='plain'"):
             estimate_taus(Ellipsoid(2, semi_axes=[1.0, 2.0]), 50.0, area,
                           1.0, 10, 4, stream(0), sampling="boundary_shell")
 
