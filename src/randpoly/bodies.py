@@ -275,21 +275,17 @@ def floating_radius(body: ConvexBody, t: float, c: float) -> float:
 
 
 def ball_core_radius(d: int, r: float, eps: float) -> float | None:
-    """``ball_floating_body_radius`` to within 2^-40 r, without a root finder.
+    """``ball_floating_body_radius`` in closed form, without a root finder.
 
-    A fixed bisection on the decreasing cap volume, so it never imports
-    ``scipy.optimize``; the hull prefilter, which only needs some radius
-    near the floating body's, calls it in every replication block.
-    Returns None where the floating body is undefined (eps outside
-    (0, half the ball volume]).
+    Inverts ``ball_cap_volume``'s regularized incomplete beta with
+    ``scipy.special.betaincinv``, so it never imports ``scipy.optimize``;
+    the hull prefilter, which only needs some radius near the floating
+    body's, calls it in every replication block.  Returns None where the
+    floating body is undefined (eps outside (0, half the ball volume]).
     """
-    if not 0.0 < eps <= unit_ball_volume(d) * r**d / 2.0:
+    half = unit_ball_volume(d) * r**d / 2.0
+    if not 0.0 < eps <= half:
         return None
-    lo, hi = 0.0, r
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if ball_cap_volume(d, r, mid) > eps:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # ball_cap_volume is half (1 - I_x(1/2, (d + 1)/2)) at x = (rho / r)^2
+    x = special.betaincinv(0.5, (d + 1) / 2.0, 1.0 - eps / half)
+    return r * math.sqrt(x)

@@ -238,62 +238,49 @@ def _correlation_bootstrap_ci(mat: np.ndarray, names, rng,
 
 
 def _write_plot_data(outdir: Path, summaries: list[dict]) -> list[str]:
-    """Plot-ready CSVs (x, y, yerr columns); no rendering dependency."""
-    written = []
+    """Plot-ready CSVs (x, y, yerr columns); no rendering dependency.
 
-    def emit(name: str, header: list[str], rows: list[list]) -> None:
+    Each file is one {column: value} dict per intensity; its header lists
+    the columns in order of first appearance, and NaN fills in where an
+    intensity lacks one (the varying columns may differ by intensity).
+    """
+    cols = sorted({c for s in summaries for c in s["variances"]})
+
+    def with_se(s: dict, name: str, key: str, se_key: str) -> dict:
+        return {"t": s["t"]} | {
+            f"{c}.{end}": s.get(part, {}).get(c, math.nan)
+            for c in cols for end, part in ((name, key), ("se", se_key))}
+
+    def correlations(s: dict) -> dict:
+        names, corr = s["correlation_columns"], s["correlation"]
+        ci = s.get("correlation_ci", {})
+        return {"t": s["t"]} | {
+            f"corr.{a}.{b}{end}": x
+            for i, a in enumerate(names) for j, b in enumerate(names) if i < j
+            for end, x in zip(("", ".lo", ".hi"), [
+                corr[i][j], *ci.get(f"{a}.{b}", [math.nan, math.nan])])}
+
+    with_corr = [s for s in summaries if "correlation" in s]
+    files = {
+        "variance_vs_t.csv": [with_se(s, "var", "variances", "variance_se")
+                              for s in summaries],
+        "w1_vs_t.csv": [with_se(s, "w1", "w1_to_normal", "w1_se")
+                        for s in summaries],
+    }
+    if with_corr:
+        files["correlation_vs_t.csv"] = [correlations(s) for s in with_corr]
+        files["eigenvalues_vs_t.csv"] = [
+            {"t": s["t"]} | {f"eig_{i + 1}": e
+                             for i, e in enumerate(s["eigenvalues"])}
+            for s in with_corr]
+    written = []
+    for name, rows in files.items():
+        header = list(dict.fromkeys(c for row in rows for c in row))
         p = outdir / "plots" / name
-        np.savetxt(p, rows, fmt=CSV_FLOAT_FORMAT, delimiter=",",
+        np.savetxt(p, [[row.get(c, math.nan) for c in header] for row in rows],
+                   fmt=CSV_FLOAT_FORMAT, delimiter=",",
                    header=",".join(header), comments="")
         written.append(str(p))
-
-    cols = sorted({c for s in summaries for c in s["variances"]})
-    var_header = ["t"]
-    w1_header = ["t"]
-    for c in cols:
-        var_header += [f"{c}.var", f"{c}.se"]
-        w1_header += [f"{c}.w1", f"{c}.se"]
-    var_rows, w1_rows = [], []
-    for s in summaries:
-        vrow, wrow = [s["t"]], [s["t"]]
-        for c in cols:
-            vrow += [s["variances"].get(c, math.nan),
-                     s.get("variance_se", {}).get(c, math.nan)]
-            wrow += [s.get("w1_to_normal", {}).get(c, math.nan),
-                     s.get("w1_se", {}).get(c, math.nan)]
-        var_rows.append(vrow)
-        w1_rows.append(wrow)
-    emit("variance_vs_t.csv", var_header, var_rows)
-    emit("w1_vs_t.csv", w1_header, w1_rows)
-
-    # correlation trajectories and eigenvalue spectra over the grid; the
-    # varying columns may differ between intensities, so each pair gets
-    # its columns, in order of first appearance, and NaN where it is absent
-    with_corr = [s for s in summaries if "correlation" in s]
-    if with_corr:
-        values = []
-        for s in with_corr:
-            names, corr = s["correlation_columns"], s["correlation"]
-            ci = s.get("correlation_ci", {})
-            values.append({
-                f"{a}.{b}": [corr[i][j],
-                             *ci.get(f"{a}.{b}", [math.nan, math.nan])]
-                for i, a in enumerate(names)
-                for j, b in enumerate(names) if i < j})
-        keys = list(dict.fromkeys(key for v in values for key in v))
-        header = ["t"] + [f"corr.{key}{end}" for key in keys
-                          for end in ("", ".lo", ".hi")]
-        rows = [[s["t"]] + [x for key in keys
-                            for x in v.get(key, [math.nan] * 3)]
-                for s, v in zip(with_corr, values)]
-        emit("correlation_vs_t.csv", header, rows)
-        k = max(len(s["eigenvalues"]) for s in with_corr)
-        header = ["t"] + [f"eig_{i + 1}" for i in range(k)]
-        rows = []
-        for s in with_corr:
-            eig = list(s["eigenvalues"]) + [math.nan] * (k - len(s["eigenvalues"]))
-            rows.append([s["t"]] + eig)
-        emit("eigenvalues_vs_t.csv", header, rows)
     return written
 
 
@@ -330,23 +317,17 @@ def _error_term_block(config: ExperimentConfig, table: ReplicationTable,
     terms (a GammaEstimate when the config's ``malliavin`` block is
     multivariate, else a TauEstimate) of the functional on ``table``."""
     ms = config.malliavin
+    name = "gamma" if ms.multivariate else "tau"
     block = {"n_outer": ms.n_outer, "n_inner": ms.n_inner, "t": ms.t,
-             "sampling": ms.sampling}
+             "sampling": ms.sampling, "bound": est.bound(),
+             **{f"{name}{i}": getattr(est, f"{name}{i}") for i in (1, 2, 3)},
+             "se": {f"{name}{i}": getattr(est, f"se{i}") for i in (1, 2, 3)}}
     if ms.multivariate:
-        return block | {
-            "kind": "multivariate",
-            "labels": list(est.labels),
-            "gamma1": est.gamma1, "gamma2": est.gamma2, "gamma3": est.gamma3,
-            "se": {"gamma1": est.se1, "gamma2": est.se2, "gamma3": est.se3},
-            "bound": est.bound(),
-        }
+        return block | {"kind": "multivariate", "labels": list(est.labels)}
     label, = config.malliavin_functional()[0]
     return block | {
         "kind": "univariate",
         "functional": label,
-        "tau1": est.tau1, "tau2": est.tau2, "tau3": est.tau3,
-        "se": {"tau1": est.se1, "tau2": est.se2, "tau3": est.se3},
-        "bound": est.bound(),
         "bound_se": est.bound_standard_error(),
         "variance_estimate": float(table.column(label).var(ddof=1)),
     }

@@ -974,7 +974,7 @@ def _unit_normals(bases: np.ndarray) -> np.ndarray:
 # verification helpers
 
 
-def brute_force_facets(points: np.ndarray, tol: float = REL_TOL) -> set:
+def brute_force_facets(points: np.ndarray) -> set:
     """Facets of the hull of a general-position point set by exhaustion.
 
     Tests every d-subset's hyperplane for one-sidedness (O(n^{d+1})).
@@ -989,11 +989,11 @@ def brute_force_facets(points: np.ndarray, tol: float = REL_TOL) -> set:
         base = pts[subset[0]]
         a = pts[list(subset[1:])] - base
         _, s, vt = np.linalg.svd(a, full_matrices=True)
-        if s[-1] <= tol * max(s[0], 1e-300):
+        if s[-1] <= REL_TOL * max(s[0], 1e-300):
             continue  # affinely dependent d-subset
         normal = vt[-1]
         side = (pts - base) @ normal
-        if side.max() <= tol * scale or side.min() >= -tol * scale:
+        if side.max() <= REL_TOL * scale or side.min() >= -REL_TOL * scale:
             facets.add(frozenset(subset))
     return facets
 

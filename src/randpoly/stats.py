@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 CSV_FLOAT_FORMAT = "%.17g"
+RANK_TOL = 1e-8  # numeric_rank's cut, as a fraction of the largest eigenvalue
 
 
 @dataclass
@@ -262,7 +263,7 @@ def covariance_matrix(table: ReplicationTable,
                       columns: list[str] | None = None) -> SummaryStats:
     """Sample correlation matrix of the selected columns (unit diagonal),
     with the standardized columns, their W1 distances, and the numeric
-    rank (:func:`numeric_rank` at its default tolerance)."""
+    rank (:func:`numeric_rank`)."""
     if columns is None:
         columns = [n for n in table.names if n != "n_points"]
     if table.n_reps < 2:
@@ -286,8 +287,9 @@ def covariance_matrix(table: ReplicationTable,
     )
 
 
-def numeric_rank(matrix: np.ndarray, tol: float = 1e-8):
-    """Count of eigenvalues above tol times the largest (symmetric input)."""
+def numeric_rank(matrix: np.ndarray):
+    """Count of eigenvalues above RANK_TOL times the largest (symmetric
+    input)."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -297,7 +299,7 @@ def numeric_rank(matrix: np.ndarray, tol: float = 1e-8):
     top = eig[0]
     if top <= 0:
         return 0, eig
-    return int((eig > tol * top).sum()), eig
+    return int((eig > RANK_TOL * top).sum()), eig
 
 
 # ---------------------------------------------------------------------------

@@ -961,6 +961,62 @@ class TestPlotData:
         assert math.isnan(rows[1]["corr.f_0.f_1"])
         assert rows[0]["corr.f_0.f_1"] == 0.9
 
+    @staticmethod
+    def read_plot(path):
+        lines = path.read_text().splitlines()
+        return lines[0].split(","), np.array(
+            [[float(x) for x in line.split(",")] for line in lines[1:]])
+
+    def test_ragged_summaries_pad_with_nan(self, tmp_path):
+        # V_0 is constant at t = 200 only, f_0 varies at t = 200 only, and
+        # at t = 400 nothing varies (no W1, correlation or eigenvalues); the
+        # eigenvalue count differs between the intensities that have them
+        (tmp_path / "plots").mkdir()
+        nan = math.nan
+        summaries = [
+            synthetic_summary(1.5, ["V_1", "V_2"], [0.1, 0.2]),
+            synthetic_summary(200.0, ["V_1", "V_2", "f_0"], [0.3, 0.4, 0.5]),
+            {"t": 400.0, "n_reps": 100, "means": {"V_1": 1.0, "V_2": 1.0},
+             "variances": {"V_1": 0.0, "V_2": 0.0}, "variance_se": {},
+             "constant_columns": ["V_1", "V_2"]},
+        ]
+        summaries[1]["variances"]["V_0"] = 0.0
+        summaries[0]["eigenvalues"] = [1.9, 0.1]
+        summaries[1]["eigenvalues"] = [2.7, 0.2, 0.1]
+        written = experiment._write_plot_data(tmp_path, summaries)
+        plots = tmp_path / "plots"
+        assert written == [str(plots / f"{name}_vs_t.csv") for name in
+                           ("variance", "w1", "correlation", "eigenvalues")]
+        cols = ["V_0", "V_1", "V_2", "f_0"]
+        header, rows = self.read_plot(plots / "variance_vs_t.csv")
+        assert header == ["t"] + [f"{c}.{end}" for c in cols
+                                  for end in ("var", "se")]
+        assert np.array_equal(rows, [
+            [1.5, nan, nan, 0.04, 0.005, 0.04, 0.005, nan, nan],
+            [200.0, 0.0, nan, 0.04, 0.005, 0.04, 0.005, 0.04, 0.005],
+            [400.0, nan, nan, 0.0, nan, 0.0, nan, nan, nan],
+        ], equal_nan=True)
+        header, rows = self.read_plot(plots / "w1_vs_t.csv")
+        assert header == ["t"] + [f"{c}.{end}" for c in cols
+                                  for end in ("w1", "se")]
+        assert np.array_equal(rows, [
+            [1.5, nan, nan, 0.1, 0.01, 0.2, 0.01, nan, nan],
+            [200.0, nan, nan, 0.3, 0.01, 0.4, 0.01, 0.5, 0.01],
+            [400.0] + [nan] * 8,
+        ], equal_nan=True)
+        header, rows = self.read_plot(plots / "eigenvalues_vs_t.csv")
+        assert header == ["t", "eig_1", "eig_2", "eig_3"]
+        assert np.array_equal(rows, [[1.5, 1.9, 0.1, nan],
+                                     [200.0, 2.7, 0.2, 0.1]], equal_nan=True)
+        header, rows = self.read_plot(plots / "correlation_vs_t.csv")
+        assert header == ["t"] + [f"corr.{pair}{end}" for pair in
+                                  ("V_1.V_2", "V_1.f_0", "V_2.f_0")
+                                  for end in ("", ".lo", ".hi")]
+        assert np.array_equal(rows, [
+            [1.5, 0.9, 0.8, 0.95] + [nan] * 6,
+            [200.0] + [0.9, 0.8, 0.95] * 3,
+        ], equal_nan=True)
+
 
 class TestPresetAssertions:
     """Every assertion kind of the presets, on a synthetic report: a column
