@@ -97,8 +97,15 @@ def _unit_rows(g: np.ndarray) -> np.ndarray:
     return g
 
 
+def _finite(name: str, value) -> np.ndarray:
+    v = np.asarray(value, dtype=float)
+    if not all(map(math.isfinite, v.flat)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def _as_center(dim: int, center) -> np.ndarray:
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    c = np.zeros(dim) if center is None else _finite("center", center)
     if c.shape != (dim,):
         raise ValueError("center has wrong dimension")
     return c
@@ -115,7 +122,7 @@ class Ball(ConvexBody):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.radius <= 0:
+        if _finite("radius", self.radius) <= 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", _as_center(self.dim, self.center))
 
@@ -148,7 +155,7 @@ class Ellipsoid(ConvexBody):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        a = np.asarray(self.semi_axes, dtype=float)
+        a = _finite("semi_axes", self.semi_axes)
         if a.shape != (self.dim,) or np.any(a <= 0):
             raise ValueError("semi_axes must be dim positive reals")
         object.__setattr__(self, "semi_axes", a)
@@ -158,17 +165,14 @@ class Ellipsoid(ConvexBody):
     def volume(self) -> float:
         return unit_ball_volume(self.dim) * float(np.prod(self.semi_axes))
 
+    # the unit ball's membership test and draw, mapped by x -> a x + center
     def _contains_many(self, pts):
         u = (pts - self.center) / self.semi_axes
-        return (u**2).sum(axis=1) <= 1.0 + 1e-15
+        return Ball(self.dim)._contains_many(u)
 
     def sample_uniform(self, rng, n):
-        # affine image of the unit ball
-        out = _unit_rows(rng.standard_normal((n, self.dim)))
-        out *= (rng.random(n) ** (1.0 / self.dim))[:, None]
-        out *= self.semi_axes
-        out += self.center
-        return out
+        unit = Ball(self.dim).sample_uniform(rng, n)
+        return unit * self.semi_axes + self.center
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,7 @@ class Cube(ConvexBody):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.side <= 0:
+        if _finite("side", self.side) <= 0:
             raise ValueError("side must be positive")
 
     @property

@@ -187,23 +187,23 @@ def _resample_correlations(res: np.ndarray, rows, cols) -> np.ndarray:
 
 
 def _percentiles(x: np.ndarray, q) -> np.ndarray:
-    """``np.percentile(x, q, axis=0)`` of a 2-D array without NaNs, bit for
-    bit, from one sort: numpy's 'linear' rule, virtual index (n - 1) q
-    between neighbours a <= b, value a + (b - a) g, or b - (b - a)(1 - g)
-    when the fraction g is at least 1/2."""
-    x = np.sort(x, axis=0)
-    n = len(x)
-    out = np.empty((len(q), x.shape[1]))
-    for k, p in enumerate(q):
-        v = (n - 1) * (p / 100)
-        lo = math.floor(v)
-        hi = lo + 1
-        if v >= n - 1:  # numpy takes the last value, with g = v + 1
-            lo = hi = -1
-        g = v - lo
-        a, b = x[lo], x[hi]
-        out[k] = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
-    return out
+    """``np.percentile`` of each column's non-NaN values of a 2-D array,
+    bit for bit, from one sort (NaN where a column has none): numpy's
+    'linear' rule on a column's k values, virtual index (k - 1) q between
+    neighbours a <= b, value a + (b - a) g, or b - (b - a)(1 - g) when the
+    fraction g is at least 1/2."""
+    # one row per column, NaNs last: numpy sorts and reduces contiguous
+    # rows faster than the columns of an (n, m) array
+    x = np.sort(x.T, axis=1)
+    k = x.shape[1] - np.isnan(x).sum(axis=1)
+    v = (k - 1) * (np.asarray(q) / 100)[:, None]
+    lo = np.floor(v)
+    # numpy takes the last value where v >= k - 1, with g = v + 1
+    g = v - np.where(v >= k - 1, -1.0, lo)
+    lo = np.minimum(lo, k - 1).astype(np.intp)
+    rows = np.arange(len(x))
+    a, b = x[rows, lo], x[rows, np.minimum(lo + 1, k - 1)]
+    return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
 
 
 def _correlation_bootstrap_ci(mat: np.ndarray, names, rng,
@@ -222,17 +222,7 @@ def _correlation_bootstrap_ci(mat: np.ndarray, names, rng,
     for b in range(0, n_boot, step):  # a block's gather dies with the call
         samples[b:b + step] = _resample_correlations(
             mat[draws[b:b + step]], rows, cols)
-    # one sort per pattern of kept resamples; all the pairs usually share
-    # one or two patterns
-    ok = np.isfinite(samples)
-    patterns: dict[bytes, list[int]] = {}
-    for p, keep in enumerate(ok.T):
-        patterns.setdefault(keep.tobytes(), []).append(p)
-    ci = np.full((2, len(rows)), math.nan)
-    for pairs in patterns.values():
-        keep = ok[:, pairs[0]]
-        if keep.any():
-            ci[:, pairs] = _percentiles(samples[keep][:, pairs], (2.5, 97.5))
+    ci = _percentiles(samples, (2.5, 97.5))
     return {f"{names[i]}.{names[j]}": [float(lo), float(hi)]
             for i, j, lo, hi in zip(rows, cols, *ci)}
 
@@ -440,12 +430,6 @@ def run(config, outdir=None, workers: int | None = None) -> RunManifest:
 # verification
 
 
-def _isclose(a: float, b: float) -> bool:
-    if math.isnan(a) and math.isnan(b):
-        return True
-    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300)
-
-
 def _deep_compare(a, b, path="") -> list[str]:
     diffs = []
     if isinstance(a, dict) and isinstance(b, dict):
@@ -460,14 +444,12 @@ def _deep_compare(a, b, path="") -> list[str]:
         else:
             for i, (x, y) in enumerate(zip(a, b)):
                 diffs += _deep_compare(x, y, f"{path}[{i}]")
-    else:
-        fa = float(a) if isinstance(a, (int, float)) else a
-        fb = float(b) if isinstance(b, (int, float)) else b
-        if isinstance(fa, float) and isinstance(fb, float):
-            if not _isclose(fa, fb):
-                diffs.append(f"{path}: {a} != {b}")
-        elif a != b:
-            diffs.append(f"{path}: {a!r} != {b!r}")
+    elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        if not (math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300)
+                or math.isnan(a) and math.isnan(b)):
+            diffs.append(f"{path}: {a} != {b}")
+    elif a != b:
+        diffs.append(f"{path}: {a!r} != {b!r}")
     return diffs
 
 
@@ -522,11 +504,15 @@ def verify(manifest_path, quiet: bool = False) -> dict:
         except (OSError, ValueError, KeyError) as exc:
             check(f"table {p.name} readable", False, str(exc))
 
+    listed = [entry["t_index"] for entry in manifest.tables]
+    in_order = listed == list(range(len(config.t_grid)))
+    check("tables list each t_index once, in order", in_order,
+          f"t_index {listed}")
     report_path = manifest.reports.get("report")
     stored = {}
     if not report_path or not Path(report_path).exists():
         check("report exists", False, report_path or "not in the manifest")
-    elif len(tables) == len(manifest.tables):
+    elif in_order and len(tables) == len(manifest.tables):
         stored = json.loads(Path(report_path).read_text())
         diffs = []
         for key, value in _derive_report(config, tables).items():

@@ -232,14 +232,11 @@ def _empty_arrays(d: int) -> tuple[np.ndarray, ...]:
 
 def convex_hull(cloud: PointCloud | np.ndarray) -> Polytope:
     """Convex hull with its facets; degeneracies are encoded, never errors."""
-    if isinstance(cloud, PointCloud):
-        pts = cloud.points
-        d = cloud.dim
-    else:
-        pts = np.asarray(cloud, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("points must be an (n, d) array")
-        d = pts.shape[1]
+    pts = (cloud.points if isinstance(cloud, PointCloud)
+           else np.asarray(cloud, dtype=float))
+    if pts.ndim != 2:
+        raise ValueError("points must be an (n, d) array")
+    d = pts.shape[1]
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
 

@@ -21,6 +21,7 @@ from randpoly.bodies import (
     sample_poisson_process,
     unit_ball_volume,
 )
+from randpoly.hull import convex_hull, f_vector, volume
 from randpoly.malliavin import _region_sampler
 from randpoly.rng import stream
 
@@ -194,6 +195,25 @@ class TestPoissonProcess:
         with pytest.raises(ValueError):
             sample_poisson_process(Ball(2), 0.0, stream(0))
 
+    @pytest.mark.parametrize("a, t", [((1.0, 0.4), 500.0),
+                                      ((1.0, 0.7, 0.4), 1000.0)])
+    def test_ellipsoid_is_the_unit_balls_affine_image(self, a, t):
+        """Ellipsoid(d, a) at intensity t is the unit ball at t prod(a)
+        mapped by x -> a x: on one stream per draw the point counts, the
+        points (bit for bit) and the f-vectors agree, and the volumes
+        differ by the factor prod(a)."""
+        d, scale = len(a), math.prod(a)
+        for r in range(200):
+            e = sample_poisson_process(Ellipsoid(d, semi_axes=a), t,
+                                       stream(7, r))
+            b = sample_poisson_process(Ball(d), t * scale, stream(7, r))
+            assert len(e) == len(b)
+            assert e.points.tobytes() == (b.points * a).tobytes()
+            he, hb = convex_hull(e), convex_hull(b)
+            assert f_vector(he) == f_vector(hb)
+            assert math.isclose(volume(he), scale * volume(hb),
+                                rel_tol=1e-14)
+
     def test_empty_cloud(self):
         cloud = PointCloud(2, np.empty((0, 2)))
         assert len(cloud) == 0
@@ -294,6 +314,25 @@ class TestBodySpecs:
         with pytest.raises(ValueError, match=message):
             body_from_spec(spec)
 
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        (Ball, {"radius": math.nan}, "radius must be finite"),
+        (Ball, {"radius": math.inf}, "radius must be finite"),
+        (Ball, {"center": [math.nan, 0.0]}, "center must be finite"),
+        (Ellipsoid, {"semi_axes": [1.0, math.nan]},
+         "semi_axes must be finite"),
+        (Cube, {"side": math.nan}, "side must be finite"),
+        (Ball, {"radius": 0.0}, "radius must be positive"),
+        (Ellipsoid, {"semi_axes": [1.0, -2.0]},
+         "semi_axes must be dim positive reals"),
+        (Cube, {"side": -1.0}, "side must be positive"),
+    ], ids=["radius_nan", "radius_inf", "center_nan", "semi_axes_nan",
+            "side_nan", "radius_zero", "semi_axes_negative", "side_negative"])
+    def test_parameter_out_of_range(self, cls, kwargs, message):
+        # the non-finite ones used to construct and fail only later, in
+        # rng.poisson or in convex_hull
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(2, **kwargs)
+
     def test_smoothness_flags(self):
         assert Ball(2).is_smooth and Ellipsoid(2, semi_axes=[1, 2]).is_smooth
         assert not Cube(2).is_smooth
@@ -331,3 +370,34 @@ def test_each_radius_solver_has_one_caller():
         Reads(path.stem).visit(ast.parse(path.read_text()))
     assert readers == {("ball_floating_body_radius", "bodies.floating_radius"),
                        ("ball_core_radius", "hull.floating_core")}
+
+
+def test_every_private_helper_has_a_caller():
+    """Each private module-level function or class, and each private
+    method, in ``randpoly`` is read somewhere in the package outside its
+    own definition, so no helper is left that only tests call."""
+    root = Path(randpoly.__file__).parent
+    defined, reads = [], []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and d.name.startswith("_")
+                        and not d.name.endswith("__")):
+                    defined.append((path.stem, d))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.append((path.stem, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.append((path.stem, node.attr, node.lineno))
+
+    def read_outside(module, d):
+        return any(name == d.name and not (
+            where == module and d.lineno <= line <= d.end_lineno)
+            for where, name, line in reads)
+
+    assert len(defined) > 50  # the scan sees the package's helpers
+    assert [f"{m}.{d.name}" for m, d in defined
+            if not read_outside(m, d)] == []

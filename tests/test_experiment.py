@@ -808,15 +808,37 @@ class TestCorrelationBootstrapBitIdentity:
         self.check(stream(11).standard_normal((20, 3)), n_boot=50)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 21, 200])
+def nan_columns():
+    """Six columns of 40 rows with 0, 5, 19 (21 values left), 39 (one
+    value), 40 (none) and 7 NaNs, the last one with ties.  No entry is
+    -0.0: a NaN-padded column may sort 0.0 and -0.0 in another order than
+    the column without its NaNs does."""
+    rng = stream(12, 0)
+    x = rng.standard_normal((40, 6)) * 10.0 ** rng.uniform(-3, 3, size=6)
+    x[:, 5] = np.round(x[:, 5]) + 0.0  # ties, and -0.0 becomes 0.0
+    for col, n_nan in enumerate([0, 5, 19, 39, 40, 7]):
+        x[rng.permutation(40)[:n_nan], col] = math.nan
+    return x
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 21, 200, "nan"])
 def test_percentiles_match_numpy(rows):
     """The one-sort percentiles equal ``np.percentile``'s bit for bit; at
-    21 rows both virtual indices fall halfway between two values."""
-    rng = stream(12, rows)
-    x = rng.standard_normal((rows, 7)) * 10.0 ** rng.uniform(-3, 3, size=7)
-    x[:, 5] = rng.normal(size=rows) * 10.0 ** rng.uniform(-8, 8, size=rows)
-    x[:, 6] = np.round(x[:, 6])  # ties
-    want = np.percentile(x, [2.5, 97.5], axis=0)
+    21 rows both virtual indices fall halfway between two values.  A
+    column's NaNs are skipped, and a column of NaNs gives NaN."""
+    if rows == "nan":
+        x = nan_columns()
+        want = np.array([np.percentile(c[~np.isnan(c)], [2.5, 97.5])
+                         if (~np.isnan(c)).any() else [math.nan, math.nan]
+                         for c in x.T]).T
+    else:
+        rng = stream(12, rows)
+        x = rng.standard_normal((rows, 7)) * 10.0 ** rng.uniform(-3, 3,
+                                                                 size=7)
+        x[:, 5] = rng.normal(size=rows) * 10.0 ** rng.uniform(-8, 8,
+                                                              size=rows)
+        x[:, 6] = np.round(x[:, 6])  # ties
+        want = np.percentile(x, [2.5, 97.5], axis=0)
     assert _percentiles(x, (2.5, 97.5)).tobytes() == want.tobytes()
 
 
@@ -1169,6 +1191,33 @@ class TestCLI:
         assert cli_main(["verify", str(tmp_path / "tiny" / "manifest.json")]) == 2
         out = capsys.readouterr().out
         assert "[FAIL] table table_t0.csv readable" in out
+
+    @pytest.mark.parametrize("listed", [[], [1], [0, 1, 1]],
+                             ids=["empty", "dropped", "duplicated"])
+    def test_verify_fails_on_a_bad_table_list(self, tmp_path, capsys,
+                                              listed):
+        """A manifest whose tables do not list each t_index once, in order,
+        fails that check (no report is derived from them) and exits 2;
+        the untouched run passes it."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(t_grid=[30.0, 60.0],
+                                                n_reps=20)))
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "tiny" / "manifest.json"
+        name = "tables list each t_index once, in order"
+        passed = {c["name"]: c["passed"]
+                  for c in verify(path, quiet=True)["checks"]}
+        assert passed[name] and all(passed.values())
+        manifest = json.loads(path.read_text())
+        tables = [manifest["tables"][i] for i in listed]
+        path.write_text(json.dumps({**manifest, "tables": tables}))
+        result = verify(path, quiet=True)
+        assert not result["ok"]
+        assert [c["passed"] for c in result["checks"]
+                if c["name"] == name] == [False]
+        capsys.readouterr()
+        assert cli_main(["verify", str(path)]) == 2
+        assert f"[FAIL] {name}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("content", [{"config": {}}, [1, 2]])
     def test_malformed_manifest_exit_code(self, tmp_path, capsys, content):
