@@ -11,6 +11,7 @@ test body (its intrinsic volumes are binomial coefficients).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,19 +40,63 @@ def unit_ball_volume(k: int) -> float:
     return math.pi ** (k / 2.0) / math.gamma(1.0 + k / 2.0)
 
 
-@dataclass(frozen=True)
 class PointCloud:
     """A finite set of points in R^d, stored as an (n, d) array."""
 
-    dim: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, self.dim)
-        object.__setattr__(self, "points", pts)
+    def __init__(self, dim: int, points):
+        self.dim = dim
+        self.points = np.asarray(points, dtype=float).reshape(-1, dim)
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    def outside(self, center: np.ndarray, rho: float):
+        """The rows at distance >= rho from ``center``, the points that a
+        core ball's prefilter keeps, and their indices."""
+        # column by column: numpy reduces the short rows of an (n, d) array
+        # several times slower
+        cols = self.points.T
+        r2 = (cols[0] - center[0]) ** 2
+        for x, c in zip(cols[1:], center[1:]):
+            r2 += (x - c) ** 2
+        keep = np.flatnonzero(r2 >= rho * rho)
+        return self.points[keep], keep
+
+
+class _CoreSplitSample(PointCloud):
+    """A ball's Poisson sample drawn with a core ball (center, rho): until
+    ``points`` is read, rows are built (:meth:`Ball._rows`, elementwise,
+    so each has the same bits whichever rows are built with it) only
+    outside the core.  A row scaled to s = R u^(1/d) is outside only if
+    s >= rho - |center - body center| minus rounding below 4 d eps (R +
+    |center| + |body center|), so the rows whose u is below that bound,
+    widened by a relative 1e-9, are dropped untested."""
+
+    def __init__(self, body: Ball, g, u, center: np.ndarray, rho: float):
+        self.dim, self._body, self._g, self._u = body.dim, body, g, u
+        self._core, self._outer = (center, rho), None
+
+    def __len__(self) -> int:
+        return len(self._u)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        return self._body._rows(self._g.copy(), self._u)
+
+    def outside(self, center, rho):
+        if rho != self._core[1] or not np.array_equal(center, self._core[0]):
+            return super().outside(center, rho)
+        if self._outer is None:
+            body, g, u = self._body, self._g, self._u
+            c, bc = center.tolist(), body.center.tolist()
+            reach = rho - math.dist(c, bc) - 4 * body.dim * math.ulp(1.0) * (
+                body.radius + max(map(abs, bc)) + max(map(abs, c)))
+            u_lo = (max(reach, 0.0) / body.radius) ** body.dim * (1 - 1e-9)
+            cand = np.flatnonzero(u >= u_lo)
+            rows = body._rows(g.take(cand, axis=0), u.take(cand))
+            rows, keep = PointCloud(body.dim, rows).outside(center, rho)
+            self._outer = rows, cand.take(keep)
+        return self._outer
 
 
 class ConvexBody:
@@ -137,8 +182,16 @@ class Ball(ConvexBody):
     def sample_uniform(self, rng, n, inner=0.0):
         """``n`` uniform points on the ball outside its concentric ball of
         volume fraction ``inner`` (the whole ball when it is 0)."""
-        out = _unit_rows(rng.standard_normal((n, self.dim)))
-        u = inner + rng.random(n) * (1.0 - inner)
+        return self._rows(*self._draw(rng, n, inner))
+
+    def _draw(self, rng, n, inner=0.0):
+        """The normals and the volume fractions of ``n`` uniform points."""
+        g = rng.standard_normal((n, self.dim))
+        return g, inner + rng.random(n) * (1.0 - inner)
+
+    def _rows(self, g, u):
+        """The points of :meth:`_draw`'s rows, normalized in place in ``g``."""
+        out = _unit_rows(g)
         out *= (self.radius * u ** (1.0 / self.dim))[:, None]
         out += self.center
         return out
@@ -218,18 +271,22 @@ def body_from_spec(spec: dict) -> ConvexBody:
 
 
 def sample_poisson_process(
-    body: ConvexBody, t: float, rng: np.random.Generator
+    body: ConvexBody, t: float, rng: np.random.Generator, core=None
 ) -> PointCloud:
     """Poisson process with intensity ``t`` per unit volume, restricted to the body.
 
     The point count is Poisson(t * volume); given the count, points are
-    i.i.d. uniform.  A zero count yields an empty cloud.
+    i.i.d. uniform.  A zero count yields an empty cloud.  Given a ``core``
+    ball (center, rho), a ball's sample builds its points inside the core
+    only when ``points`` is read, with the same draws and bits.
     """
     if t <= 0:
         raise ValueError("intensity t must be positive")
     n = int(rng.poisson(t * body.volume))
     if n == 0:
         return PointCloud(body.dim, np.empty((0, body.dim)))
+    if core is not None and isinstance(body, Ball):
+        return _CoreSplitSample(body, *body._draw(rng, n), *core)
     return PointCloud(body.dim, body.sample_uniform(rng, n))
 
 

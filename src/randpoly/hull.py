@@ -51,7 +51,6 @@ __all__ = [
     "FVector",
     "convex_hull",
     "outer_hull",
-    "outside_core",
     "prefiltered_hull",
     "floating_core",
     "f_vector",
@@ -272,47 +271,35 @@ def convex_hull(cloud: PointCloud | np.ndarray) -> Polytope:
     else:
         k = d
 
+    # qhull merges facets only given the round-off that lifts points off
+    # them: a chart drops the thickness svals[k], and far-off points keep
+    # their rounding, up to d - 1 half ulps off a facet plane; not for
+    # thin inputs, whose merges broke 4-d slabs 130 sqrt(n) round-offs thick
+    round_off = (float(svals[k]) if k < d else (d - 1) * float(
+        np.spacing(np.abs(pts).max())) / 2 if far else 0.0)
+    if round_off and svals[k - 1] <= 1e4 * math.sqrt(n) * round_off:
+        round_off = 0.0
     if k == d:
         if far:
-            # the points keep their far-off rounding, up to d - 1 half
-            # ulps off a facet plane, and qhull merges a box's facets only
-            # given that round-off; not for thin inputs, whose merges broke
-            # 4-d slabs up to 130 sqrt(n) round-offs thick
-            round_off = (d - 1) * float(np.spacing(np.abs(pts).max())) / 2
-            if svals[-1] <= 1e4 * math.sqrt(n) * round_off:
-                round_off = 0.0
             poly.origin = mid
             _build_full(poly, pts - mid, pts, round_off)
         else:
             _build_full(poly, pts)
         poly.affine_dim = d
     else:
-        _build_full(poly, centered @ vt[:k].T, pts)
+        _build_full(poly, centered @ vt[:k].T, pts, round_off)
         poly.affine_dim = k
     return poly
 
 
-def outside_core(columns: np.ndarray, center: np.ndarray,
-                 rho: float) -> np.ndarray:
-    """Mask of the points at distance >= rho from ``center``, the points
-    that :func:`outer_hull` keeps; ``columns`` holds their coordinates,
-    one row per axis (the transpose of an (n, d) array)."""
-    # column by column: numpy reduces the short rows of an (n, d) array
-    # several times slower
-    r2 = (columns[0] - center[0]) ** 2
-    for x, c in zip(columns[1:], center[1:]):
-        r2 += (x - c) ** 2
-    return r2 >= rho * rho
-
-
-def outer_hull(points: np.ndarray, center: np.ndarray, rho: float,
-               build=convex_hull) -> tuple[Polytope, float] | None:
+def outer_hull(cloud: PointCloud | np.ndarray, center: np.ndarray,
+               rho: float, build=convex_hull) -> tuple[Polytope, float] | None:
     """Hull of the points at distance >= rho from ``center``, and the least
     distance from ``center`` to its facet planes.
 
-    ``source_indices`` refer to ``points``, and ``build`` makes the hull.
-    Returns None when d or fewer points are that far out, or when their
-    hull is not full-dimensional.
+    ``source_indices`` refer to the cloud's rows (``PointCloud.outside``),
+    and ``build`` makes the hull.  Returns None when d or fewer points are
+    that far out, or when their hull is not full-dimensional.
 
     If the distance is at least rho, the core ball B_rho, and with it every
     dropped point, lies in the returned hull, which is then the hull of
@@ -322,11 +309,12 @@ def outer_hull(points: np.ndarray, center: np.ndarray, rho: float,
     when None is returned.  Up to ties at rho, which have probability zero
     for sampled points, this decides whether the full hull contains B_rho.
     """
-    d = points.shape[1]
-    keep = np.nonzero(outside_core(points.T, center, rho))[0]
-    if len(keep) <= d:
+    if not isinstance(cloud, PointCloud):
+        cloud = PointCloud(np.shape(cloud)[1], cloud)
+    pts, keep = cloud.outside(center, rho)
+    if len(keep) <= cloud.dim:
         return None
-    poly = build(points[keep])
+    poly = build(pts)
     if not poly.is_full_dimensional():
         return None
     poly.source_indices = keep[poly.source_indices]
@@ -353,9 +341,7 @@ def prefiltered_hull(cloud: PointCloud | np.ndarray,
     test bodies) keep qhull's order, whose triangulation of a merged
     facet depends on the input rows.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else cloud
-    got = (None if core is None else
-           outer_hull(np.asarray(pts, dtype=float), *core, build=build))
+    got = None if core is None else outer_hull(cloud, *core, build=build)
     accept = got is not None and got[1] > core[1] * (1.0 + REL_TOL)
     poly = got[0] if accept else build(cloud)
     if (poly.dim_ambient == 3 and poly.is_full_dimensional()

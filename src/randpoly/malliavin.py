@@ -36,7 +36,6 @@ from .hull import (
     Polytope,
     convex_hull,
     floating_core,
-    outside_core,
     prefiltered_hull,
 )
 from .rng import map_blocks, substream
@@ -79,6 +78,8 @@ class _Rehuller:
     """
 
     def __init__(self, cloud: PointCloud | np.ndarray, core=None):
+        if not isinstance(cloud, PointCloud) and np.ndim(cloud) == 2:
+            cloud = PointCloud(np.shape(cloud)[1], cloud)
         self._cloud = cloud
         self._core = core
 
@@ -102,24 +103,26 @@ class _Rehuller:
     def _ring(self) -> tuple[np.ndarray, float] | None:
         """Coordinate rows of the planar points outside the core, and the
         certificate's m0; None where the certificate can prove nothing."""
-        cloud = self._cloud
-        pts = (cloud.points if isinstance(cloud, PointCloud)
-               else np.asarray(cloud, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+        cloud, core = self._cloud, self._core
+        if not isinstance(cloud, PointCloud) or cloud.dim != 2:
+            return None
+        pts = cloud.points if core is None else cloud.outside(*core)[0]
+        if len(pts) < 3:
             return None
         rows = np.ascontiguousarray(pts.T)
-        (lo0, lo1), (hi0, hi1) = rows.min(axis=1), rows.max(axis=1)
+        # with a core, the points inside it lie in center +- rho
+        box = rows if core is None else np.column_stack(
+            [rows, core[0] - core[1], core[0] + core[1]])
+        (lo0, lo1), (hi0, hi1) = box.min(axis=1), box.max(axis=1)
         diam = math.hypot(hi0 - lo0, hi1 - lo1)
         near = _NEAR * diam
         need = (2.0 * _INSIDE_TOL * max(1.0, diam)
-                + math.sqrt(len(pts)) * (
+                + math.sqrt(len(cloud)) * (
                     2.0 * REL_TOL * diam
                     + _ROUNDING * _EPS * max(-lo0, -lo1, hi0, hi1)))
         # not (a > b): a NaN from non-finite points declines too
         if not 0.5 * near * math.sin(0.5 * _ETA) > need:
             return None
-        if self._core is not None:
-            rows = rows.compress(outside_core(rows, *self._core), axis=1)
         return rows, near
 
     def _certified_inside(self, x: np.ndarray) -> bool:
@@ -129,7 +132,8 @@ class _Rehuller:
 
         Let P be the points outside the core (all points without one) at
         distance >= m0 = _NEAR D from x, D the diagonal of the cloud's
-        bounding box.  If the directions of p - x, p in P, leave no
+        bounding box, or with a core of the outer points' box joined with
+        center +- rho.  If the directions of p - x, p in P, leave no
         circular gap of pi - eta (eta = _ETA) or more, every closed arc of
         directions of width pi - eta holds one of them.  So for each unit
         u some p in P has u . (p - x) >= m0 cos((pi - eta) / 2) =
@@ -140,8 +144,10 @@ class _Rehuller:
 
         Then the facet test says "inside" too, for :attr:`_ring` declines
         unless r > 2 tol + sqrt(n) (2 REL_TOL D + _ROUNDING eps |z|max),
-        with tol = _INSIDE_TOL max(1, D), at least the test's own, n the
-        number of points and |z|max their largest coordinate.  The base
+        with tol = _INSIDE_TOL max(1, D), at least the test's own (up to
+        the few eps |z|max by which rounding can put an inner point outside
+        center +- rho, which the _ROUNDING term covers), n the number of
+        points and |z|max the box's largest coordinate.  The base
         hull's input Q (the points outside the core, or all of them)
         contains P, so it is at least 2r wide in every direction: the least
         singular value of the centred Q is at least r and the largest at
@@ -151,8 +157,8 @@ class _Rehuller:
         n . z <= b of the base hull leaves every point of Q, and so the
         disc, below it up to qhull's round-off, a few eps |z|max;
         evaluating the excess adds a few more.  So n . x - b <= -r + that
-        round-off < -tol.  Far-off, huge, tiny and non-finite clouds fail
-        the bound, and the facet test decides.
+        round-off < -tol.  Far-off, huge and tiny clouds, and non-finite
+        ones without a core, fail the bound, and the facet test decides.
         """
         ring = self._ring
         if ring is None or x.shape != (2,):
@@ -357,7 +363,8 @@ def _outer_block(body, t, vf, n_inner, rng, draw_points, core, k0, k1):
         for g, idxs in enumerate(groups):
             for _ in idxs:
                 # one process draw: the standardized (D2_{x,y}, D1_x)
-                re = _Rehuller(sample_poisson_process(body, t, rk), core)
+                re = _Rehuller(sample_poisson_process(body, t, rk, core),
+                               core)
                 second, first = _differences(re, vf.fn, xs[g % 2], xs[2],
                                              g >= 2)
                 d2[g] += (second / vf.scales) ** 4

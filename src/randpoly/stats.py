@@ -145,7 +145,7 @@ def _block_rows(body, evaluators, core, t, t_index, seed, mode, n_dirs,
     out = np.empty((rep_stop - rep_start, 1 + len(evaluators)))
     for r in range(rep_start, rep_stop):
         rng = stream(seed, t_index, r)
-        cloud = sample_poisson_process(body, t, rng)
+        cloud = sample_poisson_process(body, t, rng, core)
         poly = prefiltered_hull(cloud, core, convex_hull)
         fv = f_vector(poly)
         if fv[0] > len(cloud):
@@ -363,11 +363,11 @@ def sandwich_probability(body: Ball, t: float, c: float, n_reps: int,
     if not isinstance(n_reps, (int, np.integer)) or n_reps < 1:
         raise ValueError(f"n_reps must be an integer >= 1, not {n_reps!r}")
     rho = floating_radius(body, t, c)
+    core = body.center, rho
     hits = 0
     for i in range(n_reps):
-        ri = substream(rng, i)
-        cloud = sample_poisson_process(body, t, ri)
-        got = outer_hull(cloud.points, body.center, rho, convex_hull)
+        cloud = sample_poisson_process(body, t, substream(rng, i), core)
+        got = outer_hull(cloud, *core, convex_hull)
         if got is not None and got[1] >= rho:
             hits += 1
     return hits / n_reps

@@ -106,12 +106,9 @@ def test_quadrature_matches_the_asymptotic_planar_count():
     assert 0.99 < ratio[0] < ratio[1] < 1.0
 
 
-@pytest.mark.parametrize("row", range(len(ROWS)),
-                         ids=[f"d{d}_t{t:g}" for d, t, _ in ROWS])
-def test_mean_face_counts(row):
+def row_columns(row: int) -> dict:
+    """The row's table columns, with f_1 - f_0 in d = 4."""
     d, t, n_reps = ROWS[row]
-    # d = 2 and 3 go through the prefilter, d = 4 hulls every point
-    assert (floating_core(Ball(d), t) is None) == (d == 4)
     config = ExperimentConfig.from_dict({
         "name": f"fvector_d{d}", "body": {"kind": "ball", "dim": d},
         "t_grid": [t], "n_reps": n_reps, "seed": SEED + row,
@@ -123,6 +120,16 @@ def test_mean_face_counts(row):
     cols = {name: table.column(name) for name in table.names}
     if d == 4:
         cols["f_1 - f_0"] = cols["f_1"] - cols["f_0"]
+    return cols
+
+
+@pytest.mark.parametrize("row", range(len(ROWS)),
+                         ids=[f"d{d}_t{t:g}" for d, t, _ in ROWS])
+def test_mean_face_counts(row):
+    d, t, n_reps = ROWS[row]
+    # d = 2 and 3 go through the prefilter, d = 4 hulls every point
+    assert (floating_core(Ball(d), t) is None) == (d == 4)
+    cols = row_columns(row)
     for name, exact in exact_means(d, t).items():
         x = cols[name]
         se = x.std(ddof=1) / math.sqrt(len(x))
