@@ -60,14 +60,14 @@ class PointCloud:
         for x, c in zip(cols[1:], center[1:]):
             r2 += (x - c) ** 2
         keep = np.flatnonzero(r2 >= rho * rho)
-        return self.points[keep], keep
+        return self.points.take(keep, axis=0), keep
 
 
 class _CoreSplitSample(PointCloud):
     """A ball's Poisson sample drawn with a core ball (center, rho): until
     ``points`` is read, rows are built (:meth:`Ball._rows`, elementwise,
     so each has the same bits whichever rows are built with it) only
-    outside the core.  A row scaled to s = R u^(1/d) is outside only if
+    outside the core, for ``outside`` with that center array.  A row scaled to s = R u^(1/d) is outside only if
     s >= rho - |center - body center| minus rounding below 4 d eps (R +
     |center| + |body center|), so the rows whose u is below that bound,
     widened by a relative 1e-9, are dropped untested."""
@@ -84,7 +84,7 @@ class _CoreSplitSample(PointCloud):
         return self._body._rows(self._g.copy(), self._u)
 
     def outside(self, center, rho):
-        if rho != self._core[1] or not np.array_equal(center, self._core[0]):
+        if rho != self._core[1] or center is not self._core[0]:
             return super().outside(center, rho)
         if self._outer is None:
             body, g, u = self._body, self._g, self._u

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from randpoly.bodies import (
     Ball,
+    _CoreSplitSample,
     Cube,
     Ellipsoid,
     floating_radius,
@@ -114,6 +115,22 @@ def test_rows_read_first_give_the_same_outer_rows():
     rows, index = split.outside(*other)
     keep = outside_core(eager.points.T, *other)
     assert np.array_equal(index, np.flatnonzero(keep))
+
+
+def test_rows_at_the_core_radius_take_the_exact_test():
+    """Uniforms within a relative 1e-9 of the core's: some rows are
+    dropped by the bound on u, and the others are built and tested."""
+    ball, rho, n = Ball(3, radius=2.0, center=[1e3, -5.0, 0.25]), 1.7, 2000
+    rng = stream(42)
+    g = rng.standard_normal((n, 3))
+    u = (rho / ball.radius) ** 3 * (1.0 + rng.uniform(-1e-9, 1e-9, n))
+    split = _CoreSplitSample(ball, g.copy(), u, ball.center, rho)
+    eager = ball._rows(g.copy(), u)
+    rows, index = split.outside(ball.center, rho)
+    keep = outside_core(eager.T, ball.center, rho)
+    assert 0 < keep.sum() < n
+    assert np.array_equal(index, np.flatnonzero(keep))
+    assert rows.tobytes() == eager[keep].tobytes()
 
 
 def test_bodies_without_a_split_keep_the_eager_draw():
