@@ -65,12 +65,12 @@ class PointCloud:
 
 class _CoreSplitSample(PointCloud):
     """A ball's Poisson sample drawn with a core ball (center, rho): until
-    ``points`` is read, rows are built (:meth:`Ball._rows`, elementwise,
-    so each has the same bits whichever rows are built with it) only
-    outside the core, for ``outside`` with that center array.  A row scaled to s = R u^(1/d) is outside only if
-    s >= rho - |center - body center| minus rounding below 4 d eps (R +
-    |center| + |body center|), so the rows whose u is below that bound,
-    widened by a relative 1e-9, are dropped untested."""
+    ``points`` is read, ``outside`` with that center array builds only the
+    rows outside the core (:meth:`Ball._rows` is elementwise, so a row has
+    its bits whichever rows are built with it).  A row scaled to
+    s = R u^(1/d) is outside only if s >= rho - |center - body center|
+    minus 4 d eps (R + |center| + |body center|) of rounding, so rows with
+    u below that bound, widened by a relative 1e-9, are dropped untested."""
 
     def __init__(self, body: Ball, g, u, center: np.ndarray, rho: float):
         self.dim, self._body, self._g, self._u = body.dim, body, g, u

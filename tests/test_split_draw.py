@@ -4,10 +4,10 @@ outside it.
 ``sample_poisson_process(body, t, rng, core)`` takes the same numbers from
 the generator as the draw without a core.  Balls with random centres (up
 to 1e3), radii 0.1-10 and expected sizes 4-5000 check, bit for bit, that
-its rows outside the core are the rows of the eager draw at distance
->= rho from the centre, that reading ``points`` gives the eager rows, that the prefilter
-builds the inner rows only when it falls back, and that the hulls and
-``sandwich_probability`` equal those of eager draws.
+its rows outside the core are the eager draw's rows at distance >= rho
+from the centre, that reading ``points`` gives the eager rows, that the
+prefilter builds the inner rows only when it falls back, and that the
+hulls and ``sandwich_probability`` equal those of eager draws.
 """
 import math
 
