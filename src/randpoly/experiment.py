@@ -380,7 +380,8 @@ def run(config, outdir=None, workers: int | None = None) -> RunManifest:
     seeds = {
         "base": config.seed,
         "replication_stage_key": "(seed, t_index, rep_index)",
-        "malliavin_stage_key": [config.seed, MALLIAVIN_STAGE],
+        "malliavin_stage_key": f"(seed, {MALLIAVIN_STAGE}, t_index)",
+        "bootstrap_stage_key": f"(seed, {BOOTSTRAP_STAGE}, t_index)",
     }
     manifest = RunManifest(
         config=config.to_dict(), config_hash=_config_hash(config),
@@ -500,9 +501,20 @@ def verify(manifest_path, quiet: bool = False) -> dict:
         check(f"checksum {p.name}", digest == entry["sha256"],
               f"{digest[:12]} vs {entry['sha256'][:12]}")
         try:
-            tables.append(ReplicationTable.read_csv(p))
+            table = ReplicationTable.read_csv(p)
         except (OSError, ValueError, KeyError) as exc:
             check(f"table {p.name} readable", False, str(exc))
+            continue
+        tables.append(table)
+        # the sidecar must hold the t, t_index, body, n_reps and seed that
+        # run_replications gives the listed t_index
+        ti = entry["t_index"]
+        want = ((config.t_grid[int(ti)], ti, config.body,
+                 config.n_reps[int(ti)], config.seed)
+                if ti in range(len(config.t_grid)) else None)
+        got = (table.t, table.t_index, table.body, table.n_reps, table.seed)
+        check(f"table {p.name} sidecar matches the config", got == want,
+              "" if got == want else f"sidecar {got}, config {want}")
 
     listed = [entry["t_index"] for entry in manifest.tables]
     in_order = listed == list(range(len(config.t_grid)))

@@ -27,12 +27,13 @@ whose round-off stored d = 2 bound estimates carry bit for bit.
 
 Most points of a Poisson sample in a smooth body lie inside its floating
 body, which the hull contains with high probability, so they never become
-vertices.  :func:`prefiltered_hull` hands qhull only the points outside a
-core ball and proves afterwards that the dropped points changed nothing.
-Sampled balls in d = 2 and d = 3 use it.  In d = 3 it returns simplicial
-hulls, every sampled hull among them, in a canonical order, so their
-metrics depend on the vertex set alone and do not move with the points
-qhull was spared.
+vertices.  :func:`prefiltered_hull` hands qhull only the points outside
+the core ball that a sampled cloud carries (``bodies.floating_core``,
+for balls in d = 2 and d = 3) and proves afterwards that the dropped
+points changed nothing.  In d = 3 it returns simplicial hulls, every
+sampled hull among them, in a canonical order, so their metrics depend
+on the vertex set alone and do not move with the points qhull was
+spared.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull as _QhullHull
 
-from .bodies import Ball, PointCloud, ball_core_radius, unit_ball_volume
+from .bodies import PointCloud, unit_ball_volume
 
 __all__ = [
     "Polytope",
@@ -52,7 +53,6 @@ __all__ = [
     "convex_hull",
     "outer_hull",
     "prefiltered_hull",
-    "floating_core",
     "f_vector",
     "volume",
     "surface_measure",
@@ -292,12 +292,12 @@ def convex_hull(cloud: PointCloud | np.ndarray) -> Polytope:
     return poly
 
 
-def outer_hull(cloud: PointCloud | np.ndarray, center: np.ndarray,
-               rho: float, build=convex_hull) -> tuple[Polytope, float] | None:
-    """Hull of the points at distance >= rho from ``center``, and the least
-    distance from ``center`` to its facet planes.
+def outer_hull(cloud: PointCloud,
+               build=convex_hull) -> tuple[Polytope, float] | None:
+    """Hull of the cloud's points outside its core ball (center, rho), and
+    the least distance from the center to its facet planes.
 
-    ``source_indices`` refer to the cloud's rows (``PointCloud.outside``),
+    ``source_indices`` refer to the cloud's rows (``PointCloud.outer``),
     and ``build`` makes the hull.  Returns None when d or fewer points are
     that far out, or when their hull is not full-dimensional.
 
@@ -309,64 +309,44 @@ def outer_hull(cloud: PointCloud | np.ndarray, center: np.ndarray,
     when None is returned.  Up to ties at rho, which have probability zero
     for sampled points, this decides whether the full hull contains B_rho.
     """
-    if not isinstance(cloud, PointCloud):
-        cloud = PointCloud(np.shape(cloud)[1], cloud)
-    pts, keep = cloud.outside(center, rho)
+    pts, keep = cloud.outer
     if len(keep) <= cloud.dim:
         return None
     poly = build(pts)
     if not poly.is_full_dimensional():
         return None
     poly.source_indices = keep[poly.source_indices]
-    return poly, -poly.max_facet_excess(center)
+    return poly, -poly.max_facet_excess(cloud.core[0])
 
 
 def prefiltered_hull(cloud: PointCloud | np.ndarray,
-                     core: tuple[np.ndarray, float] | None,
                      build=convex_hull) -> Polytope:
-    """``build(cloud)``, with qhull given only the points outside the core.
+    """``build(cloud)``, with qhull given only the points outside the
+    cloud's core ball (center, rho).
 
-    ``core`` is a ball (center, rho), or None to hull every point.  The hull
-    of the points outside it (:func:`outer_hull`) is returned when every
+    The hull of those points (:func:`outer_hull`) is returned when every
     facet plane lies farther than rho (1 + REL_TOL) from the center; then
     it is the hull of the whole cloud, with ``source_indices`` into the
-    cloud.  Otherwise the whole cloud is hulled.  Callers pass their own
-    module's ``convex_hull`` as ``build``, so a profiler that wraps it
-    there sees every hull at its call site.
+    cloud.  Otherwise, or without a core, the whole cloud is hulled.
+    Callers pass their own module's ``convex_hull`` as ``build``, so a
+    profiler that wraps it there sees every hull at its call site.
 
-    A simplicial full-dimensional 3-D hull, which every sampled hull is,
-    is returned in canonical order on either branch
+    In d = 2 qhull gives the accepted outer hull the arrays of the hull of
+    all the points.  A simplicial full-dimensional 3-D hull, which every
+    sampled hull is, is returned in canonical order on either branch
     (:func:`_canonical_order`), so the accepted outer hull and the hull of
     all the points give bit-equal metrics.  Non-simplicial hulls (exact
     test bodies) keep qhull's order, whose triangulation of a merged
     facet depends on the input rows.
     """
-    got = None if core is None else outer_hull(cloud, *core, build=build)
+    core = cloud.core if isinstance(cloud, PointCloud) else None
+    got = None if core is None else outer_hull(cloud, build)
     accept = got is not None and got[1] > core[1] * (1.0 + REL_TOL)
     poly = got[0] if accept else build(cloud)
     if (poly.dim_ambient == 3 and poly.is_full_dimensional()
             and poly.is_simplicial):
         _canonical_order(poly)
     return poly
-
-
-def floating_core(body, t: float) -> tuple[np.ndarray, float] | None:
-    """Core ball for :func:`prefiltered_hull` of a Poisson sample of ``body``
-    at intensity t: the floating body at cap volume 2 log t / t of a ball
-    in d = 2 or d = 3.  None for every other body, and where that
-    floating body is undefined.
-
-    In d = 2 the hull of the outer points comes out of qhull with the same
-    vertex and facet arrays as the hull of all the points, so every
-    metric is bit-identical.  In d = 3 :func:`prefiltered_hull` puts both
-    hulls into one canonical order, which makes their metrics bit-equal.
-    In d >= 4 the outer hull misses the core too often to pay (57 of 100
-    draws accepted at t = 200).
-    """
-    if not (isinstance(body, Ball) and body.dim in (2, 3) and t > 1.0):
-        return None
-    rho = ball_core_radius(body.dim, body.radius, 2.0 * math.log(t) / t)
-    return None if rho is None else (body.center, rho)
 
 
 # det G > GRAM_DELTA tr(G)^d certifies full rank (see _certified_full_rank)

@@ -28,16 +28,11 @@ from .bodies import (
     ConvexBody,
     PointCloud,
     _unit_rows,
+    floating_core,
     floating_radius,
     sample_poisson_process,
 )
-from .hull import (
-    REL_TOL,
-    Polytope,
-    convex_hull,
-    floating_core,
-    prefiltered_hull,
-)
+from .hull import REL_TOL, Polytope, convex_hull, prefiltered_hull
 from .rng import map_blocks, substream
 
 __all__ = [
@@ -72,20 +67,20 @@ class _Rehuller:
 
     The hull of (cloud + extras) equals the hull of (hull vertices +
     extras), so after one full hull the add-one re-hulls touch only a
-    handful of points.  Given a ``core`` ball (:func:`floating_core`), the
-    base hull skips the points inside it.  The base hull is built on first
-    use; in the plane, :meth:`strictly_inside` often answers without it.
+    handful of points.  The base hull skips the points inside the cloud's
+    core ball, if it carries one (:func:`~randpoly.bodies.floating_core`).
+    It is built on first use; in the plane, :meth:`strictly_inside` often
+    answers without it.
     """
 
-    def __init__(self, cloud: PointCloud | np.ndarray, core=None):
+    def __init__(self, cloud: PointCloud | np.ndarray):
         if not isinstance(cloud, PointCloud) and np.ndim(cloud) == 2:
             cloud = PointCloud(np.shape(cloud)[1], cloud)
         self._cloud = cloud
-        self._core = core
 
     @functools.cached_property
     def base(self) -> Polytope:
-        return prefiltered_hull(self._cloud, self._core, convex_hull)
+        return prefiltered_hull(self._cloud, convex_hull)
 
     @functools.cached_property
     def _tol(self) -> float:
@@ -103,10 +98,11 @@ class _Rehuller:
     def _ring(self) -> tuple[np.ndarray, float] | None:
         """Coordinate rows of the planar points outside the core, and the
         certificate's m0; None where the certificate can prove nothing."""
-        cloud, core = self._cloud, self._core
+        cloud = self._cloud
         if not isinstance(cloud, PointCloud) or cloud.dim != 2:
             return None
-        pts = cloud.points if core is None else cloud.outside(*core)[0]
+        core = cloud.core
+        pts = cloud.points if core is None else cloud.outer[0]
         if len(pts) < 3:
             return None
         rows = np.ascontiguousarray(pts.T)
@@ -339,7 +335,7 @@ def _outer_block(body, t, vf, n_inner, rng, draw_points, core, k0, k1):
     """Rows (term1, term2, term3) of the outer steps k0..k1-1, shape
     (3, k1 - k0).  ``draw_points`` draws the integration points
     (:func:`_region_sampler`), and ``core`` is the base hulls' prefilter
-    ball (:func:`floating_core`).
+    ball (:func:`~randpoly.bodies.floating_core`).
 
     Step k draws only from ``substream(rng, k)``, so a block's rows do
     not depend on which process runs it or on the other blocks.  Per
@@ -363,8 +359,7 @@ def _outer_block(body, t, vf, n_inner, rng, draw_points, core, k0, k1):
         for g, idxs in enumerate(groups):
             for _ in idxs:
                 # one process draw: the standardized (D2_{x,y}, D1_x)
-                re = _Rehuller(sample_poisson_process(body, t, rk, core),
-                               core)
+                re = _Rehuller(sample_poisson_process(body, t, rk, core))
                 second, first = _differences(re, vf.fn, xs[g % 2], xs[2],
                                              g >= 2)
                 d2[g] += (second / vf.scales) ** 4

@@ -27,18 +27,13 @@ from scipy import special
 from .bodies import (
     Ball,
     body_from_spec,
+    floating_core,
     floating_radius,
     sample_poisson_process,
 )
 from .config import ExperimentConfig
 from .functionals import build_evaluators
-from .hull import (
-    convex_hull,
-    f_vector,
-    floating_core,
-    outer_hull,
-    prefiltered_hull,
-)
+from .hull import convex_hull, f_vector, outer_hull, prefiltered_hull
 from .rng import map_blocks, stream, substream
 
 __all__ = [
@@ -117,7 +112,8 @@ class ReplicationTable:
     @staticmethod
     def read_csv(path: str | Path) -> "ReplicationTable":
         """The table of :meth:`write_csv`; ValueError where the CSV has no
-        data rows or their width is not the header's."""
+        data rows, their width is not the header's, or the sidecar lists
+        other columns than the header."""
         path = Path(path)
         meta = json.loads(path.with_suffix(".meta.json").read_text())
         with open(path) as fh:
@@ -129,6 +125,9 @@ class ReplicationTable:
         if data.shape[1] != len(header):
             raise ValueError(f"{path.name} has {data.shape[1]} data columns "
                              f"under {len(header)} header names")
+        if meta["columns"] != header:
+            raise ValueError(f"{path.name} has the columns {header}, its "
+                             f"sidecar {meta['columns']}")
         cols = {name: data[:, i].copy() for i, name in enumerate(header)}
         return ReplicationTable(
             t=meta["t"], t_index=meta["t_index"], body=meta["body"],
@@ -146,7 +145,7 @@ def _block_rows(body, evaluators, core, t, t_index, seed, mode, n_dirs,
     for r in range(rep_start, rep_stop):
         rng = stream(seed, t_index, r)
         cloud = sample_poisson_process(body, t, rng, core)
-        poly = prefiltered_hull(cloud, core, convex_hull)
+        poly = prefiltered_hull(cloud, convex_hull)
         fv = f_vector(poly)
         if fv[0] > len(cloud):
             raise RuntimeError("hull has more vertices than sample points")
@@ -363,11 +362,11 @@ def sandwich_probability(body: Ball, t: float, c: float, n_reps: int,
     if not isinstance(n_reps, (int, np.integer)) or n_reps < 1:
         raise ValueError(f"n_reps must be an integer >= 1, not {n_reps!r}")
     rho = floating_radius(body, t, c)
-    core = body.center, rho
     hits = 0
     for i in range(n_reps):
-        cloud = sample_poisson_process(body, t, substream(rng, i), core)
-        got = outer_hull(cloud, *core, convex_hull)
+        cloud = sample_poisson_process(body, t, substream(rng, i),
+                                       (body.center, rho))
+        got = outer_hull(cloud, convex_hull)
         if got is not None and got[1] >= rho:
             hits += 1
     return hits / n_reps

@@ -340,7 +340,7 @@ class TestBodySpecs:
 
 def test_each_radius_solver_has_one_caller():
     """Inside the package only ``bodies.floating_radius`` reads
-    ``ball_floating_body_radius`` and only ``hull.floating_core`` reads
+    ``ball_floating_body_radius`` and only ``bodies.floating_core`` reads
     ``ball_core_radius``, so a change of solver touches one function
     each."""
     solvers = {"ball_floating_body_radius", "ball_core_radius"}
@@ -369,7 +369,24 @@ def test_each_radius_solver_has_one_caller():
     for path in Path(randpoly.__file__).parent.glob("*.py"):
         Reads(path.stem).visit(ast.parse(path.read_text()))
     assert readers == {("ball_floating_body_radius", "bodies.floating_radius"),
-                       ("ball_core_radius", "hull.floating_core")}
+                       ("ball_core_radius", "bodies.floating_core")}
+
+
+def test_hull_imports_no_body_class():
+    """``hull`` takes only ``PointCloud`` and ``unit_ball_volume`` from
+    ``bodies``: a sampled cloud carries its own prefilter core, so the hull
+    layer needs no body class and no radius solver."""
+    tree = ast.parse((Path(randpoly.__file__).parent / "hull.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            from_bodies = (node.module or "").split(".")[-1] == "bodies"
+            imported |= {a.name for a in node.names
+                         if from_bodies or a.name == "bodies"}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names
+                         if a.name.split(".")[-1] == "bodies"}
+    assert imported == {"PointCloud", "unit_ball_volume"}
 
 
 def test_every_private_helper_has_a_caller():

@@ -457,6 +457,39 @@ class TestRunAndManifest:
         assert verify(path.with_name("manifest.json"), quiet=True)["ok"]
         assert walked[0] == "rate_fits"
 
+    # the sidecar's n_reps is the table's length, and its columns are the
+    # header's, or the table does not read
+    @pytest.mark.parametrize("field, value, check", [
+        ("seed", 99, "sidecar matches the config"),
+        ("body.radius", 7.0, "sidecar matches the config"),
+        ("t", 41.0, "sidecar matches the config"),
+        ("t_index", 1, "sidecar matches the config"),
+        ("n_reps", 41, "readable"),
+        ("columns", ["x"], "readable")])
+    def test_verify_checks_the_table_sidecar(self, tmp_path, field, value,
+                                             check):
+        """Each table's sidecar must hold the config's t, t_index, body,
+        n_reps and seed, and the CSV header's columns.  The checksums and
+        the report's re-derivation see no edit of its seed, body or
+        columns."""
+        run(tiny_raw(), outdir=tmp_path)
+        manifest = tmp_path / "tiny" / "manifest.json"
+        checks = verify(manifest, quiet=True)["checks"]
+        assert [c["name"] for c in checks if "sidecar" in c["name"]] == [
+            f"table table_t{i}.csv sidecar matches the config"
+            for i in range(3)]
+        meta = tmp_path / "tiny" / "table_t0.meta.json"
+        stored = json.loads(meta.read_text())
+        *parents, key = field.split(".")
+        block = stored
+        for p in parents:
+            block = block[p]
+        block[key] = value
+        meta.write_text(json.dumps(stored))
+        failed = [c["name"] for c in verify(manifest, quiet=True)["checks"]
+                  if not c["passed"]]
+        assert f"table table_t0.csv {check}" in failed
+
     def test_manifest_round_trip(self, tmp_path):
         run(tiny_raw(t_grid=[30.0], n_reps=10), outdir=tmp_path)
         path = tmp_path / "tiny" / "manifest.json"
@@ -465,6 +498,24 @@ class TestRunAndManifest:
         assert set(stored) == {"config", "config_hash", "version", "status",
                                "wall_seconds", "seeds", "tables", "reports",
                                "preset", "error"}
+
+    def test_manifest_names_the_report_streams(self, tmp_path, monkeypatch):
+        """The manifest's stage keys name the streams that the report's
+        bootstrap bands and its error-term estimate draw from."""
+        drawn = []
+        monkeypatch.setattr(experiment, "stream",
+                            lambda *key: drawn.append(key) or stream(*key))
+        manifest = run(tiny_raw(t_grid=[30.0, 60.0], n_reps=20, malliavin={
+            "t": 60.0, "n_outer": 2, "n_inner": 4, "functional": "V_2"}),
+            outdir=tmp_path, workers=1)
+        assert manifest.seeds == {
+            "base": 3,
+            "replication_stage_key": "(seed, t_index, rep_index)",
+            "malliavin_stage_key": "(seed, 1000003, t_index)",
+            "bootstrap_stage_key": "(seed, 1000019, t_index)",
+        }
+        assert sorted(drawn) == [(3, 1000003, 1), (3, 1000019, 0),
+                                 (3, 1000019, 1)]
 
     @pytest.mark.parametrize("workers, message", [
         (0, "must be >= 1"), (-2, "must be >= 1"),

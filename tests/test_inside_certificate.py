@@ -15,8 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randpoly import malliavin
-from randpoly.bodies import Ball, sample_poisson_process
-from randpoly.hull import convex_hull, floating_core, prefiltered_hull, volume
+from randpoly.bodies import (
+    Ball,
+    PointCloud,
+    floating_core,
+    sample_poisson_process,
+)
+from randpoly.hull import convex_hull, prefiltered_hull, volume
 from randpoly.malliavin import (
     _INSIDE_TOL,
     _Rehuller,
@@ -78,11 +83,12 @@ def probe_points(pts):
 @given(planar_clouds())
 def test_certified_points_pass_the_facet_test(cloud):
     pts, core = cloud
+    with_core = PointCloud(2, pts, core)
     certified = [x for x in probe_points(pts)
-                 if _Rehuller(pts, core)._certified_inside(x)]
+                 if _Rehuller(with_core)._certified_inside(x)]
     if not certified:
         return
-    poly = prefiltered_hull(pts, core)
+    poly = prefiltered_hull(with_core)
     assert poly.is_full_dimensional()
     tol = _INSIDE_TOL * max(1.0, poly.diameter)
     for x in certified:
@@ -118,7 +124,8 @@ def test_certificate_needs_three_directions():
     assert not _Rehuller(far)._certified_inside(np.zeros(2))
     # two points outside the core leave too few directions
     core = (np.zeros(2), float(np.sort(np.linalg.norm(pts, axis=1))[-3]))
-    assert not _Rehuller(pts, core)._certified_inside(np.zeros(2))
+    assert not _Rehuller(PointCloud(2, pts, core))._certified_inside(
+        np.zeros(2))
     assert _Rehuller(pts)._certified_inside(np.zeros(2))
 
 
@@ -141,8 +148,8 @@ def test_certified_draw_builds_no_hull(hull_calls):
     rng = stream(172)
     x, y = np.array([0.5, 0.0]), np.array([0.0, 0.5])
     for _ in range(5):
-        cloud = sample_poisson_process(body, t, rng)
-        re = _Rehuller(cloud, floating_core(body, t))
+        re = _Rehuller(sample_poisson_process(body, t, rng,
+                                              floating_core(body, t)))
         assert malliavin._differences(re, volume, x, y, True) == (0.0, 0.0)
     assert hull_calls == []
 

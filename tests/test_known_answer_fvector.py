@@ -34,9 +34,8 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from randpoly.bodies import Ball
+from randpoly.bodies import Ball, floating_core
 from randpoly.config import ExperimentConfig
-from randpoly.hull import floating_core
 from randpoly.stats import run_replications
 
 # (d, t, replications), each row with its own seed; fixed before the

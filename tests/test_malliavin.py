@@ -162,6 +162,22 @@ class TestBounds:
         with pytest.raises(ValueError):
             self._tau(-1, 0, 0)
 
+    @pytest.mark.parametrize("t1, t2, expected", [
+        # Var = se1^2 / t1 + se2^2 / (4 t2) + se3^2 = 0.01 + 0.01 + 0.01
+        (4.0, 9.0, math.sqrt(0.03)),
+        # a zero term has no derivative and adds nothing
+        (0.0, 9.0, math.sqrt(0.02)),
+        (4.0, 0.0, math.sqrt(0.02)),
+        (0.0, 0.0, 0.1),
+    ])
+    def test_bound_standard_error_is_the_delta_method(self, t1, t2,
+                                                      expected):
+        """SE of 2 sqrt(tau1) + sqrt(tau2) + tau3 at se = (0.2, 0.6, 0.1),
+        from the derivatives 1 / sqrt(tau1), 1 / (2 sqrt(tau2)) and 1."""
+        tau = TauEstimate(t1, t2, 0.5, se1=0.2, se2=0.6, se3=0.1)
+        assert tau.bound_standard_error() == pytest.approx(expected,
+                                                           rel=1e-15)
+
     @pytest.mark.parametrize("se", [-1e-3, math.inf, math.nan])
     def test_bad_standard_error_rejected(self, se):
         with pytest.raises(ValueError, match="standard errors"):

@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from randpoly.bodies import (
     Ball,
     Cube,
+    PointCloud,
     ball_core_radius,
     ball_floating_body_radius,
+    floating_core,
     sample_poisson_process,
 )
 from randpoly.hull import (
@@ -29,7 +31,6 @@ from randpoly.hull import (
     convex_hull,
     exact_intrinsic_volumes,
     f_vector,
-    floating_core,
     hull_facets_as_source_sets,
     outer_hull,
     prefiltered_hull,
@@ -86,11 +87,12 @@ def test_accepted_outer_hull_has_the_facets_of_the_full_hull(d):
     def check(drawn):
         ball, t, cloud = drawn
         core = core_of(ball, t)
-        got = None if core is None else outer_hull(cloud.points, *core)
+        with_core = PointCloud(d, cloud.points, core)
+        got = None if core is None else outer_hull(with_core)
         full = convex_hull(cloud)
         if got is None or not got[1] > core[1] * (1.0 + REL_TOL):
             seen["fallback"] += 1
-            poly = prefiltered_hull(cloud, core)
+            poly = prefiltered_hull(with_core)
             assert hull_facets_as_source_sets(poly) == \
                 hull_facets_as_source_sets(full)
             return
@@ -99,10 +101,10 @@ def test_accepted_outer_hull_has_the_facets_of_the_full_hull(d):
             hull_facets_as_source_sets(full)
         assert floating_core(ball, t)[1] == core[1]
         if d == 2:
-            assert_same_polytope(prefiltered_hull(cloud, core), full)
+            assert_same_polytope(prefiltered_hull(with_core), full)
         else:  # the accepted hull against the hull of every point
-            assert_same_metrics(prefiltered_hull(cloud, core),
-                                prefiltered_hull(cloud, None))
+            assert_same_metrics(prefiltered_hull(with_core),
+                                prefiltered_hull(cloud))
 
     check()
     # the strategy reaches both branches
@@ -114,20 +116,33 @@ def test_fallback_hulls_the_whole_cloud():
     # is not inside it, and the inner point (0, -0.4) is a vertex
     pts = np.array([[1.0, 0.0], [0.05, 0.1], [-1.0, 0.0], [0.0, -0.4],
                     [0.0, 1.0]])
-    core = (np.zeros(2), 0.5)
-    poly, dist = outer_hull(pts, *core)
+    cloud = PointCloud(2, pts, (np.zeros(2), 0.5))
+    poly, dist = outer_hull(cloud)
     assert sorted(poly.source_indices) == [0, 2, 4]
     assert dist < 0.5
-    full = prefiltered_hull(pts, core)
+    full = prefiltered_hull(cloud)
     assert sorted(full.source_indices) == [0, 2, 3, 4]
     assert_same_polytope(full, convex_hull(pts))
 
 
 def test_too_few_outer_points_hull_the_whole_cloud():
     pts = np.array([[0.1, 0.0], [0.0, 0.1], [-0.1, -0.1], [2.0, 0.0]])
-    core = (np.zeros(2), 0.5)
-    assert outer_hull(pts, *core) is None
-    assert_same_polytope(prefiltered_hull(pts, core), convex_hull(pts))
+    cloud = PointCloud(2, pts, (np.zeros(2), 0.5))
+    assert outer_hull(cloud) is None
+    assert_same_polytope(prefiltered_hull(cloud), convex_hull(pts))
+
+
+def test_flat_outer_points_hull_the_whole_cloud():
+    # three outer points on the x-axis: more than d, but their hull is a
+    # segment, so the inner points (0, +-0.2) are vertices
+    pts = np.array([[-1.0, 0.0], [0.0, 0.2], [1.0, 0.0], [0.0, -0.2],
+                    [2.0, 0.0]])
+    cloud = PointCloud(2, pts, (np.zeros(2), 0.5))
+    assert len(cloud.outer[1]) == 3
+    assert outer_hull(cloud) is None
+    full = prefiltered_hull(cloud)
+    assert sorted(full.source_indices) == [0, 1, 3, 4]
+    assert_same_polytope(full, convex_hull(pts))
 
 
 @PROPERTY
@@ -138,7 +153,7 @@ def test_canonical_hull_metrics_do_not_depend_on_the_row_order(drawn, seed):
     if len(pts) <= 3:
         return
     perm = np.random.default_rng(seed).permutation(len(pts))
-    a, b = prefiltered_hull(pts, None), prefiltered_hull(pts[perm], None)
+    a, b = prefiltered_hull(pts), prefiltered_hull(pts[perm])
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(perm[b.source_indices], a.source_indices)
     assert_same_metrics(a, b)
@@ -149,7 +164,7 @@ def test_canonical_order_keeps_the_facets_of_a_cube():
     pts = np.vstack([cube, stream(5).uniform(0.1, 0.9, (20, 3))])
     for seed in range(5):
         perm = stream(6, seed).permutation(len(pts))
-        poly = prefiltered_hull(pts[perm], None)
+        poly = prefiltered_hull(pts[perm])
         assert not poly.is_simplicial
         assert hull_facets_as_source_sets(poly) == \
             hull_facets_as_source_sets(convex_hull(pts[perm]))

@@ -2,12 +2,13 @@
 outside it.
 
 ``sample_poisson_process(body, t, rng, core)`` takes the same numbers from
-the generator as the draw without a core.  Balls with random centres (up
-to 1e3), radii 0.1-10 and expected sizes 4-5000 check, bit for bit, that
-its rows outside the core are the eager draw's rows at distance >= rho
-from the centre, that reading ``points`` gives the eager rows, that the
-prefilter builds the inner rows only when it falls back, and that the
-hulls and ``sandwich_probability`` equal those of eager draws.
+the generator as the draw without a core, and its cloud carries the core.
+Balls with random centres (up to 1e3), radii 0.1-10 and expected sizes
+4-5000 check, bit for bit, that its rows outside the core are the eager
+draw's rows at distance >= rho from the centre, that reading ``points``
+gives the eager rows, that the prefilter builds the inner rows only when
+it falls back, and that the hulls and ``sandwich_probability`` equal those
+of eager draws.
 """
 import math
 
@@ -20,6 +21,7 @@ from randpoly.bodies import (
     _CoreSplitSample,
     Cube,
     Ellipsoid,
+    PointCloud,
     floating_radius,
     sample_poisson_process,
 )
@@ -81,17 +83,18 @@ def test_split_draw_matches_the_eager_draw():
             return
 
         # the prefilter builds the inner rows only when it falls back
-        got = outer_hull(eager.points, *core)
+        with_core = PointCloud(ball.dim, eager.points, core)
+        got = outer_hull(with_core)
         accepted = got is not None and got[1] > core[1] * (1.0 + REL_TOL)
         branches.add(accepted)
-        poly = prefiltered_hull(split, core)
+        poly = prefiltered_hull(split)
         assert ("points" in vars(split)) is not accepted
-        assert_same_hull(poly, prefiltered_hull(eager, core))
+        assert_same_hull(poly, prefiltered_hull(with_core))
 
         keep = outside_core(eager.points.T, *core)
         for cloud in (split, sample_poisson_process(ball, t, stream(seed),
                                                     core)):
-            rows, index = cloud.outside(*core)
+            rows, index = cloud.outer
             assert np.array_equal(index, np.flatnonzero(keep))
             assert rows.tobytes() == eager.points[keep].tobytes()
             assert cloud.points.tobytes() == eager.points.tobytes()
@@ -106,15 +109,10 @@ def test_rows_read_first_give_the_same_outer_rows():
     eager = sample_poisson_process(ball, t, stream(40))
     split = sample_poisson_process(ball, t, stream(40), core)
     assert split.points.tobytes() == eager.points.tobytes()
-    rows, index = split.outside(*core)
+    rows, index = split.outer
     keep = outside_core(eager.points.T, *core)
     assert np.array_equal(index, np.flatnonzero(keep))
     assert rows.tobytes() == eager.points[keep].tobytes()
-    # another core is tested row by row
-    other = (core[0], 0.5 * core[1])
-    rows, index = split.outside(*other)
-    keep = outside_core(eager.points.T, *other)
-    assert np.array_equal(index, np.flatnonzero(keep))
 
 
 def test_rows_at_the_core_radius_take_the_exact_test():
@@ -124,9 +122,9 @@ def test_rows_at_the_core_radius_take_the_exact_test():
     rng = stream(42)
     g = rng.standard_normal((n, 3))
     u = (rho / ball.radius) ** 3 * (1.0 + rng.uniform(-1e-9, 1e-9, n))
-    split = _CoreSplitSample(ball, g.copy(), u, ball.center, rho)
+    split = _CoreSplitSample(ball, g.copy(), u, (ball.center, rho))
     eager = ball._rows(g.copy(), u)
-    rows, index = split.outside(ball.center, rho)
+    rows, index = split.outer
     keep = outside_core(eager.T, ball.center, rho)
     assert 0 < keep.sum() < n
     assert np.array_equal(index, np.flatnonzero(keep))
@@ -135,10 +133,11 @@ def test_rows_at_the_core_radius_take_the_exact_test():
 
 def test_bodies_without_a_split_keep_the_eager_draw():
     for body in (Ellipsoid(2, semi_axes=[1.0, 0.5]), Cube(3)):
+        core = (np.zeros(body.dim), 0.1)
         a = sample_poisson_process(body, 200.0, stream(41))
-        b = sample_poisson_process(body, 200.0, stream(41),
-                                   (np.zeros(body.dim), 0.1))
+        b = sample_poisson_process(body, 200.0, stream(41), core)
         assert type(b) is type(a)
+        assert a.core is None and b.core is core
         assert b.points.tobytes() == a.points.tobytes()
 
 
@@ -148,7 +147,8 @@ def reference_sandwich(body, t, c, n_reps, rng):
     hits = 0
     for i in range(n_reps):
         cloud = sample_poisson_process(body, t, substream(rng, i))
-        got = outer_hull(cloud.points, body.center, rho, convex_hull)
+        got = outer_hull(PointCloud(body.dim, cloud.points,
+                                    (body.center, rho)), convex_hull)
         hits += got is not None and got[1] >= rho
     return hits / n_reps
 

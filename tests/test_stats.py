@@ -92,6 +92,8 @@ class TestRunReplications:
         ("", "no data rows"),
         ("1,2\n3,4\n", "2 data columns under 3 header names"),
         ("1,2,3,4\n", "4 data columns under 3 header names"),
+        # rows of the right width, under names the sidecar does not list
+        ("1,2,3\n", r"columns \['a', 'b', 'c'\], its sidecar"),
     ])
     def test_csv_rows_must_match_the_header(self, tmp_path, body, message):
         table = run_replications(small_config(n_reps=2))

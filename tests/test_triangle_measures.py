@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from randpoly import hull
-from randpoly.bodies import Ball, sample_poisson_process
+from randpoly.bodies import Ball, floating_core, sample_poisson_process
 from randpoly.hull import (
     _canonical_order,
     _haar_bases,
@@ -31,7 +31,6 @@ from randpoly.hull import (
     convex_hull,
     exact_intrinsic_volumes,
     f_vector,
-    floating_core,
     intrinsic_volume_mc,
     prefiltered_hull,
     surface_measure,
@@ -109,7 +108,7 @@ def _measures(poly):
 
 def test_reordering_drops_the_cached_triangles():
     pts = Ball(3).sample_uniform(stream(36), 200)
-    fresh = _measures(prefiltered_hull(pts, None))
+    fresh = _measures(prefiltered_hull(pts))
     poly = convex_hull(pts)
     # qhull's order sums the same terms to other bits
     assert _measures(poly) != fresh
@@ -150,8 +149,8 @@ def test_no_determinant_on_the_3d_path(monkeypatch):
 
 def test_pins_3d_mean_width_and_face_counts():
     a = convex_hull(Ball(3).sample_uniform(stream(31), 40))
-    b = prefiltered_hull(sample_poisson_process(Ball(3), 500.0, stream(32)),
-                         floating_core(Ball(3), 500.0))
+    b = prefiltered_hull(sample_poisson_process(
+        Ball(3), 500.0, stream(32), floating_core(Ball(3), 500.0)))
     assert exact_intrinsic_volumes(a)[1] == 3.34166293359442
     assert f_vector(a).counts == (25, 69, 46)
     assert exact_intrinsic_volumes(b)[1] == 3.9085207263827084
