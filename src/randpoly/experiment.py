@@ -36,6 +36,7 @@ from .stats import (
     CSV_FLOAT_FORMAT,
     ReplicationTable,
     covariance_matrix,
+    is_constant,
     rate_fit,
     run_replications,
     variance_identity_check,
@@ -136,8 +137,8 @@ def _summarize_table(table: ReplicationTable, seed: int) -> dict:
     replications) array, and rounds as the 1-D call on each column would."""
     names = [n for n in table.names if n != "n_points"]
     rows = table.matrix(names).T.copy()
-    var = rows.var(axis=1, ddof=1)
-    vary = var > 0.0
+    vary = ~is_constant(rows)
+    var = np.where(vary, rows.var(axis=1, ddof=1), 0.0)
     varying = [n for n, v in zip(names, vary) if v]
     out = {
         "t": table.t,
@@ -173,7 +174,7 @@ def _resample_correlations(res: np.ndarray, rows, cols) -> np.ndarray:
     where a column is constant in r.  The steps are ``np.corrcoef``'s
     (centre, one gemm per resample, scale, divide by the deviations,
     clip), so each value rounds as ``np.corrcoef`` rounds it."""
-    const = (res == res[:, :1]).all(axis=1)
+    const = is_constant(res, axis=1)
     res -= res.mean(axis=1, keepdims=True)
     cov = res.transpose(0, 2, 1) @ res
     cov *= np.true_divide(1, res.shape[1] - 1)
@@ -509,12 +510,17 @@ def verify(manifest_path, quiet: bool = False) -> dict:
         # the sidecar must hold the t, t_index, body, n_reps and seed that
         # run_replications gives the listed t_index
         ti = entry["t_index"]
-        want = ((config.t_grid[int(ti)], ti, config.body,
-                 config.n_reps[int(ti)], config.seed)
-                if ti in range(len(config.t_grid)) else None)
+        t = config.t_grid[int(ti)] if ti in range(len(config.t_grid)) else None
+        want = ((t, ti, config.body, config.n_reps[int(ti)], config.seed)
+                if t is not None else None)
         got = (table.t, table.t_index, table.body, table.n_reps, table.seed)
         check(f"table {p.name} sidecar matches the config", got == want,
               "" if got == want else f"sidecar {got}, config {want}")
+        # the manifest entry must hold that t and the sidecar's path
+        want = (t, str(p.with_suffix(".meta.json")))
+        got = (entry["t"], entry["meta"])
+        check(f"table {p.name} manifest entry matches the config",
+              got == want, "" if got == want else f"entry {got}, want {want}")
 
     listed = [entry["t_index"] for entry in manifest.tables]
     in_order = listed == list(range(len(config.t_grid)))

@@ -33,7 +33,7 @@ from .bodies import (
     sample_poisson_process,
 )
 from .hull import REL_TOL, Polytope, convex_hull, prefiltered_hull
-from .rng import map_blocks, substream
+from .rng import map_items, substream
 
 __all__ = [
     "TauEstimate",
@@ -320,7 +320,7 @@ def _region_sampler(body: ConvexBody, t: float, sampling: str, shell_c: float):
     and the boundary; balls only.  Differences vanish off the shell except
     on the rare event that the floating body is not contained in the hull,
     so the shell estimate is the restricted integral.  The sampler
-    pickles, and a pool block that receives it finds no radius itself.
+    pickles, and a pool worker that receives it finds no radius itself.
     """
     if sampling == "plain":
         return body.sample_uniform, body.volume
@@ -331,50 +331,44 @@ def _region_sampler(body: ConvexBody, t: float, sampling: str, shell_c: float):
     raise ValueError(f"unknown sampling {sampling!r}")
 
 
-def _outer_block(body, t, vf, n_inner, rng, draw_points, core, k0, k1):
-    """Rows (term1, term2, term3) of the outer steps k0..k1-1, shape
-    (3, k1 - k0).  ``draw_points`` draws the integration points
-    (:func:`_region_sampler`), and ``core`` is the base hulls' prefilter
-    ball (:func:`~randpoly.bodies.floating_core`).
+def _outer_step(body, t, vf, n_inner, rng, draw_points, core, k):
+    """Terms (term1, term2, term3) of outer step k.  ``draw_points`` draws
+    the integration points (:func:`_region_sampler`), and ``core`` is the
+    base hulls' prefilter ball (:func:`~randpoly.bodies.floating_core`).
 
-    Step k draws only from ``substream(rng, k)``, so a block's rows do
-    not depend on which process runs it or on the other blocks.  Per
+    The step draws only from ``substream(rng, k)``, so its terms do not
+    depend on which process runs it or on the other steps.  Per
     integration triple, the n_inner independent process draws are split
     round-robin into four disjoint groups so that every factor of a moment
     product is estimated from its own draws (a product of independent
     unbiased estimates is unbiased for the product of moments).
     """
-    terms = np.empty((3, k1 - k0))
     groups = [range(g, n_inner, 4) for g in range(4)]
     sizes = np.array([len(g) for g in groups])
+    rk = substream(rng, k)
+    xs = draw_points(rk, 3)
+    # Group g estimates E (D2_{x_{g mod 2}, x_3})^4, so x_1 and x_2 get
+    # two independent copies each; groups 2 and 3 also estimate
+    # E (D1)^4 and E |D1|^3 at their point, rows 0 and 1 of d1[g - 2].
+    d2 = np.zeros((4, len(vf.labels)))
+    d1 = np.zeros((2, 2, len(vf.labels)))
+    for g, idxs in enumerate(groups):
+        for _ in idxs:
+            # one process draw: the standardized (D2_{x,y}, D1_x)
+            re = _Rehuller(sample_poisson_process(body, t, rk, core))
+            second, first = _differences(re, vf.fn, xs[g % 2], xs[2], g >= 2)
+            d2[g] += (second / vf.scales) ** 4
+            if g >= 2:
+                first = first / vf.scales
+                d1[g - 2] += first ** 4, np.abs(first) ** 3
+    d2 /= sizes[:, None]
+    d1 /= sizes[2:, None, None]
 
-    for k in range(k0, k1):
-        rk = substream(rng, k)
-        xs = draw_points(rk, 3)
-        # Group g estimates E (D2_{x_{g mod 2}, x_3})^4, so x_1 and x_2 get
-        # two independent copies each; groups 2 and 3 also estimate
-        # E (D1)^4 and E |D1|^3 at their point, rows 0 and 1 of d1[g - 2].
-        d2 = np.zeros((4, len(vf.labels)))
-        d1 = np.zeros((2, 2, len(vf.labels)))
-        for g, idxs in enumerate(groups):
-            for _ in idxs:
-                # one process draw: the standardized (D2_{x,y}, D1_x)
-                re = _Rehuller(sample_poisson_process(body, t, rk, core))
-                second, first = _differences(re, vf.fn, xs[g % 2], xs[2],
-                                             g >= 2)
-                d2[g] += (second / vf.scales) ** 4
-                if g >= 2:
-                    first = first / vf.scales
-                    d1[g - 2] += first ** 4, np.abs(first) ** 3
-        d2 /= sizes[:, None]
-        d1 /= sizes[2:, None, None]
-
-        s_ab = float(((d2[0] * d2[1]) ** 0.25).sum())
-        s_ce = float(((d1[0, 0] * d1[1, 0]) ** 0.25).sum())
-        s_a2b2 = float(((d2[2] * d2[3]) ** 0.25).sum())
-        terms[:, k - k0] = (s_ab * s_ce, s_ab * s_a2b2,
-                            0.5 * float(d1[0, 1].sum() + d1[1, 1].sum()))
-    return terms
+    s_ab = float(((d2[0] * d2[1]) ** 0.25).sum())
+    s_ce = float(((d1[0, 0] * d1[1, 0]) ** 0.25).sum())
+    s_a2b2 = float(((d2[2] * d2[3]) ** 0.25).sum())
+    return (s_ab * s_ce, s_ab * s_a2b2,
+            0.5 * float(d1[0, 1].sum() + d1[1, 1].sum()))
 
 
 def estimate_taus(
@@ -425,11 +419,11 @@ def estimate_gammas(
     d_3 bound for the covariance of the standardized vector itself, so
     no covariance matrix enters the estimate.
 
-    The outer steps run in contiguous blocks (:func:`_outer_block`), in a
-    process pool when ``workers > 1``, which needs a picklable functional;
-    each block receives the sampler and the prefilter core built here.
-    Their rows are stacked in step order and reduced the same way for any
-    worker count, so the estimates are bit-identical across worker counts.
+    The outer steps (:func:`_outer_step`) run in a process pool when
+    ``workers > 1``, which needs a picklable functional; each step
+    receives the sampler and the prefilter core built here.  Their terms
+    are stacked in step order into one contiguous row per term, reduced
+    the same way for any worker count, so the estimates are bit-identical.
     """
     if n_inner < 4:
         raise ValueError("n_inner must be >= 4: the moment products combine "
@@ -446,11 +440,11 @@ def estimate_gammas(
                 f"function or class instance): {exc}"
             ) from exc
 
-    rows = np.hstack(map_blocks(
-        _outer_block, n_outer, workers,
+    rows = map_items(
+        _outer_step, n_outer, workers,
         (body, t, vector_functional, n_inner, rng, draw_points,
          floating_core(body, t)),
-    ))
+    ).T.copy()
     w = t * region_volume  # terms 1 and 2 are triple integrals, 3 single
     weights = (w**3, w**3, w)
     means = [max(wk * math.fsum(r) / n_outer, 0.0)

@@ -4,11 +4,11 @@ Every stochastic routine in this package takes an explicit
 ``numpy.random.Generator``.  Streams are derived from a base seed plus an
 integer key path (e.g. ``(t_index, rep_index)``) through a counter-based
 Philox generator, so results are bit-identical no matter how replications
-are scheduled across workers.  :func:`map_blocks` is that scheduler: it
-splits a range of work items into contiguous blocks and returns their
-results in item order, in one process or in a process pool.  Its callers
-build what a block needs once and pass it in as arguments, so a worker
-rebuilds nothing and imports nothing of its own.  Inside a
+are scheduled across workers.  :func:`map_items` is that scheduler: it
+computes one result per work item, in contiguous blocks of items, and
+returns them in item order, in one process or in a process pool.  Its
+callers build what an item needs once and pass it in as arguments, so a
+worker rebuilds nothing and imports nothing of its own.  Inside a
 :func:`shared_pool` block, which ``experiment.run`` opens around a whole
 run, every such pool is one pool: the replications of every intensity and
 the outer loop of the error-term estimate start no processes of their own.
@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-__all__ = ["stream", "substream", "map_blocks", "shared_pool"]
+__all__ = ["stream", "substream", "map_items", "shared_pool"]
 
 # the pool of the enclosing shared_pool block, if any
 _shared: ProcessPoolExecutor | None = None
@@ -52,34 +52,37 @@ def substream(rng: np.random.Generator, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(child))
 
 
-def map_blocks(fn, n: int, workers: int, args: tuple = ()) -> list:
-    """``[fn(*args, start, stop), ...]`` over contiguous blocks covering
-    ``range(n)``, in block order.
+def _items(fn, args: tuple, items: range) -> np.ndarray:
+    return np.array([fn(*args, k) for k in items])
 
-    With ``workers <= 1`` this is the single call ``fn(*args, 0, n)`` in
-    this process.  Otherwise about four blocks per worker run in a
-    process pool, so ``fn`` and ``args`` must be picklable: the pool of
-    the enclosing :func:`shared_pool` block, or else a block of this
-    call's own.  Each work item must draw only from its own keyed stream;
-    then the concatenated results do not depend on ``workers``.
+
+def map_items(fn, n: int, workers: int, args: tuple = ()) -> np.ndarray:
+    """``np.array([fn(*args, k) for k in range(n)])``.
+
+    With ``workers <= 1`` the items run in this process.  Otherwise they
+    run in about four contiguous blocks per worker in a process pool, so
+    ``fn`` and ``args`` must be picklable: the pool of the enclosing
+    :func:`shared_pool` block, or else a pool of this call's own.  When
+    each item draws only from its own keyed stream, the result does not
+    depend on ``workers``.
     """
     if workers <= 1:
-        return [fn(*args, 0, n)]
+        return _items(fn, args, range(n))
     chunk = max(1, math.ceil(n / (workers * 4)))
-    starts = range(0, n, chunk)
-    stops = [min(s + chunk, n) for s in starts]
+    blocks = [range(s, min(s + chunk, n)) for s in range(0, n, chunk)]
     with shared_pool(workers):
-        return list(_shared.map(functools.partial(fn, *args), starts, stops))
+        return np.concatenate(list(_shared.map(
+            functools.partial(_items, fn, args), blocks)))
 
 
 @contextlib.contextmanager
 def shared_pool(workers: int):
-    """Serve every :func:`map_blocks` call in the block from one process
+    """Serve every :func:`map_items` call in the block from one process
     pool of ``workers`` processes, shut down when the block exits, also
     by an exception.
 
-    The workers start at the first such call, and each block gets its
-    inputs from the caller as :func:`map_blocks` arguments, so nothing
+    The workers start at the first such call, and each item gets its
+    inputs from the caller as :func:`map_items` arguments, so nothing
     depends on what this process has imported by then.  With
     ``workers <= 1``, or inside another such block, this does nothing.
     """

@@ -34,7 +34,7 @@ from .bodies import (
 from .config import ExperimentConfig
 from .functionals import build_evaluators
 from .hull import convex_hull, f_vector, outer_hull, prefiltered_hull
-from .rng import map_blocks, stream, substream
+from .rng import map_items, stream, substream
 
 __all__ = [
     "ReplicationTable",
@@ -42,6 +42,7 @@ __all__ = [
     "RateFit",
     "MardiaResult",
     "run_replications",
+    "is_constant",
     "standardize",
     "w1_to_normal",
     "w1_bootstrap_se",
@@ -139,23 +140,19 @@ class ReplicationTable:
 # replication engine
 
 
-def _block_rows(body, evaluators, core, t, t_index, seed, mode, n_dirs,
-                rep_start, rep_stop) -> np.ndarray:
-    out = np.empty((rep_stop - rep_start, 1 + len(evaluators)))
-    for r in range(rep_start, rep_stop):
-        rng = stream(seed, t_index, r)
-        cloud = sample_poisson_process(body, t, rng, core)
-        poly = prefiltered_hull(cloud, convex_hull)
-        fv = f_vector(poly)
-        if fv[0] > len(cloud):
-            raise RuntimeError("hull has more vertices than sample points")
-        ctx = {"t": t, "rng": rng, "cache": {"fvec": fv}, "mode": mode,
-               "n_dirs": n_dirs}
-        row = out[r - rep_start]
-        row[0] = len(cloud)
-        for i, (_, fn) in enumerate(evaluators):
-            row[1 + i] = fn(poly, ctx)
-    return out
+def _replication_row(body, evaluators, core, t, t_index, seed, mode, n_dirs,
+                     r) -> np.ndarray:
+    """Row ``r`` of the table, drawn from ``stream(seed, t_index, r)``."""
+    rng = stream(seed, t_index, r)
+    cloud = sample_poisson_process(body, t, rng, core)
+    poly = prefiltered_hull(cloud, convex_hull)
+    fv = f_vector(poly)
+    if fv[0] > len(cloud):
+        raise RuntimeError("hull has more vertices than sample points")
+    ctx = {"t": t, "rng": rng, "cache": {"fvec": fv}, "mode": mode,
+           "n_dirs": n_dirs}
+    return np.array([len(cloud)] + [fn(poly, ctx) for _, fn in evaluators],
+                    dtype=float)
 
 
 def run_replications(config: ExperimentConfig, t_index: int = 0,
@@ -163,7 +160,7 @@ def run_replications(config: ExperimentConfig, t_index: int = 0,
     """All functional values over n_reps independent processes at one
     intensity of the config's grid; deterministic per (seed, rep index).
     The body, the evaluators and the prefilter core are built here once,
-    and every replication block receives them."""
+    and every replication row receives them."""
     if not 0 <= t_index < len(config.t_grid):
         raise ValueError(f"t_index {t_index} outside the grid")
     t = config.t_grid[t_index]
@@ -174,11 +171,11 @@ def run_replications(config: ExperimentConfig, t_index: int = 0,
     evaluators = build_evaluators(list(config.functionals), body.dim)
     names = ["n_points"] + [name for name, _ in evaluators]
 
-    mat = np.vstack(map_blocks(
-        _block_rows, n_reps, workers,
+    mat = map_items(
+        _replication_row, n_reps, workers,
         (body, evaluators, floating_core(body, t), t, t_index, config.seed,
          config.mode, config.n_dirs),
-    ))
+    )
 
     cols = {name: mat[:, i].copy() for i, name in enumerate(names)}
     return ReplicationTable(
@@ -191,15 +188,20 @@ def run_replications(config: ExperimentConfig, t_index: int = 0,
 # one-dimensional statistics
 
 
+def is_constant(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Whether all entries along ``axis`` are equal: the one rule for a
+    constant column, whose computed variance need not round to 0.0."""
+    return (x == np.take(x, [0], axis=axis)).all(axis=axis)
+
+
 def standardize(column: np.ndarray) -> np.ndarray:
     """Center and scale to sample mean 0, sample variance 1 (ddof=1)."""
     x = np.asarray(column, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least 2 observations")
-    sd = x.std(ddof=1)
-    if sd == 0.0:
+    if is_constant(x):
         raise ValueError("zero sample variance; cannot standardize")
-    return (x - x.mean()) / sd
+    return (x - x.mean()) / x.std(ddof=1)
 
 
 def _normal_grid_quantiles(n: int) -> np.ndarray:
@@ -271,10 +273,10 @@ def covariance_matrix(table: ReplicationTable,
     # contiguous axis, so it rounds as the 1-D calls on that column do
     mat = table.matrix(columns)
     rows = mat.T.copy()
-    var = rows.var(axis=1, ddof=1)
-    for c, v in zip(columns, var):
-        if v == 0.0:
+    for c, const in zip(columns, is_constant(rows)):
+        if const:
             raise ValueError(f"column {c!r} has zero variance")
+    var = rows.var(axis=1, ddof=1)
     z = (rows - rows.mean(axis=1, keepdims=True)) / np.sqrt(var)[:, None]
     corr = np.atleast_2d(np.corrcoef(mat, rowvar=False))
     rank, eig = numeric_rank(corr)

@@ -389,6 +389,25 @@ def test_hull_imports_no_body_class():
     assert imported == {"PointCloud", "unit_ball_volume"}
 
 
+def test_only_rng_starts_processes():
+    """Only ``rng`` imports ``concurrent.futures`` or ``multiprocessing``,
+    so ``rng.map_items`` is the one scheduler: no other module can cut
+    work into blocks that depend on the worker count."""
+    pools = {"concurrent", "multiprocessing"}
+    importers = set()
+    for path in sorted(Path(randpoly.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[0] in pools for n in names):
+                importers.add(path.name)
+    assert importers == {"rng.py"}
+
+
 def test_every_private_helper_has_a_caller():
     """Each private module-level function or class, and each private
     method, in ``randpoly`` is read somewhere in the package outside its

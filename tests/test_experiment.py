@@ -490,6 +490,42 @@ class TestRunAndManifest:
                   if not c["passed"]]
         assert f"table table_t0.csv {check}" in failed
 
+    @pytest.mark.parametrize("field, value", [
+        ("t", 999.0), ("meta", "nowhere/table_t1.meta.json")])
+    def test_verify_checks_the_manifest_entry(self, tmp_path, field, value):
+        """Each table's manifest entry must hold the config's t and the
+        path of the CSV's sidecar; the sidecar is found from the CSV path,
+        so nothing else reads them."""
+        run(tiny_raw(), outdir=tmp_path)
+        manifest = tmp_path / "tiny" / "manifest.json"
+        stored = json.loads(manifest.read_text())
+        stored["tables"][1][field] = value
+        manifest.write_text(json.dumps(stored))
+        failed = [c["name"] for c in verify(manifest, quiet=True)["checks"]
+                  if not c["passed"]]
+        assert failed == ["table table_t1.csv manifest entry matches the "
+                          "config"]
+
+    def test_constant_column_with_a_rounded_variance(self, tmp_path):
+        """A column whose entries are all 0.7 has a computed variance of
+        about 1e-32; it is still a constant column, with variance 0.0, no
+        W1 distance or correlation, and no rate fit."""
+        raw = tiny_raw(t_grid=[100.0, 200.0, 400.0], n_reps=20, seed=5,
+                       allow_non_clt=True, functionals=[
+                           {"type": "multivariate"},
+                           {"type": "valuation", "label": "c0",
+                            "coeffs": [0.7, 0.0, 0.0]}])
+        with pytest.warns(UserWarning, match="coefficient gate"):
+            run(raw, outdir=tmp_path)
+        report = json.loads((tmp_path / "tiny" / "report.json").read_text())
+        for s in report["summaries"]:
+            assert s["constant_columns"] == ["c0"]
+            assert s["variances"]["c0"] == 0.0
+            assert "c0" not in s["w1_to_normal"]
+            assert "c0" not in s["correlation_columns"]
+        assert "c0" not in report["rate_fits"]
+        assert "V_2" in report["rate_fits"]
+
     def test_manifest_round_trip(self, tmp_path):
         run(tiny_raw(t_grid=[30.0], n_reps=10), outdir=tmp_path)
         path = tmp_path / "tiny" / "manifest.json"
@@ -736,10 +772,9 @@ class TestSharedPool:
         assert len(pools) == 1
         assert multiprocessing.active_children() == []
 
-    def test_map_blocks_outside_a_run_has_its_own_pool(self, pools):
-        from randpoly.rng import map_blocks
-        assert map_blocks(range, 10, 2) == [range(s, min(s + 2, 10))
-                                            for s in range(0, 10, 2)]
+    def test_map_items_outside_a_run_has_its_own_pool(self, pools):
+        from randpoly.rng import map_items
+        assert map_items(abs, 10, 2).tolist() == list(range(10))
         assert len(pools) == 1
         assert multiprocessing.active_children() == []
 
@@ -898,7 +933,8 @@ def per_column_summary(table, seed):
     and ``np.percentile`` per correlation pair."""
     names = [n for n in table.names if n != "n_points"]
     cols = {n: table.column(n) for n in names}
-    varying = [n for n in names if cols[n].var(ddof=1) > 0.0]
+    # a column is constant when its entries are equal; its variance is 0.0
+    varying = [n for n in names if (cols[n] != cols[n][0]).any()]
 
     def variance_se(col):
         n = len(col)
@@ -909,7 +945,8 @@ def per_column_summary(table, seed):
     out = {
         "t": table.t, "n_reps": table.n_reps,
         "means": {n: float(cols[n].mean()) for n in names},
-        "variances": {n: float(cols[n].var(ddof=1)) for n in names},
+        "variances": {n: float(cols[n].var(ddof=1)) if n in varying
+                      else 0.0 for n in names},
         "variance_se": {n: variance_se(cols[n]) for n in varying},
         "constant_columns": [n for n in names if n not in varying],
     }

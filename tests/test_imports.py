@@ -100,19 +100,19 @@ import sys
 import tempfile
 from pathlib import Path
 from randpoly import cli, experiment, malliavin
-original = malliavin._outer_block
+original = malliavin._outer_step
 main = os.getpid()
 
-def outer_block(*args):
+def outer_step(*args):
     rows = original(*args)
     if os.getpid() != main:
-        # the block ran in a pool worker, on the inputs it was handed
+        # the step ran in a pool worker, on the inputs it was handed
         assert "scipy.optimize" not in sys.modules, "a worker imported it"
         with open(os.path.join(out, f"worker-{os.getpid()}"), "w"):
             pass
     return rows
 
-malliavin._outer_block = outer_block
+malliavin._outer_step = outer_step
 cfg = {
     "name": "shell", "body": {"kind": "ball", "dim": 2, "radius": 1.0},
     "t_grid": [100.0], "n_reps": 8, "functionals": [{"type": "multivariate"}],

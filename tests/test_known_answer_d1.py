@@ -41,13 +41,19 @@ def test_tau3_of_the_length(sampling, key, tau3):
     assert abs(est.tau3 - tau3) <= 4.0 * est.se3, (est.tau3, est.se3)
 
 
-def test_variance_of_the_length():
+def variance_ratio() -> tuple[float, float]:
+    """Sample variance of V_1 over 2 / T^2, and its standard error, from
+    2,000 replications in one process."""
     config = ExperimentConfig.from_dict({
         "name": "d1", "body": {"kind": "ball", "dim": 1, "radius": 1.0},
         "t_grid": [T], "n_reps": 2000,
         "functionals": [{"type": "intrinsic", "j": 1}], "seed": SEED,
+        "workers": 1,
     })
     col = run_replications(config).column("V_1")
-    ratio = col.var(ddof=1) * T**2 / 2.0
-    ratio_se = _variance_se(col) * T**2 / 2.0
+    return col.var(ddof=1) * T**2 / 2.0, _variance_se(col) * T**2 / 2.0
+
+
+def test_variance_of_the_length():
+    ratio, ratio_se = variance_ratio()
     assert abs(ratio - 1.0) <= 4.0 * ratio_se, (ratio, ratio_se)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from randpoly.bodies import Ball, sample_poisson_process
+from randpoly.bodies import Ball, floating_core, sample_poisson_process
 from randpoly.functionals import (
     build_evaluators,
     column_values,
@@ -17,13 +17,15 @@ from randpoly.malliavin import (
     GammaEstimate,
     TauEstimate,
     VectorFunctional,
+    _outer_step,
+    _region_sampler,
     estimate_gammas,
     estimate_taus,
     first_difference,
     make_disjoint_visibility_config,
     second_difference,
 )
-from randpoly.rng import stream
+from randpoly.rng import map_items, stream
 
 
 def f0(poly):
@@ -311,6 +313,22 @@ class TestGammaEstimation:
                                     stream(70), sampling="boundary_shell",
                                     workers=w) for w in (1, 2))
         assert one == two
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_step_is_recomputed_alone(self, workers):
+        """Row k of the outer steps is ``_outer_step(..., k)`` bit for bit,
+        for any worker count, so one step can be recomputed by itself."""
+        body, t = Ball(2), 100.0
+        vf = VectorFunctional(fn=area_and_f0, labels=("V_2", "f_0"),
+                              scales=np.array([1e-2, 2.0]))
+        draw_points, _ = _region_sampler(body, t, "boundary_shell", 2.0)
+        args = (body, t, vf, 4, stream(70), draw_points,
+                floating_core(body, t))
+        rows = map_items(_outer_step, 9, workers, args)
+        assert rows.shape == (9, 3)
+        for k in (0, 4, 8):
+            step = np.array(_outer_step(*args, k))
+            assert step.tobytes() == rows[k].tobytes()
 
     def test_unpicklable_functional_with_workers(self):
         vf = VectorFunctional(fn=lambda p: np.zeros(2), labels=("a", "b"))

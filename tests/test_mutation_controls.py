@@ -5,6 +5,10 @@
   counts) and of ``test_known_answer_v1`` (mean V_1, and every planar
   column) must leave their 4 SE bound on the seeds they pass on
   unpatched.
+- With it patched to draw at 1.2 t, the d = 1 variance row of
+  ``test_known_answer_d1`` must leave its 4 SE bound; at 1.05 t it moves
+  to z -2.24 only: Var V_1 = 2/t^2 is then 9% low, within the noise of
+  2,000 replications.
 - With ``functionals.volume``, which the oracle column calls when no V_j
   column is asked, patched to 0.995 times the volume, the oracle rows of
   ``test_known_answer_fvector`` in d = 2 and 3 and at d = 4, t = 1000
@@ -22,22 +26,28 @@ import pytest
 
 from randpoly import functionals, hull, stats
 
+import test_known_answer_d1 as d1
 import test_known_answer_fvector as fvector
 import test_known_answer_v1 as v1
 
 INTENSITY_ERROR = 1.05
+D1_INTENSITY_ERROR = 1.2
 VOLUME_ERROR = 0.995
 V1_ERROR = 1.01
 
 
-@pytest.fixture
-def fast_sampler(monkeypatch):
+def draw_at(monkeypatch, factor: float) -> None:
     draw = stats.sample_poisson_process
 
     def at_wrong_intensity(body, t, rng, core=None):
-        return draw(body, INTENSITY_ERROR * t, rng, core)
+        return draw(body, factor * t, rng, core)
 
     monkeypatch.setattr(stats, "sample_poisson_process", at_wrong_intensity)
+
+
+@pytest.fixture
+def fast_sampler(monkeypatch):
+    draw_at(monkeypatch, INTENSITY_ERROR)
 
 
 @pytest.fixture
@@ -83,6 +93,13 @@ def test_face_count_rows_fail_at_the_wrong_intensity(fast_sampler, row):
 @pytest.mark.parametrize("row", V1_ROWS)
 def test_v1_rows_fail_at_the_wrong_intensity(fast_sampler, row):
     assert worst_z(f"V_1 row {v1.ROWS[row]}", v1.z_scores(row)) > 4.0
+
+
+def test_d1_variance_row_fails_at_the_wrong_intensity(monkeypatch):
+    draw_at(monkeypatch, D1_INTENSITY_ERROR)
+    ratio, ratio_se = d1.variance_ratio()
+    z = {"V_1 variance": (ratio - 1.0) / ratio_se}
+    assert worst_z("d = 1 variance row", z) > 4.0
 
 
 ORACLE_ROWS = [r for r, (d, t, _) in enumerate(fvector.ROWS)

@@ -1,7 +1,8 @@
 """Tests for deterministic stream derivation."""
 import numpy as np
+import pytest
 
-from randpoly.rng import stream, substream
+from randpoly.rng import map_items, stream, substream
 
 
 def test_same_key_same_stream():
@@ -40,3 +41,14 @@ def test_substreams_distinct():
     base = stream(9, 4)
     assert not np.array_equal(substream(base, 0).random(6),
                               substream(base, 1).random(6))
+
+
+def draw(seed, k):
+    return stream(seed, k).random(3)
+
+
+@pytest.mark.parametrize("n", [7, 10, 13])
+def test_map_items_in_item_order_for_any_worker_count(n):
+    want = np.array([draw(5, k) for k in range(n)])
+    for workers in (1, 2, 3):
+        assert map_items(draw, n, workers, (5,)).tobytes() == want.tobytes()

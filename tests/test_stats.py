@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from randpoly.bodies import Ball
+from randpoly.bodies import Ball, body_from_spec, floating_core
 from randpoly.config import ExperimentConfig
+from randpoly.functionals import build_evaluators
 from randpoly.rng import stream
 from randpoly.stats import (
     ReplicationTable,
     _normal_grid_quantiles,
+    _replication_row,
     covariance_matrix,
     mardia_normality,
     numeric_rank,
@@ -61,6 +63,20 @@ class TestRunReplications:
         b = run_replications(cfg, workers=4)
         for name in a.names:
             assert np.array_equal(a.column(name), b.column(name))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_row_is_recomputed_alone(self, workers):
+        """Row r of the table is ``_replication_row(..., r)`` bit for bit,
+        for any worker count, so one row can be recomputed by itself."""
+        cfg = small_config(n_reps=12)
+        table = run_replications(cfg, workers=workers)
+        body = body_from_spec(cfg.body)
+        t = cfg.t_grid[0]
+        args = (body, build_evaluators(list(cfg.functionals), body.dim),
+                floating_core(body, t), t, 0, cfg.seed, cfg.mode, cfg.n_dirs)
+        rows = table.matrix(table.names)
+        for r in (0, 7, cfg.n_reps[0] - 1):
+            assert _replication_row(*args, r).tobytes() == rows[r].tobytes()
 
     def test_plane_face_count_identity(self):
         table = run_replications(small_config(n_reps=100))
@@ -131,6 +147,16 @@ class TestStandardize:
     def test_constant_column_rejected(self):
         with pytest.raises(ValueError):
             standardize(np.ones(10))
+
+
+    def test_equal_entries_are_constant_whatever_their_variance(self):
+        # 20 entries of 0.7: the mean rounds, and the variance is ~1e-32
+        x = np.full(20, 0.7)
+        assert x.var(ddof=1) > 0.0
+        with pytest.raises(ValueError, match="zero sample variance"):
+            standardize(x)
+        with pytest.raises(ValueError, match="'a' has zero variance"):
+            covariance_matrix(synthetic_table({"a": x, "b": np.arange(20.0)}))
 
 
 class TestW1:
