@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -90,6 +91,10 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         cfg = check_record(raw, RECORDS["config"], "")
+        name = cfg["name"]  # the run directory is <outdir>/<name>
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ConfigError("name", "must be one path component: not "
+                              "empty, '.' or '..', and no path separator")
         body = body_from_spec(cfg["body"])
         t_grid = cfg["t_grid"]
         if not t_grid:

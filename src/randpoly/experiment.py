@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,12 +78,17 @@ class RunManifest:
     preset: str | None = None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def _with_paths(self, fn) -> "RunManifest":
+        """A copy whose table, report and plot paths are ``fn`` of these."""
+        reports = {k: fn(v) if isinstance(v, str) else [fn(p) for p in v]
+                   for k, v in self.reports.items()}
+        return replace(self, reports=reports, tables=[
+            {**e, "csv": fn(e["csv"])} for e in self.tables])
 
     @staticmethod
     def from_file(path: str | Path) -> "RunManifest":
-        """The manifest stored at ``path``; ValueError naming the file
+        """The manifest stored at ``path``, its paths (stored relative to
+        the file's directory) made absolute; ValueError naming the file
         unless it holds a JSON object with exactly the manifest's fields,
         and each ``tables`` entry an object with the keys run writes."""
         try:
@@ -91,7 +96,7 @@ class RunManifest:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         want = {f.name for f in fields(RunManifest)}
-        table_keys = {"t_index", "t", "csv", "meta", "sha256"}
+        table_keys = {"csv", "sha256"}
         tables = d.get("tables") if isinstance(d, dict) else None
         if not isinstance(tables, list) or set(d) != want or not all(
                 isinstance(t, dict) and set(t) == table_keys for t in tables):
@@ -99,22 +104,21 @@ class RunManifest:
                 f"{path}: not a run manifest (a JSON object with the keys "
                 f"{', '.join(sorted(want))}, and tables entries with the "
                 f"keys {', '.join(sorted(table_keys))})")
-        return RunManifest(**d)
+        base = os.path.dirname(os.path.realpath(path))
+        return RunManifest(**d)._with_paths(lambda p: os.path.join(base, p))
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        """Store the manifest at ``path``, its paths relative to the file's
+        directory: the run directory reads from anywhere, moved or not."""
+        base = os.path.dirname(os.path.realpath(path))
+        d = asdict(self._with_paths(lambda p: os.path.relpath(p, base)))
+        Path(path).write_text(json.dumps(d, indent=2, sort_keys=True) + "\n")
 
 
 def _resolve_outdir(config: ExperimentConfig, outdir) -> Path:
-    if outdir is not None:
-        base = Path(outdir)
-    elif config.outputs:
-        base = Path(config.outputs)
-    else:
-        base = Path(os.environ.get(OUTDIR_ENV, "runs"))
-    out = base / config.name
+    if outdir is None:
+        outdir = config.outputs or os.environ.get(OUTDIR_ENV, "runs")
+    out = (Path(outdir) / config.name).resolve()
     out.mkdir(parents=True, exist_ok=True)
     (out / "plots").mkdir(exist_ok=True)
     return out
@@ -397,13 +401,8 @@ def run(config, outdir=None, workers: int | None = None) -> RunManifest:
                 table = run_replications(config, ti, workers=workers)
                 csv_path = out / f"table_t{ti}.csv"
                 table.write_csv(csv_path)
-                manifest.tables.append({
-                    "t_index": ti,
-                    "t": table.t,
-                    "csv": str(csv_path),
-                    "meta": str(csv_path.with_suffix(".meta.json")),
-                    "sha256": _sha256(csv_path),
-                })
+                manifest.tables.append(
+                    {"csv": str(csv_path), "sha256": _sha256(csv_path)})
                 tables.append(table)
 
             report = _derive_report(config, tables)
@@ -420,11 +419,10 @@ def run(config, outdir=None, workers: int | None = None) -> RunManifest:
     except Exception as exc:
         manifest.status = "failed"
         manifest.error = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
         manifest.wall_seconds = time.perf_counter() - started
         manifest.write(manifest_path)
-        raise
-    manifest.wall_seconds = time.perf_counter() - started
-    manifest.write(manifest_path)
     return manifest
 
 
@@ -492,8 +490,8 @@ def verify(manifest_path, quiet: bool = False) -> dict:
             print(f"[{'PASS' if passed else 'FAIL'}] {name}"
                   + (f"  ({detail})" if detail else ""))
 
-    tables = []
-    for entry in manifest.tables:
+    tables, matched = [], 0
+    for ti, entry in enumerate(manifest.tables):
         p = Path(entry["csv"])
         if not p.exists():
             check(f"table {p.name} exists", False)
@@ -507,30 +505,23 @@ def verify(manifest_path, quiet: bool = False) -> dict:
             check(f"table {p.name} readable", False, str(exc))
             continue
         tables.append(table)
-        # the sidecar must hold the t, t_index, body, n_reps and seed that
-        # run_replications gives the listed t_index
-        ti = entry["t_index"]
-        t = config.t_grid[int(ti)] if ti in range(len(config.t_grid)) else None
-        want = ((t, ti, config.body, config.n_reps[int(ti)], config.seed)
-                if t is not None else None)
+        # entry i is t_index i: its sidecar (beside the CSV) must hold the
+        # t, t_index, body, n_reps and seed that run_replications gives it
+        want = ((config.t_grid[ti], ti, config.body, config.n_reps[ti],
+                 config.seed) if ti < len(config.t_grid) else None)
         got = (table.t, table.t_index, table.body, table.n_reps, table.seed)
+        matched += got == want
         check(f"table {p.name} sidecar matches the config", got == want,
               "" if got == want else f"sidecar {got}, config {want}")
-        # the manifest entry must hold that t and the sidecar's path
-        want = (t, str(p.with_suffix(".meta.json")))
-        got = (entry["t"], entry["meta"])
-        check(f"table {p.name} manifest entry matches the config",
-              got == want, "" if got == want else f"entry {got}, want {want}")
 
-    listed = [entry["t_index"] for entry in manifest.tables]
-    in_order = listed == list(range(len(config.t_grid)))
-    check("tables list each t_index once, in order", in_order,
-          f"t_index {listed}")
+    n = len(config.t_grid)
+    check("one table per intensity", len(manifest.tables) == n,
+          f"{len(manifest.tables)} tables, {n} intensities")
     report_path = manifest.reports.get("report")
     stored = {}
     if not report_path or not Path(report_path).exists():
         check("report exists", False, report_path or "not in the manifest")
-    elif in_order and len(tables) == len(manifest.tables):
+    elif len(manifest.tables) == n == matched:
         stored = json.loads(Path(report_path).read_text())
         diffs = []
         for key, value in _derive_report(config, tables).items():

@@ -60,6 +60,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="body"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../x", "/x"])
+    def test_name_is_one_path_component(self, tmp_path, name):
+        """The run directory is <outdir>/<name>: a name that would put the
+        run's files beside it, or straight into the outdir, is rejected
+        before anything is written."""
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(tiny_raw(name=name))
+        assert err.value.path == "name"
+        with pytest.raises(ConfigError):
+            run(tiny_raw(name=name), outdir=tmp_path / "runs")
+        assert list(tmp_path.iterdir()) == []
+
     def test_t_grid_must_increase(self):
         with pytest.raises(ConfigError, match="t_grid"):
             ExperimentConfig.from_dict(tiny_raw(t_grid=[100.0, 50.0]))
@@ -378,8 +390,16 @@ class TestRunAndManifest:
         assert (out / "plots" / "w1_vs_t.csv").exists()
         assert len(manifest.tables) == 3
         for entry in manifest.tables:
-            assert Path(entry["csv"]).exists()
-            assert Path(entry["meta"]).exists()
+            assert set(entry) == {"csv", "sha256"}
+            assert Path(entry["csv"]).is_file()
+            assert Path(entry["csv"]).with_suffix(".meta.json").is_file()
+        # the file stores the paths relative to its own directory
+        stored = json.loads((out / "manifest.json").read_text())
+        assert stored["tables"] == [
+            {"csv": f"table_t{i}.csv", "sha256": e["sha256"]}
+            for i, e in enumerate(manifest.tables)]
+        assert stored["reports"]["report"] == "report.json"
+        assert "plots/variance_vs_t.csv" in stored["reports"]["plots"]
 
     def test_rate_fits_emitted(self, tmp_path):
         run(tiny_raw(), outdir=tmp_path)
@@ -490,21 +510,25 @@ class TestRunAndManifest:
                   if not c["passed"]]
         assert f"table table_t0.csv {check}" in failed
 
-    @pytest.mark.parametrize("field, value", [
-        ("t", 999.0), ("meta", "nowhere/table_t1.meta.json")])
-    def test_verify_checks_the_manifest_entry(self, tmp_path, field, value):
-        """Each table's manifest entry must hold the config's t and the
-        path of the CSV's sidecar; the sidecar is found from the CSV path,
-        so nothing else reads them."""
-        run(tiny_raw(), outdir=tmp_path)
-        manifest = tmp_path / "tiny" / "manifest.json"
-        stored = json.loads(manifest.read_text())
-        stored["tables"][1][field] = value
-        manifest.write_text(json.dumps(stored))
-        failed = [c["name"] for c in verify(manifest, quiet=True)["checks"]
-                  if not c["passed"]]
-        assert failed == ["table table_t1.csv manifest entry matches the "
-                          "config"]
+    def test_verify_from_another_directory(self, tmp_path, monkeypatch,
+                                           capsys):
+        """A run written to a relative outdir verifies from any working
+        directory, through the API and the command line."""
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        run(tiny_raw(t_grid=[30.0, 60.0], n_reps=20), outdir="runs")
+        monkeypatch.chdir(tmp_path / "b")
+        path = tmp_path / "a" / "runs" / "tiny" / "manifest.json"
+        assert verify(path, quiet=True)["ok"]
+        assert cli_main(["verify", str(path)]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+
+    def test_verify_a_moved_run(self, tmp_path):
+        run(tiny_raw(t_grid=[30.0, 60.0], n_reps=20), outdir=tmp_path / "a")
+        (tmp_path / "a" / "tiny").rename(tmp_path / "moved")
+        result = verify(tmp_path / "moved" / "manifest.json", quiet=True)
+        assert result["ok"], [c for c in result["checks"] if not c["passed"]]
 
     def test_constant_column_with_a_rounded_variance(self, tmp_path):
         """A column whose entries are all 0.7 has a computed variance of
@@ -527,10 +551,17 @@ class TestRunAndManifest:
         assert "V_2" in report["rate_fits"]
 
     def test_manifest_round_trip(self, tmp_path):
-        run(tiny_raw(t_grid=[30.0], n_reps=10), outdir=tmp_path)
+        """Reading a manifest gives the one run returned, and writing it
+        back gives the same file."""
+        manifest = run(tiny_raw(t_grid=[30.0], n_reps=10), outdir=tmp_path)
         path = tmp_path / "tiny" / "manifest.json"
         stored = json.loads(path.read_text())
-        assert RunManifest.from_file(path).to_dict() == stored
+        read = RunManifest.from_file(path)
+        assert read.tables == manifest.tables
+        assert read.reports == manifest.reports
+        copy = path.with_name("copy.json")
+        read.write(copy)
+        assert copy.read_text() == path.read_text()
         assert set(stored) == {"config", "config_hash", "version", "status",
                                "wall_seconds", "seeds", "tables", "reports",
                                "preset", "error"}
@@ -1280,41 +1311,56 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "[FAIL] table table_t0.csv readable" in out
 
-    @pytest.mark.parametrize("listed", [[], [1], [0, 1, 1]],
-                             ids=["empty", "dropped", "duplicated"])
+    @pytest.mark.parametrize("listed, failed", [
+        ([], ["one table per intensity"]),
+        ([1], ["table table_t1.csv sidecar matches the config",
+               "one table per intensity"]),
+        ([0, 1, 1], ["table table_t1.csv sidecar matches the config",
+                     "one table per intensity"]),
+        ([1, 0], ["table table_t1.csv sidecar matches the config",
+                  "table table_t0.csv sidecar matches the config"])],
+        ids=["empty", "dropped", "duplicated", "swapped"])
     def test_verify_fails_on_a_bad_table_list(self, tmp_path, capsys,
-                                              listed):
-        """A manifest whose tables do not list each t_index once, in order,
-        fails that check (no report is derived from them) and exits 2;
-        the untouched run passes it."""
+                                              listed, failed):
+        """Entry i of the manifest's tables must be the table of t_index i,
+        one per intensity: a list that is not fails those checks, no
+        report is derived from it, and verify exits 2; the untouched run
+        passes them."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_raw(t_grid=[30.0, 60.0],
                                                 n_reps=20)))
         assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
         path = tmp_path / "tiny" / "manifest.json"
-        name = "tables list each t_index once, in order"
         passed = {c["name"]: c["passed"]
                   for c in verify(path, quiet=True)["checks"]}
-        assert passed[name] and all(passed.values())
+        assert set(failed) <= set(passed) and all(passed.values())
         manifest = json.loads(path.read_text())
         tables = [manifest["tables"][i] for i in listed]
         path.write_text(json.dumps({**manifest, "tables": tables}))
         result = verify(path, quiet=True)
-        assert not result["ok"]
-        assert [c["passed"] for c in result["checks"]
-                if c["name"] == name] == [False]
+        assert [c["name"] for c in result["checks"]
+                if not c["passed"]] == failed
+        assert "report reproducible from tables" not in [
+            c["name"] for c in result["checks"]]
         capsys.readouterr()
         assert cli_main(["verify", str(path)]) == 2
-        assert f"[FAIL] {name}" in capsys.readouterr().out
+        assert f"[FAIL] {failed[-1]}" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("content", [{"config": {}}, [1, 2]])
+    # the last is a manifest whose table entry has the keys that runs
+    # stored before entries became a CSV path and its checksum
+    @pytest.mark.parametrize("content", [
+        {"config": {}}, [1, 2],
+        dict.fromkeys(RunManifest.__dataclass_fields__) | {
+            "config": tiny_raw(t_grid=[30.0]), "reports": {}, "tables": [{
+                "t_index": 0, "t": 30.0, "csv": "table_t0.csv",
+                "meta": "table_t0.meta.json", "sha256": "0" * 64}]}])
     def test_malformed_manifest_exit_code(self, tmp_path, capsys, content):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(content))
         assert cli_main(["verify", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
-        assert "Traceback" not in err
+        assert "not a run manifest" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("tables", [[{}], [{"csv": "table_t0.csv"}],
                                         ["table_t0.csv"], {}])
